@@ -11,8 +11,28 @@ which is non-increasing in k by the martingale property of conditional means.
 Tie rule for the scanned rules (variance, minimax, median): the *largest*
 minimizing boundary. The within-cell prefix risk curves reuse the clamped
 weighted-increment construction (West's update), so they are exactly
-monotone and the minimax crossing search is exact, mirroring the empirical
-splitter.
+monotone, mirroring the empirical splitter.
+
+Each round is one array pass over every multi-atom cell of a level (the
+level pass of `growth`): the cells become the rows of padded blocks, grouped
+by power-of-two length class and capped at _BLOCK entries, and every row's
+prefix curves are a sequential cumsum along the row, so they are the floats
+a one-cell computation makes, bit for bit. The same blocks give each cell's
+risk by a two-pass reduction, which is what the mse curve sums. The picks:
+
+- variance and minimax take the last argmin of L + R and of max(L, R) over
+  the boundaries (L and R are the left and right child risks). L is a
+  cumsum of non-negative increments, so it is exactly non-decreasing, and R
+  is exactly non-increasing. Let c be the first boundary with L >= R: before
+  c, max(L, R) = R is non-increasing, and from c on, max(L, R) = L is
+  non-decreasing. So every minimizer lies at c - 1 or on the plateau of L
+  that starts at c, and the last argmin is the largest minimizer, with no
+  search for the crossing.
+- median groups rows by exact length instead, so each cell's total mass is
+  the pairwise `np.sum` of its own weights and no padding enters it.
+- simons takes each cell's mean as `np.dot(w, u) / np.sum(w)` one cell at a
+  time: a block reduction sums in another order, and a cut at a mean that
+  lands on an atom flips with the last bit.
 """
 
 from __future__ import annotations
@@ -27,6 +47,9 @@ from .errors import ConfigError, DataError
 from .rng import stream
 
 RULES = ("variance", "simons", "minimax", "median")
+
+# most entries a level pass holds in one padded block (rows x width)
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -72,10 +95,7 @@ class DiscreteLaw:
         """Unconditional contribution sum_i w_i (u_i - cell mean)^2."""
         if hi - lo <= 1:
             return 0.0
-        u = self.atoms[lo:hi]
-        w = self.weights[lo:hi]
-        delta = u - np.dot(w, u) / np.sum(w)
-        return max(0.0, float(np.dot(w, delta * delta)))
+        return float(_level_pass(self, np.array([lo]), np.array([hi]), None)[1][0])
 
     def mean(self) -> float:
         return self.cell_mean(0, self.n_atoms)
@@ -85,27 +105,89 @@ class DiscreteLaw:
 
 
 def _weighted_prefix_sse(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """prefix[i] = sum_{j<=i} w_j (u_j - weighted mean of u[:i+1])^2,
-    exactly non-decreasing (cumsum of clamped West increments)."""
-    cw = np.cumsum(w)
-    means = np.cumsum(w * u) / cw
+    """prefix[..., i] = sum_{j<=i} w_j (u_j - weighted mean of u[..., :i+1])^2,
+    exactly non-decreasing (cumsum of clamped West increments). Works along
+    the last axis, so each row of a block gets the floats its 1-D call would;
+    zero weights past a row's end leave the row's own entries alone."""
+    cw = np.cumsum(w, axis=-1)
+    means = np.cumsum(w * u, axis=-1) / cw
     prev = np.empty_like(u)
-    prev[0] = u[0]
-    prev[1:] = means[:-1]
+    prev[..., 0] = u[..., 0]
+    prev[..., 1:] = means[..., :-1]
     inc = w * (u - prev) * (u - means)
     np.maximum(inc, 0.0, out=inc)
-    inc[0] = 0.0
-    return np.cumsum(inc)
+    inc[..., 0] = 0.0
+    return np.cumsum(inc, axis=-1)
 
 
-def _cell_curves(law: DiscreteLaw, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(phi_L, phi_R) over boundaries b = lo+1 .. hi-1; phi_L[j] / phi_R[j] is
-    the risk contribution of [lo, lo+1+j) / [lo+1+j, hi)."""
-    u = law.atoms[lo:hi]
-    w = law.weights[lo:hi]
-    left = _weighted_prefix_sse(u, w)
-    right = _weighted_prefix_sse(u[::-1], w[::-1])[::-1]
-    return left[:-1], right[1:]
+def _rows(law: DiscreteLaw, lo: np.ndarray, m: np.ndarray,
+          reverse: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """(atoms, weights) of the cells [lo, lo + m) as the rows of two blocks,
+    each row in order or reversed. Past a row's end the atom repeats its
+    last one and the weight is zero. A single cell is a view of the law."""
+    if lo.size == 1:
+        cell = slice(int(lo[0]), int(lo[0] + m[0]))
+        u, w = law.atoms[cell][None], law.weights[cell][None]
+        return (u[:, ::-1], w[:, ::-1]) if reverse else (u, w)
+    cols = np.arange(int(m.max()))
+    pos = np.minimum(cols, m[:, None] - 1)
+    at = lo[:, None] + (m[:, None] - 1 - pos if reverse else pos)
+    return law.atoms[at], np.where(cols < m[:, None], law.weights[at], 0.0)
+
+
+def _risks(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row, sum_i w_i (u_i - weighted row mean)^2, by two passes."""
+    delta = u - (np.sum(w * u, axis=-1) / np.sum(w, axis=-1))[..., None]
+    delta *= delta  # in place: a cell can span the whole law
+    delta *= w
+    return np.sum(delta, axis=-1)
+
+
+def _last_argmin(crit: np.ndarray) -> np.ndarray:
+    """Per row, the last index of the row's least value."""
+    return crit.shape[1] - 1 - np.argmin(crit[:, ::-1], axis=1)
+
+
+def _level_pass(law: DiscreteLaw, lo: np.ndarray, hi: np.ndarray,
+                rule: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """(boundaries, risks) of the multi-atom cells [lo, hi): the boundary
+    the rule picks in each cell (left unset without a rule) and each cell's
+    risk contribution."""
+    m = hi - lo
+    cuts = np.empty(m.size, dtype=np.int64)
+    risks = np.empty(m.size)
+    if rule == "simons":
+        means = np.array([law.cell_mean(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        # the first atom at or above the mean: it and all above go right. The
+        # mean lies in (atoms[lo], atoms[hi-1]]; clamp anyway so float dust
+        # can never produce an empty child
+        cuts[:] = np.clip(np.searchsorted(law.atoms, means, side="left"), lo + 1, hi - 1)
+    width = m if rule == "median" else 2 ** np.frexp(np.maximum(m, 8) - 1)[1]
+    for size in sorted(set(width.tolist())):
+        group = np.flatnonzero(width == size)
+        step = max(1, _BLOCK // size)
+        for rows in np.split(group, np.arange(step, group.size, step)):
+            r_lo, r_m = lo[rows], m[rows]
+            u, w = _rows(law, r_lo, r_m)
+            risks[rows] = _risks(u, w)
+            if rule == "median":
+                gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - np.sum(w, axis=1)[:, None])
+                cuts[rows] = r_lo + 1 + _last_argmin(gap)
+            elif rule in ("variance", "minimax"):
+                left = _weighted_prefix_sse(u, w)[:, :-1]
+                # right[j] = risk of the cell past boundary j: the prefix of
+                # the reversed cell, read back at its mirrored position
+                rev = _weighted_prefix_sse(*_rows(law, r_lo, r_m, reverse=True))
+                if rows.size == 1:
+                    right = rev[:, -2::-1]
+                else:  # an infinite right risk keeps padding from being picked
+                    cols = np.arange(left.shape[1])
+                    back = np.maximum(r_m[:, None] - 2 - cols, 0)
+                    right = np.where(cols < r_m[:, None] - 1,
+                                     np.take_along_axis(rev, back, axis=1), np.inf)
+                crit = left + right if rule == "variance" else np.maximum(left, right)
+                cuts[rows] = r_lo + 1 + _last_argmin(crit)
+    return cuts, risks
 
 
 def split_cell(law: DiscreteLaw, lo: int, hi: int, rule: str) -> int:
@@ -114,9 +196,11 @@ def split_cell(law: DiscreteLaw, lo: int, hi: int, rule: str) -> int:
     variance: minimize left + right risk contribution (largest minimizer).
     simons: cut at the cell's conditional mean; an atom exactly at the mean
       goes right.
-    minimax: minimize max(left, right) contribution (largest minimizer),
-      found by bisection on the monotone prefix curves.
+    minimax: minimize max(left, right) contribution (largest minimizer).
     median: make the child masses as equal as possible (largest minimizer).
+
+    The boundary is the one `build_cell_tree` picks for the cell: this is
+    its level pass run on one cell.
     """
     if rule not in RULES:
         raise ConfigError(f"unknown rule {rule!r}; valid: {RULES}")
@@ -124,71 +208,19 @@ def split_cell(law: DiscreteLaw, lo: int, hi: int, rule: str) -> int:
         raise ConfigError(f"bad cell [{lo}, {hi})")
     if hi - lo < 2:
         raise ConfigError("cannot split a single-atom cell")
-
-    if rule == "simons":
-        mean = law.cell_mean(lo, hi)
-        b_rel = int(np.searchsorted(law.atoms[lo:hi], mean, side="left"))
-        # the mean is strictly inside (atoms[lo], atoms[hi-1]]; clamp anyway
-        # so float dust can never produce an empty child
-        return lo + min(max(b_rel, 1), hi - lo - 1)
-
-    if rule == "median":
-        w = law.weights[lo:hi]
-        total = float(np.sum(w))
-        left_mass = np.cumsum(w[:-1])
-        gap = np.abs(2.0 * left_mass - total)
-        return lo + 1 + (gap.size - 1 - int(np.argmin(gap[::-1])))
-
-    L, R = _cell_curves(law, lo, hi)
-    if rule == "variance":
-        crit = L + R
-        return lo + 1 + (crit.size - 1 - int(np.argmin(crit[::-1])))
-
-    # minimax: first crossing of the monotone curves, then the right edge of
-    # the minimizing plateau
-    n_cand = L.size
-    a, b = 0, n_cand
-    while a < b:
-        mid = (a + b) // 2
-        if L[mid] >= R[mid]:
-            b = mid
-        else:
-            a = mid + 1
-    cross = a
-
-    def plateau_right(start: int, value: float) -> int:
-        # largest q >= start with L[q] <= value (L is non-decreasing)
-        a2, b2 = start, n_cand - 1
-        while a2 < b2:
-            mid = (a2 + b2 + 1) // 2
-            if L[mid] <= value:
-                a2 = mid
-            else:
-                b2 = mid - 1
-        return a2
-
-    if cross == n_cand:
-        pick = n_cand - 1
-    elif cross == 0:
-        pick = plateau_right(0, float(L[0]))
-    else:
-        before = max(float(L[cross - 1]), float(R[cross - 1]))
-        at = max(float(L[cross]), float(R[cross]))
-        if at <= before:
-            pick = plateau_right(cross, at)
-        else:
-            pick = cross - 1
-    return lo + 1 + pick
+    return int(_level_pass(law, np.array([lo]), np.array([hi]), rule)[0][0])
 
 
 @dataclass(frozen=True)
 class CellTree:
     """Level-by-level record of the recursive partition: levels[k] is the
-    list of cells after k rounds, each an index range (lo, hi)."""
+    list of cells after k rounds, each an index range (lo, hi), and
+    level_risks[k] holds each of those cells' risk contribution."""
 
     law: DiscreteLaw
     rule: str
     levels: Tuple[Tuple[Tuple[int, int], ...], ...]
+    level_risks: Tuple[np.ndarray, ...]
 
     @property
     def depth(self) -> int:
@@ -205,38 +237,45 @@ class CellTree:
         return np.asarray([self.law.cell_mean(lo, hi) for lo, hi in self.levels[k]])
 
     def risks(self, k: int) -> np.ndarray:
-        return np.asarray([self.law.cell_risk(lo, hi) for lo, hi in self.levels[k]])
+        return self.level_risks[k].copy()
 
     def mse_curve(self) -> np.ndarray:
-        return np.asarray(
-            [sum(self.law.cell_risk(lo, hi) for lo, hi in cells)
-             for cells in self.levels], dtype=np.float64)
+        return np.asarray([np.sum(r) for r in self.level_risks], dtype=np.float64)
 
 
 def build_cell_tree(law: DiscreteLaw, rule: str, depth: int) -> CellTree:
-    """Split every multi-atom cell for `depth` rounds. Single-atom cells
-    persist unchanged (their risk is already zero)."""
+    """Split every multi-atom cell for `depth` rounds, one level pass per
+    round. Single-atom cells persist unchanged (their risk is already
+    zero)."""
     if rule not in RULES:
         raise ConfigError(f"unknown rule {rule!r}; valid: {RULES}")
     if not isinstance(depth, int) or depth < 0:
         raise ConfigError(f"depth must be a nonnegative int, got {depth!r}")
-    levels = [((0, law.n_atoms),)]
-    for _ in range(depth):
-        nxt: List[Tuple[int, int]] = []
-        for lo, hi in levels[-1]:
-            if hi - lo < 2:
-                nxt.append((lo, hi))
-                continue
-            b = split_cell(law, lo, hi, rule)
-            nxt.append((lo, b))
-            nxt.append((b, hi))
-        levels.append(tuple(nxt))
-    return CellTree(law=law, rule=rule, levels=tuple(levels))
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, law.n_atoms, dtype=np.int64)
+    levels, level_risks = [], []
+    for k in range(depth + 1):
+        multi = np.flatnonzero(hi - lo >= 2)
+        cuts, risks = _level_pass(law, lo[multi], hi[multi], rule if k < depth else None)
+        cell_risks = np.zeros(lo.size)
+        cell_risks[multi] = risks
+        levels.append(tuple(zip(lo.tolist(), hi.tolist())))
+        level_risks.append(cell_risks)
+        if k < depth:
+            # each multi-atom cell becomes its left then right child in place
+            width = np.ones(lo.size, dtype=np.int64)
+            width[multi] = 2
+            first = (np.cumsum(width) - width)[multi]
+            lo, hi = np.repeat(lo, width), np.repeat(hi, width)
+            hi[first] = cuts
+            lo[first + 1] = cuts
+    return CellTree(law=law, rule=rule, levels=tuple(levels), level_risks=tuple(level_risks))
 
 
 def mse_curve(law: DiscreteLaw, rule: str, depth: int) -> np.ndarray:
     """Partition risk after 0..depth rounds of splitting."""
     return build_cell_tree(law, rule, depth).mse_curve()
+
 
 
 def rate_bound(rule: str, k: int) -> float:

@@ -22,11 +22,11 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, Dataset
+from .dataset import CLASSIFICATION, REGRESSION, Dataset
 from .errors import ConfigError, DataError
 from .growth import Growth
 from .rng import stream
-from .splitting import SplitCriterion
+from .splitting import TAGS, SplitCriterion
 
 FORMAT_TREE = "tree-v1"
 
@@ -129,17 +129,19 @@ class TreeModel:
         if max_depth is not None and max_depth < 0:
             raise ConfigError("max_depth must be nonnegative")
         idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
+        # split levels rise along every path and stay below the tree's
+        # max_depth, so a descent ends within max_depth steps
+        for _ in range(self.max_depth + 1):
             descend = self.left[idx] >= 0
             if max_depth is not None:
                 descend &= self.split_level[idx] < max_depth
             if not descend.any():
-                break
+                return idx[0] if single else idx
             rows = np.nonzero(descend)[0]
             cur = idx[rows]
             go_left = X[rows, self.feature[cur]] < self.threshold[cur]
             idx[rows] = np.where(go_left, self.left[cur], self.right[cur])
-        return idx[0] if single else idx
+        raise DataError(f"a path of the tree runs deeper than its max_depth {self.max_depth}")
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Fitted node value (mean / positive fraction) at each point."""
@@ -320,43 +322,96 @@ def tree_to_doc(tree: TreeModel) -> dict:
     }
 
 
+def _check_structure(tree: TreeModel) -> None:
+    """Reject a loaded tree that prediction could not walk, or would walk
+    to a wrong cell. Every node field holds one number per node; each split
+    node's two children lie after it and before the end; every node but the
+    root has exactly one parent; split levels lie in [0, max_depth) and rise
+    from parent to child, so every descent ends within max_depth steps; split
+    features lie in [0, n_features) and split thresholds are finite."""
+    if tree.task not in (REGRESSION, CLASSIFICATION):
+        raise DataError(f"unknown task {tree.task!r}")
+    if tree.criterion not in TAGS:
+        raise DataError(f"unknown criterion {tree.criterion!r}")
+    if tree.max_depth < 0:
+        raise DataError(f"max_depth must be nonnegative, got {tree.max_depth}")
+    if len(tree.risk_trace) != tree.max_depth + 1:
+        raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} entries, "
+                        f"got {len(tree.risk_trace)}")
+    n = len(tree.leaf_reason)
+    if n == 0:
+        raise DataError("tree has no nodes")
+    if any(np.shape(a) != (n,) for a in (tree.depth, tree.count, tree.risk, tree.value,
+                                          tree.log_odds, tree.feature, tree.threshold,
+                                          tree.left, tree.right, tree.split_level)):
+        raise DataError(f"every node field must hold one number per node ({n})")
+    ids = np.arange(n)
+    left, right = tree.left, tree.right
+    split = left >= 0
+    leaf_ok = (left == -1) & (right == -1)
+    split_ok = (left > ids) & (left < n) & (right > ids) & (right < n)
+    if not np.all(np.where(split, split_ok, leaf_ok)):
+        raise DataError("each split node's children must lie in (node, n_nodes)")
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    if np.any(parents[1:] != 1):
+        raise DataError("every node but the root must have exactly one parent")
+    level = tree.split_level[split]
+    if np.any((level < 0) | (level >= tree.max_depth)):
+        raise DataError(f"split levels must lie in [0, max_depth = {tree.max_depth})")
+    for child in (left[split], right[split]):
+        inner = split[child]
+        if np.any(tree.split_level[child[inner]] <= level[inner]):
+            raise DataError("a child must split at a later level than its parent")
+    feature = tree.feature[split]
+    if np.any((feature < 0) | (feature >= tree.n_features)):
+        raise DataError(f"split features must lie in [0, n_features = {tree.n_features})")
+    if not np.all(np.isfinite(tree.threshold[split])):
+        raise DataError("split thresholds must be finite")
+
+
+def _integers(values: list) -> np.ndarray:
+    """An integer node field; a float or bool would otherwise turn
+    silently into another node or feature."""
+    if not all(type(v) is int for v in values):
+        raise DataError("node ids, features, levels, depths and counts must be integers")
+    return np.asarray(values, dtype=np.int64)
+
+
 def tree_from_doc(doc: dict) -> TreeModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TREE:
         raise DataError(f"not a {FORMAT_TREE} document")
     try:
         raw = doc["nodes"]
         nan = math.nan
-        return TreeModel(
+        tree = TreeModel(
             task=doc["task"],
             n_features=int(doc["n_features"]),
             criterion=doc["criterion"],
             max_depth=int(doc["max_depth"]),
             n_min=int(doc["n_min"]),
             n_train=int(doc["n_train"]),
-            depth=np.asarray([r["depth"] for r in raw], dtype=np.int64),
-            count=np.asarray([r["count"] for r in raw], dtype=np.int64),
+            depth=_integers([r["depth"] for r in raw]),
+            count=_integers([r["count"] for r in raw]),
             risk=np.asarray([r["risk"] for r in raw], dtype=np.float64),
             value=np.asarray([r["value"] for r in raw], dtype=np.float64),
             log_odds=np.asarray(
                 [nan if r["log_odds"] is None else r["log_odds"] for r in raw],
                 dtype=np.float64),
-            feature=np.asarray(
-                [-1 if r["feature"] is None else r["feature"] for r in raw], dtype=np.int64),
+            feature=_integers([-1 if r["feature"] is None else r["feature"] for r in raw]),
             threshold=np.asarray(
                 [nan if r["threshold"] is None else r["threshold"] for r in raw],
                 dtype=np.float64),
-            left=np.asarray(
-                [-1 if r["left"] is None else r["left"] for r in raw], dtype=np.int64),
-            right=np.asarray(
-                [-1 if r["right"] is None else r["right"] for r in raw], dtype=np.int64),
-            split_level=np.asarray(
-                [-1 if r["split_level"] is None else r["split_level"] for r in raw],
-                dtype=np.int64),
+            left=_integers([-1 if r["left"] is None else r["left"] for r in raw]),
+            right=_integers([-1 if r["right"] is None else r["right"] for r in raw]),
+            split_level=_integers(
+                [-1 if r["split_level"] is None else r["split_level"] for r in raw]),
             leaf_reason=[r["leaf_reason"] for r in raw],
             risk_trace=[float(u) for u in doc["risk_trace"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc
+    _check_structure(tree)
+    return tree
 
 
 def tree_to_json(tree: TreeModel) -> str:

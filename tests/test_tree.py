@@ -14,10 +14,12 @@ from minimaxsplit import (
     GrowConfig,
     classify,
     grow,
+    load_model,
     partition_report,
     tree_from_json,
     tree_to_json,
 )
+from minimaxsplit.tree import tree_from_doc, tree_to_doc
 
 
 def small_regression():
@@ -233,6 +235,66 @@ class TestSerialization:
             tree_from_json("{\"format\": \"something-else\"}")
         with pytest.raises(DataError):
             tree_from_json("[]")
+
+
+def _set(node: int, key: str, value):
+    def mutate(doc):
+        doc["nodes"][node][key] = value
+    return mutate
+
+
+# each mutation of a grown depth-3 tree's document (node 0 splits into 1 and
+# 2, node 1 into 3 and 4) that load must reject
+CRAFTED = {
+    "root_left_is_itself": _set(0, "left", 0),
+    "child_points_back": _set(1, "right", 0),
+    "child_past_the_end": _set(0, "right", 99),
+    "child_shared": _set(1, "left", 2),
+    "one_child_missing": _set(0, "right", None),
+    "feature_out_of_range": _set(0, "feature", 2),
+    "feature_negative": _set(1, "feature", -1),
+    "feature_not_an_integer": _set(0, "feature", 0.5),
+    "child_not_an_integer": _set(0, "left", 1.5),
+    "child_a_bool": _set(0, "left", True),
+    "child_overflows": _set(0, "left", 2 ** 70),
+    "threshold_missing": _set(1, "threshold", None),
+    "split_level_at_max_depth": _set(0, "split_level", 3),
+    "child_splits_no_later": _set(1, "split_level", 0),
+    "node_field_not_a_number": _set(2, "risk", [1.0, 2.0]),
+    "risk_trace_too_short": lambda doc: doc["risk_trace"].pop(),
+    "no_nodes": lambda doc: doc["nodes"].clear(),
+    "unknown_task": lambda doc: doc.update(task="ranking"),
+}
+
+
+class TestCraftedModels:
+    @pytest.fixture
+    def doc(self):
+        rng = np.random.default_rng(3)
+        data = Dataset(features=rng.normal(size=(2, 60)), targets=rng.normal(size=60),
+                       task=REGRESSION)
+        doc = tree_to_doc(grow(data, GrowConfig(criterion="variance", max_depth=3)))
+        assert [doc["nodes"][i]["left"] for i in (0, 1)] == [1, 3]
+        assert tree_from_doc(json.loads(json.dumps(doc))) is not None
+        return doc
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_rejected_on_load(self, doc, name):
+        CRAFTED[name](doc)
+        with pytest.raises(DataError):
+            tree_from_doc(doc)
+        with pytest.raises(DataError):
+            load_model(json.dumps(doc))
+
+    def test_descent_is_capped(self, doc):
+        """A tree built in code, so never checked, whose root is its own
+        child: apply stops after max_depth steps instead of looping."""
+        tree = tree_from_doc(doc)
+        tree.left[0] = 0
+        X = np.zeros((4, 2))
+        X[:, tree.feature[0]] = tree.threshold[0] - 1.0  # every point goes left
+        with pytest.raises(DataError):
+            tree.apply(X)
 
 
 @settings(max_examples=60, deadline=None)
