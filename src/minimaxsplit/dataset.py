@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,12 +36,15 @@ class Dataset:
     features is column-major: ``features[j, i]`` is feature j of sample i.
     sort_index[j] is a permutation of sample indices ordering feature j
     ascending (stable, so duplicate values keep sample order).
+    feature_names, when known (a CSV header), names feature j; models grown
+    on the dataset record them so scoring files can be matched by name.
     """
 
     features: np.ndarray  # shape (d, n)
     targets: np.ndarray  # shape (n,)
     task: str
     sort_index: np.ndarray = field(default=None)  # shape (d, n), int64
+    feature_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.atleast_2d(np.asarray(self.features, dtype=np.float64)))
@@ -52,12 +56,16 @@ class Dataset:
         d, n = feats.shape
         if n < 1:
             raise DataError("dataset needs at least one sample")
+        if d < 1:
+            raise DataError("dataset needs at least one feature")
         if targ.shape[0] != n:
             raise DataError(f"targets length {targ.shape[0]} != n_samples {n}")
         if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(targ)):
             raise DataError("features and targets must be finite")
         if self.task == CLASSIFICATION and not np.all(np.isin(targ, (-1.0, 1.0))):
             raise DataError("classification targets must be exactly -1 or +1")
+        if self.feature_names is not None:
+            object.__setattr__(self, "feature_names", check_feature_names(self.feature_names, d))
         sort_index = np.vstack([np.argsort(feats[j], kind="stable") for j in range(d)]).astype(np.int64)
         feats.setflags(write=False)
         targ.setflags(write=False)
@@ -83,7 +91,8 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New Dataset from the given sample rows (duplicates allowed)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[:, idx], targets=self.targets[idx], task=self.task)
+        return Dataset(features=self.features[:, idx], targets=self.targets[idx], task=self.task,
+                       feature_names=self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -146,88 +155,189 @@ class ImageGrid:
 # ---------------------------------------------------------------------------
 
 
+def check_feature_names(names, d: int) -> Tuple[str, ...]:
+    """The names as a tuple; DataError unless they are d distinct non-empty
+    strings."""
+    if not isinstance(names, (list, tuple)):
+        raise DataError(f"feature names must be a list, got {type(names).__name__}")
+    names = tuple(names)
+    if (len(names) != d or not all(isinstance(s, str) and s for s in names)
+            or len(set(names)) != d):
+        raise DataError(f"feature names must be {d} distinct non-empty strings, got {list(names)!r}")
+    return names
+
+
+def check_labels(path, targets: np.ndarray) -> None:
+    """Reject classification targets other than -1 and +1."""
+    bad = ~np.isin(targets, (-1.0, 1.0))
+    if bad.any():
+        raise DataError(f"{path}: classification target outside {{-1,+1}}: {targets[bad][0]}")
+
+
 def load_csv(path, target_column, task: str = REGRESSION) -> Dataset:
     """Load a headered CSV into a Dataset.
 
     target_column may be a header name or a 0-based column index. Every other
-    column becomes a feature, in file order. Lines starting with '#' are
-    skipped. Row order is preserved as sample order.
+    column becomes a feature, in file order, named by its stripped header
+    cell when those names are distinct and non-empty. Row order is preserved
+    as sample order. The file follows the grammar of `_read_csv`.
+    """
+    names, table = _read_csv(path, target=target_column)
+    targets = table[:, -1]
+    if task == CLASSIFICATION:
+        check_labels(path, targets)
+    usable = all(names) and len(set(names)) == len(names)
+    return Dataset(features=table[:, :-1].T, targets=targets, task=task,
+                   feature_names=names if usable else None)
+
+
+def load_feature_matrix(path, columns: Optional[Sequence] = None,
+                        target=None) -> np.ndarray:
+    """Load a headered CSV as a row-major (n, k) float matrix.
+
+    columns names the columns to return, in order, each a header name or a
+    0-based index; None takes every column but `target`, in file order. With
+    `target` (a name or an index) set, its column is appended last, so the
+    result has k + 1 columns. Every cell of the file must be a finite number,
+    selected or not. The file follows the grammar of `_read_csv`.
+    """
+    return _read_csv(path, columns, target)[1]
+
+
+def _read_csv(path, columns: Optional[Sequence] = None,
+              target=None) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The one CSV reader: returns the stripped names of the feature columns
+    and the (n, k) matrix of them, with the target column last when a target
+    is given (see `load_feature_matrix`).
+
+    Lines end at '\\n', '\\r\\n' or '\\r', as `csv.reader` splits them.
+    Empty lines are skipped, and so is a comment line: one whose first cell,
+    left-stripped, starts with '#'. The first remaining line is the header,
+    split by `csv`; every later line is a data row, and one `np.loadtxt`
+    call parses them all, with '"' quoting as in `csv`. A quoted cell must
+    close on its own line. Cells are read as `float` reads them, except that
+    digit separators ('1_000') and non-ASCII digits are not numbers. Errors
+    name the 1-based line of the file; to find the bad cell, only the rows
+    numpy's message points at are split again.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    quoted = '"' in text
+    separated = any(c in text for c in _SEPARATORS)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    del text
+    kept = [i for i, s in enumerate(lines) if s and s.lstrip()[:1] != "#"]
+    if quoted:
+        for i, s in enumerate(lines):
+            if '"' in s and i < len(lines) - 1 and _quote_runs_on(s):
+                raise DataError(f"{path}: line {i + 1}: a quoted cell runs past the end of the line")
+        kept = [i for i in kept
+                if lines[i][0] != '"' or not _cells(lines[i])[0].lstrip().startswith("#")]
+    if not kept:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if isinstance(target_column, int):
-        if not 0 <= target_column < len(header):
-            raise DataError(f"{path}: target column index {target_column} out of range")
-        t_idx = target_column
+    names = [h.strip() for h in _cells(lines[kept[0]])]
+    t = None if target is None else _column_index(path, names, target, "target column")
+    if columns is None:
+        cols = [c for c in range(len(names)) if c != t]
     else:
-        try:
-            t_idx = header.index(str(target_column))
-        except ValueError:
-            raise DataError(f"{path}: no column named {target_column!r} in header {header}") from None
-    body = rows[1:]
+        cols = [_column_index(path, names, c, "column") for c in columns]
+    body = kept[1:]
     if not body:
         raise DataError(f"{path}: no data rows")
-
-    n = len(body)
-    d = len(header) - 1
-    feats = np.empty((d, n), dtype=np.float64)
-    targ = np.empty(n, dtype=np.float64)
-    feat_cols = [c for c in range(len(header)) if c != t_idx]
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for out_j, c in enumerate(feat_cols):
-            try:
-                feats[out_j, i] = float(row[c])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {i + 2}, column {header[c]!r}: {row[c]!r}"
-                ) from None
-        try:
-            targ[i] = float(row[t_idx])
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric cell at row {i + 2}, column {header[t_idx]!r}: {row[t_idx]!r}"
-            ) from None
-    if not np.all(np.isfinite(feats)) or not np.all(np.isfinite(targ)):
+    wanted = cols + ([] if t is None else [t])
+    # cells are checked in this order within a row: features, target, the rest
+    order = wanted + [c for c in range(len(names)) if c not in wanted]
+    # numpy strips U+001C..U+001F around a number, float() does not
+    odd_rows = ([k for k, i in enumerate(body) if not _SEPARATORS.isdisjoint(lines[i])]
+                if separated else [])
+    try:
+        table = np.loadtxt([lines[i] for i in body], dtype=np.float64, delimiter=",",
+                           quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:
+        # numpy counts the row it names from 0 for a bad cell and from 1 for
+        # a changed column count: both readings are tried, the earlier first
+        named = re.search(r"\brow (\d+)", str(exc))
+        guesses = [int(named.group(1)) - 1, int(named.group(1))] if named else []
+        fault = _first_fault(path, lines, body, names, order, sorted({0, *guesses, *odd_rows}))
+        raise fault or DataError(f"{path}: {exc}") from None
+    if table.shape[1] != len(names):
+        raise DataError(f"{path}: row {body[0] + 1} has {table.shape[1]} cells, "
+                        f"expected {len(names)}")
+    fault = _first_fault(path, lines, body, names, order, odd_rows)
+    if fault:
+        raise fault
+    if not np.isfinite(table).all():
         raise DataError(f"{path}: non-finite value encountered")
-    if task == CLASSIFICATION and not np.all(np.isin(targ, (-1.0, 1.0))):
-        bad = targ[~np.isin(targ, (-1.0, 1.0))][0]
-        raise DataError(f"{path}: classification target outside {{-1,+1}}: {bad}")
-    return Dataset(features=feats, targets=targ, task=task)
+    if wanted != list(range(len(names))):
+        table = table[:, wanted]
+    return tuple(names[c] for c in cols), table
 
 
-def load_feature_matrix(path) -> np.ndarray:
-    """Load a headered CSV where *every* column is a feature; returns the
-    row-major (n, d) matrix. Used for prediction inputs that carry no target."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one data row")
-    header = rows[0]
-    out = np.empty((len(rows) - 1, len(header)), dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {i + 2}, column {header[j]!r}: {cell!r}"
-                ) from None
-    if not np.all(np.isfinite(out)):
-        raise DataError(f"{path}: non-finite value encountered")
-    return out
+def _cells(line: str) -> List[str]:
+    return next(csv.reader([line]))
+
+
+def _quote_runs_on(line: str) -> bool:
+    """Whether a quoted cell of the line is still open at its end, so that
+    `csv.reader` would take the line break into the cell."""
+    reader = csv.reader([line, ""])
+    next(reader)
+    return reader.line_num > 1
+
+
+def _column_index(path, names: List[str], spec, what: str) -> int:
+    """A column given as a 0-based index or a header name."""
+    if isinstance(spec, int):
+        if not 0 <= spec < len(names):
+            raise DataError(f"{path}: {what} index {spec} out of range")
+        return spec
+    hits = names.count(str(spec))
+    if hits == 0:
+        raise DataError(f"{path}: no column named {spec!r} in header {names}")
+    if hits > 1:
+        raise DataError(f"{path}: column name {spec!r} appears {hits} times in header {names}")
+    return names.index(str(spec))
+
+
+def _first_fault(path, lines: List[str], body: List[int], names: List[str],
+                 order: List[int], rows: List[int]) -> Optional[DataError]:
+    """The error for the first of the given data rows (indices into body,
+    ascending) with the wrong number of cells or a cell that is not a
+    number, or None."""
+    for k in rows:
+        if not 0 <= k < len(body):
+            continue
+        cells = _cells(lines[body[k]])
+        line = body[k] + 1
+        if len(cells) != len(names):
+            return DataError(f"{path}: row {line} has {len(cells)} cells, expected {len(names)}")
+        for c in order:
+            if not _is_number(cells[c]):
+                return DataError(f"{path}: non-numeric cell at row {line}, "
+                                 f"column {names[c]!r}: {cells[c]!r}")
+    return None
+
+
+_SEPARATORS = frozenset("\x1c\x1d\x1e\x1f")
+
+
+def _is_number(cell: str) -> bool:
+    """Whether the cell is a number to both `float` and `np.loadtxt`: what
+    `float` reads, less digit separators and non-ASCII characters inside
+    the surrounding whitespace."""
+    if not cell.strip().isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ sequential runs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -20,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dataset import (
+    CLASSIFICATION,
     REGRESSION,
     AsbpSpec,
     Dataset,
@@ -27,6 +29,7 @@ from .dataset import (
     PowellSpec,
     PureNoiseSpec,
     SineSpec,
+    check_labels,
     dataset_to_image,
     gen_synthetic,
     image_to_dataset,
@@ -94,12 +97,57 @@ def _cell(v) -> str:
     return str(v)
 
 
+_NEEDS_CSV = frozenset(',"\r\n')
+
+
+def _quoted(text: str) -> str:
+    """A text cell as `csv.writer` writes it (QUOTE_MINIMAL); only cells
+    holding a comma, a quote or a line break go through `csv`."""
+    if _NEEDS_CSV.isdisjoint(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+# cell text by exact type; numpy scalars and subclasses take `_cell`
+_TEXT = {
+    float: repr,
+    int: str,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "",
+    str: _quoted,
+}
+
+
+def _text(v) -> str:
+    fmt = _TEXT.get(type(v))
+    return _quoted(_cell(v)) if fmt is None else fmt(v)
+
+
+def _texts(values) -> List[str]:
+    """The cell texts of one column (or of the header): a column of one
+    builtin type is formatted by a single map."""
+    kinds = set(map(type, values))
+    fmt = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _text, values))
+
+
 def _write_csv(outdir: Path, name: str, header: Sequence[str], rows) -> str:
-    with (outdir / name).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    """Write a headered CSV, each line ended by '\\n': floats by repr, ints in
+    decimal, bools as true/false, None empty, anything else by str. The bytes
+    are what `csv.writer` writes for those cells. Every row has the header's
+    width; the table is formatted a column at a time."""
+    rows = list(rows)
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError(f"{name}: every row needs the header's {len(header)} cells")
+    lines = [",".join(_texts(header))]
+    lines.extend(map(",".join, zip(*map(_texts, zip(*rows)))))
+    if len(header) == 1:
+        # csv.writer writes a lone empty cell as "" to tell it from no row
+        lines = [line or '""' for line in lines]
+    lines.append("")
+    (outdir / name).write_text("\n".join(lines), encoding="utf-8", newline="")
     return name
 
 
@@ -938,19 +986,22 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict",
     if not model_path.exists():
         raise DataError(f"no such file: {model_path}")
     model = load_model(model_path.read_text(encoding="utf-8"))
-    targets = None
+    # a model that knows its training columns' names takes them by name
+    table = load_feature_matrix(cfg.data, model.feature_names, cfg.target)
     if cfg.target is None:
-        X = load_feature_matrix(cfg.data)
+        X, targets = table, None
     else:
-        ds = load_csv(cfg.data, cfg.target, model.task)
-        X, targets = ds.features.T, ds.targets
+        X, targets = table[:, :-1], table[:, -1]
+        if model.task == CLASSIFICATION:
+            check_labels(cfg.data, targets)
 
     files: List[str] = []
-    summary: Dict[str, object] = {"n": int(X.shape[0]), "task": model.task}
+    n = int(X.shape[0])
+    summary: Dict[str, object] = {"n": n, "task": model.task}
     if model.task == REGRESSION:
         pred = np.asarray(model.predict(X), dtype=np.float64)
         files.append(_write_csv(outdir, "predictions.csv", ("row", "prediction"),
-                                list(enumerate(pred))))
+                                zip(range(n), pred.tolist())))
         if targets is not None:
             scores = regression_metrics(targets, pred).as_dict()
             (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",
@@ -962,7 +1013,8 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict",
         score = (model.predict_log_odds(X) if isinstance(model, TreeModel)
                  else model.predict_value(X))
         files.append(_write_csv(outdir, "predictions.csv", ("row", "label", "log_odds"),
-                                [(i, int(l), s) for i, (l, s) in enumerate(zip(labels, score))]))
+                                zip(range(n), labels.astype(np.int64).tolist(),
+                                    np.asarray(score, dtype=np.float64).tolist())))
         if targets is not None:
             scores = {"error_rate": float(np.mean(labels != targets))}
             (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",

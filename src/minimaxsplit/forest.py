@@ -16,16 +16,16 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
-from .splitting import SplitCriterion
-from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, grow,
-                   tree_from_doc, tree_to_doc, tree_to_json)
+from .splitting import TAGS, SplitCriterion
+from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, doc_feature_names,
+                   grow, header_int, int_list, tree_from_doc, tree_to_doc, tree_to_json)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -69,6 +69,7 @@ class ForestModel:
     seed: int
     trees: List[TreeModel]
     bootstrap_indices: List[np.ndarray]
+    feature_names: Optional[Tuple[str, ...]] = None
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Mean over trees of the per-tree fitted value (regression) or
@@ -150,6 +151,7 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
         seed=int(seed),
         trees=[t for _, t in results],
         bootstrap_indices=[i for i, _ in results],
+        feature_names=data.feature_names,
     )
 
 
@@ -159,7 +161,7 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
 
 
 def forest_to_doc(forest: ForestModel) -> dict:
-    return {
+    doc = {
         "format": FORMAT_FOREST,
         "task": forest.task,
         "n_features": forest.n_features,
@@ -173,28 +175,52 @@ def forest_to_doc(forest: ForestModel) -> dict:
         "bootstrap_indices": [[int(i) for i in idx] for idx in forest.bootstrap_indices],
         "trees": [tree_to_doc(t) for t in forest.trees],
     }
+    if forest.feature_names is not None:
+        doc["feature_names"] = list(forest.feature_names)
+    return doc
 
 
 def forest_from_doc(doc: dict) -> ForestModel:
+    """Load a forest document. Its header must agree with its trees: as many
+    trees as `n_trees` and as many bootstrap index lists, and every tree of
+    the header's task, `n_features`, `max_depth`, `n_min` and feature names."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_FOREST:
         raise DataError(f"not a {FORMAT_FOREST} document")
     try:
-        return ForestModel(
+        n_features = header_int(doc, "n_features")
+        forest = ForestModel(
             task=doc["task"],
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             criterion=doc["criterion"],
-            n_trees=int(doc["n_trees"]),
-            max_depth=int(doc["max_depth"]),
-            n_min=int(doc["n_min"]),
-            m_try=None if doc["m_try"] is None else int(doc["m_try"]),
-            bootstrap=bool(doc["bootstrap"]),
-            seed=int(doc["seed"]),
+            n_trees=header_int(doc, "n_trees"),
+            max_depth=header_int(doc, "max_depth"),
+            n_min=header_int(doc, "n_min"),
+            m_try=None if doc["m_try"] is None else header_int(doc, "m_try"),
+            bootstrap=doc["bootstrap"],
+            seed=header_int(doc, "seed"),
             trees=[tree_from_doc(t) for t in doc["trees"]],
-            bootstrap_indices=[np.asarray(i, dtype=np.int64)
+            bootstrap_indices=[int_list(i, "bootstrap indices")
                                for i in doc["bootstrap_indices"]],
+            feature_names=doc_feature_names(doc, n_features),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_FOREST} document: {exc}") from exc
+    if forest.criterion not in TAGS:
+        raise DataError(f"unknown criterion {forest.criterion!r}")
+    if type(forest.bootstrap) is not bool:
+        raise DataError(f"'bootstrap' must be true or false, got {forest.bootstrap!r}")
+    if forest.n_trees < 1:
+        raise DataError(f"a forest needs at least one tree, got n_trees {forest.n_trees}")
+    if not forest.n_trees == len(forest.trees) == len(forest.bootstrap_indices):
+        raise DataError(f"n_trees is {forest.n_trees} but the document holds "
+                        f"{len(forest.trees)} trees and {len(forest.bootstrap_indices)} "
+                        f"bootstrap index lists")
+    for b, tree in enumerate(forest.trees):
+        for key in ("task", "n_features", "max_depth", "n_min", "feature_names"):
+            if getattr(tree, key) != getattr(forest, key):
+                raise DataError(f"tree {b} has {key} {getattr(tree, key)!r}, "
+                                f"the forest {getattr(forest, key)!r}")
+    return forest
 
 
 def forest_to_json(forest: ForestModel) -> str:

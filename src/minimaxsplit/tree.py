@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION, Dataset
+from .dataset import CLASSIFICATION, REGRESSION, Dataset, check_feature_names
 from .errors import ConfigError, DataError
 from .growth import Growth
 from .rng import stream
@@ -81,6 +81,8 @@ class TreeModel:
     node so that depth-truncated prediction works. `split_level` records the
     level a node split at, which exceeds its creation depth only for nodes a
     cyclic criterion persisted past a constant scheduled feature.
+    `feature_names` are the training columns' names when the training data
+    had them (a CSV header); prediction from a CSV then matches by name.
     """
 
     task: str
@@ -101,6 +103,7 @@ class TreeModel:
     split_level: np.ndarray
     leaf_reason: List[Optional[str]]
     risk_trace: List[float] = field(default_factory=list)
+    feature_names: Optional[Tuple[str, ...]] = None
 
     @property
     def n_nodes(self) -> int:
@@ -280,7 +283,7 @@ def grow(data: Dataset, config: GrowConfig, *,
     nodes = Growth(data, config, features_rng, splits_rng).run()
     return TreeModel(task=data.task, n_features=d, criterion=crit.tag,
                      max_depth=config.max_depth, n_min=config.n_min,
-                     n_train=data.n_samples, **nodes)
+                     n_train=data.n_samples, feature_names=data.feature_names, **nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,7 @@ def tree_to_doc(tree: TreeModel) -> dict:
             "split_level": None if leaf else int(tree.split_level[i]),
             "leaf_reason": tree.leaf_reason[i],
         })
-    return {
+    doc = {
         "format": FORMAT_TREE,
         "task": tree.task,
         "n_features": tree.n_features,
@@ -320,6 +323,9 @@ def tree_to_doc(tree: TreeModel) -> dict:
         "risk_trace": [float(u) for u in tree.risk_trace],
         "nodes": nodes,
     }
+    if tree.feature_names is not None:
+        doc["feature_names"] = list(tree.feature_names)
+    return doc
 
 
 def _check_structure(tree: TreeModel) -> None:
@@ -369,12 +375,28 @@ def _check_structure(tree: TreeModel) -> None:
         raise DataError("split thresholds must be finite")
 
 
-def _integers(values: list) -> np.ndarray:
-    """An integer node field; a float or bool would otherwise turn
-    silently into another node or feature."""
+def int_list(values: list,
+             what: str = "node ids, features, levels, depths and counts") -> np.ndarray:
+    """An integer field; a float or bool would otherwise turn silently into
+    another node or feature."""
     if not all(type(v) is int for v in values):
-        raise DataError("node ids, features, levels, depths and counts must be integers")
+        raise DataError(f"{what} must be integers")
     return np.asarray(values, dtype=np.int64)
+
+
+def header_int(doc: dict, key: str) -> int:
+    """An integer header field of a model document; a float such as 1e400
+    or 3.5 is rejected rather than truncated."""
+    value = doc[key]
+    if type(value) is not int:
+        raise DataError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def doc_feature_names(doc: dict, n_features: int) -> Optional[Tuple[str, ...]]:
+    """The optional `feature_names` of a model document, checked."""
+    names = doc.get("feature_names")
+    return None if names is None else check_feature_names(names, n_features)
 
 
 def tree_from_doc(doc: dict) -> TreeModel:
@@ -383,30 +405,32 @@ def tree_from_doc(doc: dict) -> TreeModel:
     try:
         raw = doc["nodes"]
         nan = math.nan
+        n_features = header_int(doc, "n_features")
         tree = TreeModel(
             task=doc["task"],
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             criterion=doc["criterion"],
-            max_depth=int(doc["max_depth"]),
-            n_min=int(doc["n_min"]),
-            n_train=int(doc["n_train"]),
-            depth=_integers([r["depth"] for r in raw]),
-            count=_integers([r["count"] for r in raw]),
+            max_depth=header_int(doc, "max_depth"),
+            n_min=header_int(doc, "n_min"),
+            n_train=header_int(doc, "n_train"),
+            depth=int_list([r["depth"] for r in raw]),
+            count=int_list([r["count"] for r in raw]),
             risk=np.asarray([r["risk"] for r in raw], dtype=np.float64),
             value=np.asarray([r["value"] for r in raw], dtype=np.float64),
             log_odds=np.asarray(
                 [nan if r["log_odds"] is None else r["log_odds"] for r in raw],
                 dtype=np.float64),
-            feature=_integers([-1 if r["feature"] is None else r["feature"] for r in raw]),
+            feature=int_list([-1 if r["feature"] is None else r["feature"] for r in raw]),
             threshold=np.asarray(
                 [nan if r["threshold"] is None else r["threshold"] for r in raw],
                 dtype=np.float64),
-            left=_integers([-1 if r["left"] is None else r["left"] for r in raw]),
-            right=_integers([-1 if r["right"] is None else r["right"] for r in raw]),
-            split_level=_integers(
+            left=int_list([-1 if r["left"] is None else r["left"] for r in raw]),
+            right=int_list([-1 if r["right"] is None else r["right"] for r in raw]),
+            split_level=int_list(
                 [-1 if r["split_level"] is None else r["split_level"] for r in raw]),
             leaf_reason=[r["leaf_reason"] for r in raw],
             risk_trace=[float(u) for u in doc["risk_trace"]],
+            feature_names=doc_feature_names(doc, n_features),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc

@@ -120,3 +120,64 @@ class TestWarningsAndHelp:
                                     "data": str(src), "target": "y"})]) == 0
         metrics = json.loads((tmp_path / "pr" / "metrics.json").read_text())
         assert metrics["mse"] == 0.0
+
+
+class TestPredictMatchesColumnsByName:
+    """train records the training header; predict takes the model's columns
+    from a scoring file by name, wherever they stand."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        rows = []
+        for i in range(40):
+            a, b = i / 40, (i * 7 % 40) / 40
+            rows.append({"a": repr(a), "b": repr(b), "y": repr((0.0 if a < 0.5 else 5.0) + b),
+                         "extra": "-1"})
+        self.write(tmp_path / "train.csv", ["a", "b", "y"], rows)
+        assert run_cli(["train", "--out", tmp_path / "tr", "--config",
+                        json.dumps({"data": str(tmp_path / "train.csv"), "target": "y",
+                                    "max_depth": 3})]) == 0
+        model = json.loads((tmp_path / "tr" / "model.json").read_text())
+        assert model["feature_names"] == ["a", "b"]
+        return tmp_path, rows
+
+    @staticmethod
+    def write(path, header, rows, keys=None):
+        lines = [",".join(header)]
+        lines += [",".join(r[k] for k in (keys or header)) for r in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def predict(self, tmp_path, name, header, rows, keys=None, target="y"):
+        self.write(tmp_path / f"{name}.csv", header, rows, keys)
+        config = {"model": str(tmp_path / "tr" / "model.json"),
+                  "data": str(tmp_path / f"{name}.csv")}
+        if target is not None:
+            config["target"] = target
+        code = run_cli(["predict", "--out", tmp_path / name, "--config", json.dumps(config)])
+        out = tmp_path / name / "predictions.csv"
+        return code, out.read_bytes() if code == 0 else None
+
+    def test_permuted_extra_and_missing_columns(self, trained, capsys):
+        tmp_path, rows = trained
+        code, same = self.predict(tmp_path, "same", ["a", "b", "y"], rows)
+        assert code == 0
+        assert self.predict(tmp_path, "permuted", ["y", "b", "a"], rows) == (0, same)
+        assert self.predict(tmp_path, "extra", ["b", "extra", "a", "y"], rows) == (0, same)
+        assert self.predict(tmp_path, "bare", ["b", "a"], rows, target=None) == (0, same)
+        metrics = json.loads((tmp_path / "permuted" / "metrics.json").read_text())
+        assert metrics == json.loads((tmp_path / "same" / "metrics.json").read_text())
+        capsys.readouterr()
+        assert self.predict(tmp_path, "missing", ["b", "y"], rows) == (3, None)
+        assert "no column named 'a'" in capsys.readouterr().err
+
+    def test_model_without_names_stays_positional(self, trained):
+        tmp_path, rows = trained
+        path = tmp_path / "tr" / "model.json"
+        doc = json.loads(path.read_text())
+        del doc["feature_names"]
+        path.write_text(json.dumps(doc))
+        code, same = self.predict(tmp_path, "same", ["a", "b", "y"], rows)
+        assert code == 0
+        # positional: renamed columns are taken in file order
+        assert self.predict(tmp_path, "renamed", ["p", "q", "y"], rows,
+                            keys=["a", "b", "y"]) == (0, same)

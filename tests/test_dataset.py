@@ -224,3 +224,48 @@ class TestGenerators:
         b = AdditiveTVSpec.random(d=2, seed=9)
         assert a == b
         assert a.knots[0][0] == 0.0 and a.knots[0][-1] == 1.0
+
+
+class TestFeatureNames:
+    def test_load_csv_records_stripped_names(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(" b ,y, a\n1,2,3\n4,5,6\n")
+        ds = load_csv(p, "y")
+        assert ds.feature_names == ("b", "a")
+        assert ds.subset([1, 0]).feature_names == ("b", "a")
+
+    @pytest.mark.parametrize("header", ["a,a,y", "a,,y", " a ,a,y"])
+    def test_unusable_names_are_not_recorded(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        p.write_text(f"{header}\n1,2,3\n")
+        assert load_csv(p, "y").feature_names is None
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "a"), ("a", ""), ("a", 2), "ab"])
+    def test_dataset_rejects_bad_names(self, names):
+        with pytest.raises(DataError):
+            Dataset(features=[[1.0], [2.0]], targets=[0.0], task=REGRESSION,
+                    feature_names=names)
+
+    def test_dataset_needs_a_feature(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y\n1\n2\n")
+        with pytest.raises(DataError, match="at least one feature"):
+            load_csv(p, "y")
+
+    def test_feature_matrix_selects_columns(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("u, v ,w\n1,2,3\n4,5,6\n")
+        assert load_feature_matrix(p, ["w", "u"]).tolist() == [[3.0, 1.0], [6.0, 4.0]]
+        assert load_feature_matrix(p, ["v"], target="u").tolist() == [[2.0, 1.0], [5.0, 4.0]]
+        assert load_feature_matrix(p, None, 1).tolist() == [[1.0, 3.0, 2.0], [4.0, 6.0, 5.0]]
+        with pytest.raises(DataError, match="no column named 'z'"):
+            load_feature_matrix(p, ["u", "z"])
+        p.write_text("u,u,w\n1,2,3\n")
+        with pytest.raises(DataError, match="appears 2 times"):
+            load_feature_matrix(p, ["u"])
+
+    def test_unreadable_text(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x,y\n\xff,1\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(p, "y")

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,3 +189,79 @@ def test_bootstrap_indices_are_recorded(seed):
     # distinct trees see distinct resamples almost surely
     assert not np.array_equal(forest.bootstrap_indices[0],
                               forest.bootstrap_indices[1])
+
+
+def _forest_set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def _each_tree(key, value):
+    def mutate(doc):
+        doc["trees"][1][key] = value
+    return mutate
+
+
+# each mutation of a 5-tree, 8-feature forest document that load must reject
+CRAFTED_FORESTS = {
+    "n_trees_overflows": _forest_set("n_trees", math.inf),
+    "max_depth_overflows": _forest_set("max_depth", math.inf),
+    "n_trees_disagrees": _forest_set("n_trees", 99),
+    "n_features_disagrees": _forest_set("n_features", 3),
+    "seed_not_an_integer": _forest_set("seed", -1.5),
+    "n_min_a_bool": _forest_set("n_min", True),
+    "m_try_not_an_integer": _forest_set("m_try", 2.0),
+    "max_depth_disagrees": _forest_set("max_depth", 5),
+    "n_min_disagrees": _forest_set("n_min", 4),
+    "task_disagrees": _forest_set("task", CLASSIFICATION),
+    "unknown_criterion": _forest_set("criterion", "gini"),
+    "bootstrap_not_a_bool": _forest_set("bootstrap", "false"),
+    "one_bootstrap_list_missing": lambda doc: doc["bootstrap_indices"].pop(),
+    "bootstrap_index_not_an_integer": lambda doc: doc["bootstrap_indices"][0].__setitem__(0, 0.5),
+    "tree_missing": lambda doc: doc["trees"].pop(),
+    "no_trees": lambda doc: doc.update(n_trees=0, trees=[], bootstrap_indices=[]),
+    "tree_of_other_depth": _each_tree("max_depth", 9),
+    "names_too_few": _forest_set("feature_names", ["a", "b"]),
+    "names_repeat": _forest_set("feature_names", ["a"] * 8),
+    "names_on_one_tree_only": _each_tree("feature_names", [f"x{j}" for j in range(8)]),
+}
+
+
+class TestCraftedForests:
+    @pytest.fixture
+    def doc(self):
+        forest = train_forest(toy_regression(seed=5, n=80, d=8),
+                              ForestConfig(criterion="minimax", n_trees=5, max_depth=3),
+                              seed=7)
+        doc = json.loads(forest_to_json(forest))
+        assert forest_to_json(forest_from_json(json.dumps(doc))) == forest_to_json(forest)
+        return doc
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_FORESTS))
+    def test_rejected_on_load(self, doc, name):
+        CRAFTED_FORESTS[name](doc)
+        text = json.dumps(doc).replace("Infinity", "1e400")
+        with pytest.raises(DataError):
+            load_model(text)
+
+    def test_feature_names_round_trip(self, doc):
+        names = [f"x{j}" for j in range(8)]
+        doc["feature_names"] = names
+        for tree in doc["trees"]:
+            tree["feature_names"] = names
+        forest = load_model(json.dumps(doc))
+        assert forest.feature_names == tuple(names)
+        assert json.loads(model_to_json(forest)) == doc
+
+
+def test_forest_records_dataset_feature_names():
+    base = toy_regression(seed=2, n=60)
+    data = Dataset(features=base.features, targets=base.targets, task=REGRESSION,
+                   feature_names=["u", "v", "w"])
+    forest = train_forest(data, ForestConfig(criterion="variance", n_trees=2, max_depth=2))
+    assert forest.feature_names == ("u", "v", "w")
+    assert all(t.feature_names == ("u", "v", "w") for t in forest.trees)
+    back = load_model(model_to_json(forest))
+    assert back.feature_names == ("u", "v", "w")
+    # models of unnamed data write no key, as before
+    plain = train_forest(base, ForestConfig(criterion="variance", n_trees=2, max_depth=2))
+    assert "feature_names" not in model_to_json(plain)

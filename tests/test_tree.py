@@ -345,3 +345,30 @@ def test_feature_subsampling_is_reproducible(seed):
     a = grow(data, cfg)
     b = grow(data, cfg)
     assert tree_to_json(a) == tree_to_json(b)
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "a"], ["a", ""], ["a", 1], "ab", {"a": 1}])
+def test_bad_feature_names_rejected_on_load(names):
+    rng = np.random.default_rng(4)
+    data = Dataset(features=rng.normal(size=(2, 40)), targets=rng.normal(size=40),
+                   task=REGRESSION)
+    doc = tree_to_doc(grow(data, GrowConfig(criterion="variance", max_depth=2)))
+    assert "feature_names" not in doc
+    doc["feature_names"] = names
+    with pytest.raises(DataError, match="feature names"):
+        tree_from_doc(doc)
+    with pytest.raises(DataError):
+        load_model(json.dumps(doc))
+
+
+def test_header_fields_must_be_integers():
+    rng = np.random.default_rng(4)
+    data = Dataset(features=rng.normal(size=(2, 40)), targets=rng.normal(size=40),
+                   task=REGRESSION, feature_names=("p", "q"))
+    doc = tree_to_doc(grow(data, GrowConfig(criterion="variance", max_depth=2)))
+    assert doc["feature_names"] == ["p", "q"]
+    assert tree_from_doc(doc).feature_names == ("p", "q")
+    for key, value in [("max_depth", 2.0), ("n_features", 1e400), ("n_train", "40")]:
+        bad = dict(doc, **{key: value})
+        with pytest.raises(DataError):
+            tree_from_doc(bad)
