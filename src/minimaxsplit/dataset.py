@@ -8,6 +8,7 @@ loaders, and the synthetic data generators used throughout the experiments.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -221,13 +222,7 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     numpy's message points at are split again.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    text = _read_text(path)
     quoted = '"' in text
     separated = any(c in text for c in _SEPARATORS)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -277,6 +272,32 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     if wanted != list(range(len(names))):
         table = table[:, wanted]
     return tuple(names[c] for c in cols), table
+
+
+def read_records(path) -> List[List[str]]:
+    """The records of a small CSV file, as `csv.reader` splits them, less
+    empty records and comment records (first cell, left-stripped, starting
+    with '#'). Each caller parses the cells in its own grammar."""
+    path = Path(path)
+    try:
+        with io.StringIO(_read_text(path), newline="") as fh:
+            records = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise DataError(f"{path}: {exc}") from None
+    if not records:
+        raise DataError(f"{path}: empty file")
+    return records
+
+
+def _read_text(path: Path) -> str:
+    """The whole file as text; DataError if it is missing or not UTF-8."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _cells(line: str) -> List[str]:

@@ -37,6 +37,7 @@ from .dataset import (
     load_feature_matrix,
     load_pgm,
     make_phantom,
+    read_records,
     root_node,
     write_pgm,
 )
@@ -721,12 +722,7 @@ def synthetic_series(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _load_series(path) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        raw = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not raw:
-        raise DataError(f"{path}: empty file")
+    raw = read_records(path)
     body = raw
     try:  # drop a header row if the first record does not parse
         float(raw[0][0]), float(raw[0][1])
@@ -850,12 +846,7 @@ class MartingaleRunConfig:
 
 def _law_from_atom_csv(path) -> DiscreteLaw:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        raw = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not raw:
-        raise DataError(f"{path}: empty file")
+    raw = read_records(path)
     body = raw
     try:
         float(raw[0][0])
@@ -876,9 +867,7 @@ def _law_from_atom_csv(path) -> DiscreteLaw:
         raise DataError(f"{path}: duplicate atom positions")
     try:
         return DiscreteLaw(atoms=a, weights=np.asarray(weights)[order])
-    except (ConfigError, DataError):
-        raise
-    except ValueError as exc:
+    except ConfigError as exc:  # a bad value in the file, not in the config
         raise DataError(f"{path}: {exc}") from None
 
 

@@ -4,7 +4,9 @@ Each level resolves every frontier node at once. The split each node gets
 is the one `splitting.best_split` returns for it, the node records are the
 ones a node-at-a-time grower writes, and both are exact: every prefix curve,
 argmin and node mean is computed from the same floats in the same order, so
-the tree serializes byte for byte as before.
+the tree serializes byte for byte as before. The block scan itself (row
+padding, block grouping, the prefix kernels and the mirrored read-back of
+the right curve) lives in `splitting`, shared with `martingale`.
 """
 
 from __future__ import annotations
@@ -15,17 +17,14 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional
 import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset
-from .splitting import (_MODE_CRITERIA, NodeStats, _prefix_entropy_risk, _prefix_sse,
-                        midpoints)
+from .splitting import (_MODE_CRITERIA, NodeStats, _child_curves, _padded_width,
+                        _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints)
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
 
 _REASONS = (None, "depth", "constant_target", "constant_features", "n_min", "no_valid_split")
 _DEPTH, _CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN, _NO_VALID_SPLIT = range(1, 6)
-
-# most entries a scan holds in one padded block (rows x width)
-_BLOCK = 1 << 14
 
 
 class Growth:
@@ -141,9 +140,7 @@ class Growth:
             # row's mean is the same pairwise sum np.mean makes of the row
             value = np.empty(sizes.size)
             log_odds = np.full(sizes.size, math.nan)
-            order = np.argsort(sizes, kind="stable")
-            cuts = np.flatnonzero(np.diff(sizes[order])) + 1
-            for sel in np.split(order, cuts) if sizes.size else ():
+            for sel in _row_blocks(sizes):
                 m = int(sizes[sel[0]])
                 value[sel] = np.mean(self.y[by_index[starts[sel, None] + np.arange(m)]], axis=1)
         self.created.append((np.full(sizes.size, depth, dtype=np.int64), sizes,
@@ -308,37 +305,27 @@ class Growth:
         of the criterion, which is the smallest threshold among ties (and
         for 'max', exactly where `minimax_search` lands).
 
-        Rows are scanned in padded blocks, by power-of-two length class (so
-        padding never outweighs the data) and at most _BLOCK entries at a
-        time (which bounds the memory). Each row gets its own sequential
-        cumsum, so its curves are the per-node curves bit for bit; a global
-        cumsum minus segment offsets would not be."""
+        Rows are scanned in the padded blocks of `splitting._row_blocks`.
+        Each row gets its own sequential cumsum, so its curves are the
+        per-node curves bit for bit; a global cumsum minus segment offsets
+        would not be."""
         out = _Scan(*(np.empty(nodes.size) for _ in _Scan._fields))
-        length_class = np.frexp(np.maximum(front.sizes[nodes], 8) - 1)[1]  # 2**cls >= size
-        for cls in np.unique(length_class).tolist():
-            in_class = np.flatnonzero(length_class == cls)
-            step = max(1, _BLOCK >> cls)
-            for rows in np.split(in_class, np.arange(step, in_class.size, step)):
-                block = self._scan_block(front, nodes[rows], feats[rows],
-                                         None if picks is None else picks[rows])
-                for field, values in zip(out, block):
-                    field[rows] = values
+        for rows in _row_blocks(_padded_width(front.sizes[nodes])):
+            block = self._scan_block(front, nodes[rows], feats[rows],
+                                     None if picks is None else picks[rows])
+            for field, values in zip(out, block):
+                field[rows] = values
         return out
 
     def _scan_block(self, front: _Frontier, nodes: np.ndarray, feats: np.ndarray,
                     picks: Optional[np.ndarray]) -> _Scan:
-        mr = front.sizes[nodes, None]
-        cols = np.arange(int(mr.max()))
+        m = front.sizes[nodes]
+        cols = np.arange(int(m.max()))
         f = feats[:, None]
         # padding repeats a row's last sample
-        sample = front.lists[f, front.starts[nodes, None] + np.minimum(cols, mr - 1)]
+        sample = front.lists[f, front.starts[nodes, None] + np.minimum(cols, m[:, None] - 1)]
         v = self.X[f, sample]
-        y = self.y[sample]
-        left = self.prefix(y)[:, :-1]
-        # right[c] = risk of the segment past position c: the prefix of the
-        # reversed segment, read back at its mirrored position
-        rev = self.prefix(np.take_along_axis(y, np.maximum(mr - 1 - cols, 0), axis=1))
-        right = np.take_along_axis(rev, np.maximum(mr - 2 - cols[:-1], 0), axis=1)
+        left, right = _child_curves(self.prefix, (self.y[sample],), m)
         crit = _MODE_CRITERIA["sum" if self.crit.is_random else self.crit.scan_mode](left, right)
         if picks is None:
             # padding repeats a value, so it never shows a strict rise

@@ -13,12 +13,14 @@ minimizing boundary. The within-cell prefix risk curves reuse the clamped
 weighted-increment construction (West's update), so they are exactly
 monotone, mirroring the empirical splitter.
 
-Each round is one array pass over every multi-atom cell of a level (the
-level pass of `growth`): the cells become the rows of padded blocks, grouped
-by power-of-two length class and capped at _BLOCK entries, and every row's
-prefix curves are a sequential cumsum along the row, so they are the floats
-a one-cell computation makes, bit for bit. The same blocks give each cell's
-risk by a two-pass reduction, which is what the mse curve sums. The picks:
+Each round is one array pass over every multi-atom cell of a level, the
+block scan `growth` runs on tree levels: the cells become (atom, weight)
+rows of the padded blocks of `splitting._padded_width` and
+`splitting._row_blocks`, and `splitting._child_curves` gives every row's
+child risk curves from the weighted `splitting._prefix_sse`, a sequential
+cumsum along the row, so they are the floats a one-cell computation makes,
+bit for bit. The same blocks give each cell's risk by a two-pass reduction,
+which is what the mse curve sums. The picks:
 
 - variance and minimax take the last argmin of L + R and of max(L, R) over
   the boundaries (L and R are the left and right child risks). L is a
@@ -37,7 +39,6 @@ risk by a two-pass reduction, which is what the mse curve sums. The picks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -45,11 +46,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import stream
+from .splitting import _child_curves, _padded_width, _prefix_sse, _row_blocks
 
 RULES = ("variance", "simons", "minimax", "median")
-
-# most entries a level pass holds in one padded block (rows x width)
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,34 +103,15 @@ class DiscreteLaw:
         return self.cell_risk(0, self.n_atoms)
 
 
-def _weighted_prefix_sse(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """prefix[..., i] = sum_{j<=i} w_j (u_j - weighted mean of u[..., :i+1])^2,
-    exactly non-decreasing (cumsum of clamped West increments). Works along
-    the last axis, so each row of a block gets the floats its 1-D call would;
-    zero weights past a row's end leave the row's own entries alone."""
-    cw = np.cumsum(w, axis=-1)
-    means = np.cumsum(w * u, axis=-1) / cw
-    prev = np.empty_like(u)
-    prev[..., 0] = u[..., 0]
-    prev[..., 1:] = means[..., :-1]
-    inc = w * (u - prev) * (u - means)
-    np.maximum(inc, 0.0, out=inc)
-    inc[..., 0] = 0.0
-    return np.cumsum(inc, axis=-1)
-
-
-def _rows(law: DiscreteLaw, lo: np.ndarray, m: np.ndarray,
-          reverse: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """(atoms, weights) of the cells [lo, lo + m) as the rows of two blocks,
-    each row in order or reversed. Past a row's end the atom repeats its
-    last one and the weight is zero. A single cell is a view of the law."""
+def _rows(law: DiscreteLaw, lo: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(atoms, weights) of the cells [lo, lo + m) as the rows of two blocks.
+    Past a row's end the atom repeats its last one and the weight is zero.
+    A single cell is a view of the law."""
     if lo.size == 1:
         cell = slice(int(lo[0]), int(lo[0] + m[0]))
-        u, w = law.atoms[cell][None], law.weights[cell][None]
-        return (u[:, ::-1], w[:, ::-1]) if reverse else (u, w)
+        return law.atoms[cell][None], law.weights[cell][None]
     cols = np.arange(int(m.max()))
-    pos = np.minimum(cols, m[:, None] - 1)
-    at = lo[:, None] + (m[:, None] - 1 - pos if reverse else pos)
+    at = lo[:, None] + np.minimum(cols, m[:, None] - 1)
     return law.atoms[at], np.where(cols < m[:, None], law.weights[at], 0.0)
 
 
@@ -162,31 +142,19 @@ def _level_pass(law: DiscreteLaw, lo: np.ndarray, hi: np.ndarray,
         # mean lies in (atoms[lo], atoms[hi-1]]; clamp anyway so float dust
         # can never produce an empty child
         cuts[:] = np.clip(np.searchsorted(law.atoms, means, side="left"), lo + 1, hi - 1)
-    width = m if rule == "median" else 2 ** np.frexp(np.maximum(m, 8) - 1)[1]
-    for size in sorted(set(width.tolist())):
-        group = np.flatnonzero(width == size)
-        step = max(1, _BLOCK // size)
-        for rows in np.split(group, np.arange(step, group.size, step)):
-            r_lo, r_m = lo[rows], m[rows]
-            u, w = _rows(law, r_lo, r_m)
-            risks[rows] = _risks(u, w)
-            if rule == "median":
-                gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - np.sum(w, axis=1)[:, None])
-                cuts[rows] = r_lo + 1 + _last_argmin(gap)
-            elif rule in ("variance", "minimax"):
-                left = _weighted_prefix_sse(u, w)[:, :-1]
-                # right[j] = risk of the cell past boundary j: the prefix of
-                # the reversed cell, read back at its mirrored position
-                rev = _weighted_prefix_sse(*_rows(law, r_lo, r_m, reverse=True))
-                if rows.size == 1:
-                    right = rev[:, -2::-1]
-                else:  # an infinite right risk keeps padding from being picked
-                    cols = np.arange(left.shape[1])
-                    back = np.maximum(r_m[:, None] - 2 - cols, 0)
-                    right = np.where(cols < r_m[:, None] - 1,
-                                     np.take_along_axis(rev, back, axis=1), np.inf)
-                crit = left + right if rule == "variance" else np.maximum(left, right)
-                cuts[rows] = r_lo + 1 + _last_argmin(crit)
+    for rows in _row_blocks(m if rule == "median" else _padded_width(m)):
+        r_lo, r_m = lo[rows], m[rows]
+        u, w = _rows(law, r_lo, r_m)
+        risks[rows] = _risks(u, w)
+        if rule == "median":
+            gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - np.sum(w, axis=1)[:, None])
+            cuts[rows] = r_lo + 1 + _last_argmin(gap)
+        elif rule in ("variance", "minimax"):
+            left, right = _child_curves(_prefix_sse, (u, w), r_m)
+            crit = left + right if rule == "variance" else np.maximum(left, right)
+            # padding repeats the last atom, so it never shows a strict rise
+            crit = np.where(u[:, 1:] > u[:, :-1], crit, np.inf)
+            cuts[rows] = r_lo + 1 + _last_argmin(crit)
     return cuts, risks
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,18 +194,22 @@ def candidate_thresholds(node: NodeView, feature: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_sse(y: np.ndarray) -> np.ndarray:
-    """prefix_sse[..., i] = SSE of y[..., : i + 1], non-decreasing by
-    construction. Works along the last axis, so each row of a 2-D block gets
-    exactly the floats its 1-D call would (cumsum is a sequential recurrence
-    along the axis; whatever follows a row's real length does not reach it)."""
-    m = y.shape[-1]
-    counts = np.arange(1, m + 1, dtype=np.float64)
-    means = np.cumsum(y, axis=-1) / counts
-    prev = np.empty_like(y)
+def _prefix_sse(y: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """prefix_sse[..., i] = sum_{j<=i} w_j (y_j - weighted mean of
+    y[..., : i + 1])^2, unit weights when w is None; exactly non-decreasing
+    (a cumsum of clamped West increments). Works along the last axis, so each
+    row of a 2-D block gets exactly the floats its 1-D call would (cumsum is
+    a sequential recurrence along the axis; whatever follows a row's real
+    length does not reach it). Unit weights give the same floats as ones."""
+    if w is None:
+        means = np.cumsum(y, axis=-1) / np.arange(1, y.shape[-1] + 1, dtype=np.float64)
+    else:
+        means = np.cumsum(w * y, axis=-1) / np.cumsum(w, axis=-1)
+    prev = np.empty_like(means)
     prev[..., 0] = y[..., 0]
     prev[..., 1:] = means[..., :-1]
-    inc = (y - prev) * (y - means)
+    inc = y - prev if w is None else w * (y - prev)
+    inc *= y - means
     np.maximum(inc, 0.0, out=inc)
     inc[..., 0] = 0.0
     return np.cumsum(inc, axis=-1)
@@ -226,6 +230,48 @@ def _prefix_entropy_risk(y: np.ndarray) -> np.ndarray:
     return out
 
 
+# most entries a block scan holds at once (rows x width)
+_BLOCK = 1 << 14
+
+
+def _padded_width(sizes: np.ndarray) -> np.ndarray:
+    """The width class of a row of each size in a block scan: the smallest
+    power of two, at least 8, that holds it. Rows of one class share blocks,
+    so padding never outweighs the data."""
+    return 2 ** np.frexp(np.maximum(sizes, 8) - 1)[1]
+
+
+def _row_blocks(widths: np.ndarray) -> List[np.ndarray]:
+    """Index arrays that split the rows into blocks of one width each, at
+    most _BLOCK entries (rows x width) per block, which bounds the memory.
+    One sort groups them, so a level of many widths costs no loop."""
+    order = np.argsort(widths, kind="stable")
+    w = widths[order]
+    # a row's place in its group of one width: its rank less the group's first
+    place = np.arange(w.size) - np.searchsorted(w, w)
+    cuts = np.flatnonzero(place % np.maximum(_BLOCK // w, 1) == 0)
+    return np.split(order, cuts[1:]) if w.size else []
+
+
+def _child_curves(prefix, rows: Tuple[np.ndarray, ...],
+                  m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right child risk curves of a block scan. `rows` are the
+    arrays `prefix` takes (values, then weights if any), one row per segment,
+    each of true length m[row] and padded past it. Cut c splits a row after
+    its entry c: left[:, c] is the risk of entries 0..c, right[:, c] that of
+    entries c+1..m-1, both valid for c < m - 1. right is the prefix of the
+    reversed row read back at the mirrored position; when no row is padded
+    the reversed rows are views."""
+    width = rows[0].shape[-1]
+    left = prefix(*rows)[:, :-1]
+    if m.min() == width:
+        return left, prefix(*(r[:, ::-1] for r in rows))[:, -2::-1]
+    cols = np.arange(width)
+    at = np.maximum(m[:, None] - 1 - cols, 0)
+    rev = prefix(*(np.take_along_axis(r, at, axis=1) for r in rows))
+    return left, np.take_along_axis(rev, at[:, 1:], axis=1)
+
+
 class _Curves(NamedTuple):
     thresholds: np.ndarray  # ascending candidate thresholds
     phi_left: np.ndarray  # risk of {x_j < t}, exactly non-decreasing
@@ -241,32 +287,19 @@ def _risk_curves(node: NodeView, feature: int) -> _Curves:
     y = node.targets()[order]
     m = v.size
     prefix_fn = _prefix_entropy_risk if node.dataset.task == CLASSIFICATION else _prefix_sse
-    left_all = prefix_fn(y)
-    right_all = prefix_fn(y[::-1])[::-1]  # right_all[i] = risk of y[i:]
+    left, right = _child_curves(prefix_fn, (y[None],), np.array([m]))
     valid = v[1:] > v[:-1]  # split index i in 1..m-1 sits between v[i-1], v[i]
     thresholds = midpoints(v[:-1], v[1:])[valid]
-    phi_left = left_all[:-1][valid]
-    phi_right = right_all[1:][valid]
     left_counts = np.arange(1, m)[valid]
-    return _Curves(thresholds, phi_left, phi_right, left_counts, m)
+    return _Curves(thresholds, left[0][valid], right[0][valid], left_counts, m)
 
 
 def _scan_from_curves(curves: _Curves, mode: str, idx: int) -> FeatureScan:
     lc = int(curves.left_counts[idx])
     left = float(curves.phi_left[idx])
     right = float(curves.phi_right[idx])
-    if mode == "sum":
-        crit = left + right
-    elif mode == "max":
-        crit = max(left, right)
-    elif mode == "left_only":
-        crit = left
-    elif mode == "right_only":
-        crit = right
-    else:
-        raise ConfigError(f"unknown scan mode {mode!r}")
-    return FeatureScan(float(curves.thresholds[idx]), left, right, crit,
-                       lc, curves.node_size - lc)
+    return FeatureScan(float(curves.thresholds[idx]), left, right,
+                       float(_MODE_CRITERIA[mode](left, right)), lc, curves.node_size - lc)
 
 
 def scan_feature(node: NodeView, feature: int, mode: str = "sum") -> FeatureScan:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from minimaxsplit import (RULES, DiscreteLaw, build_cell_tree, law_from_density,
                           power_density, ramp_density, random_density, rate_witness,
                           split_cell, uniform_grid)
+from minimaxsplit.splitting import _prefix_sse
 
 import percell_cell_tree as oracle
 
@@ -56,6 +57,11 @@ CORPUS = {
     "simons_witness": (rate_witness("simons_halfrate", 0.6, 10)[0], 10),
     "median_witness": (rate_witness("median_halfrate", 0.9, 10)[0], 10),
     "skewed_weights": (DiscreteLaw(np.arange(40.0) ** 1.5, 1.1 ** np.arange(40.0)), 6),
+    # two clusters whose inner spacings square to below the least float:
+    # every curve inside a cluster is exactly 0, so all cuts tie and the
+    # last argmin must stop at the last real boundary, not in the padding
+    "underflowing_clusters": (equal(np.concatenate([np.arange(5) * 1e-165,
+                                                    1e-150 + np.arange(6) * 1e-165])), 3),
 }
 
 
@@ -117,3 +123,27 @@ def laws(draw):
 def test_random_laws(law, rule, depth):
     assert_same_tree(law, rule, depth)
     assert_same_cells(law, rule, depth)
+
+
+def test_prefix_sse_unit_weights_are_bitwise_ones():
+    """The unweighted prefix kernel makes the floats of the weighted one at
+    unit weights, which are the oracle's floats row by row."""
+    gen = np.random.default_rng(5)
+    rows = np.vstack([gen.standard_normal(40), 1e8 + gen.standard_normal(40),
+                      np.repeat(gen.standard_normal(8), 5), gen.integers(0, 3, 40),
+                      np.full(40, 0.1), np.arange(40.0)[::-1] / 3.0])
+    bits = _prefix_sse(rows).view(np.uint64)
+    assert (_prefix_sse(rows, np.ones_like(rows)).view(np.uint64) == bits).all()
+    for row, row_bits in zip(rows, bits):
+        want = oracle._weighted_prefix_sse(row, np.ones_like(row))
+        assert (want.view(np.uint64) == row_bits).all()
+        assert (_prefix_sse(row).view(np.uint64) == row_bits).all()
+
+
+def test_prefix_sse_weighted_is_bitwise_oracle():
+    gen = np.random.default_rng(6)
+    u = np.sort(gen.standard_normal((5, 30)), axis=1)
+    w = gen.uniform(0.01, 1.0, (5, 30))
+    got = _prefix_sse(u, w).view(np.uint64)
+    for k in range(5):
+        assert (oracle._weighted_prefix_sse(u[k], w[k]).view(np.uint64) == got[k]).all()

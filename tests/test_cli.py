@@ -46,6 +46,35 @@ class TestExitCodes:
             run_cli(["frobnicate"])
 
 
+class TestSeriesAndAtomFiles:
+    """The timeseries and martingale readers reject bad files with exit 3."""
+
+    @pytest.mark.parametrize("command,field", [("timeseries", "data"),
+                                               ("martingale", "density")])
+    @pytest.mark.parametrize("text,message", [
+        (b"time,value\n1,2\n\xff,3\n", "not UTF-8"),
+        (b"time,value\n1,2\n" + b"9" * 200_000 + b",3\n", "field limit")])
+    def test_unreadable_file_returns_three(self, tmp_path, capsys, command, field,
+                                           text, message):
+        src = tmp_path / "series.csv"
+        src.write_bytes(text)
+        code = run_cli([command, "--out", tmp_path / "o", "--config",
+                        json.dumps({field: str(src)})])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["0.0,1\n0.5,nan\n", "0.0,1\n0.5,0\n",
+                                      "0.0,1\n0.5,-2\n", "0.0,1\nnan,1\n",
+                                      "0.0,1\n0.5,inf\n"])
+    def test_bad_atom_values_return_three(self, tmp_path, capsys, rows):
+        src = tmp_path / "atoms.csv"
+        src.write_text("atom,weight\n" + rows, encoding="utf-8")
+        code = run_cli(["martingale", "--out", tmp_path / "o", "--config",
+                        json.dumps({"density": str(src), "max_depth": 2})])
+        assert code == 3
+        assert "atoms.csv" in capsys.readouterr().err
+
+
 class TestConfigSources:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -104,6 +104,12 @@ def _corpus():
                                                          seed=10)),
         "one_sided_min": (regression(X, y), GrowConfig("one_sided_min", max_depth=5)),
         "one_sided_max": (regression(X, y), GrowConfig("one_sided_max", max_depth=5)),
+        # a linear target on an even grid splits every node in half, so the
+        # nodes of levels 1-3 all hold 32, 16 or 8 samples: blocks of several
+        # rows with no padding (see test_unpadded_levels_split_in_half)
+        "unpadded_levels": (regression([np.arange(64.0), np.arange(64.0)[::-1]],
+                                       np.arange(64.0)),
+                            GrowConfig("minimax", max_depth=5)),
         "max_depth_0": (regression(X, y), GrowConfig("minimax", max_depth=0)),
         "max_depth_0_classification": (classification(Xc, yc),
                                        GrowConfig("entropy_sum", max_depth=0)),
@@ -118,6 +124,15 @@ CORPUS = _corpus()
 def test_corpus_matches_per_node_grower(name):
     data, config = CORPUS[name]
     assert_same_tree(data, config)
+
+
+def test_unpadded_levels_split_in_half():
+    data, config = CORPUS["unpadded_levels"]
+    tree = grow(data, config)
+    for depth, size in ((1, 32), (2, 16), (3, 8)):
+        at = tree.depth == depth
+        assert at.sum() == 64 // size
+        assert (tree.count[at] == size).all()
 
 
 def test_denoise_phantom_tree_matches_per_node_grower():
