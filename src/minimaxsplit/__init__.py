@@ -55,7 +55,6 @@ from .rng import derive_seed, stream
 from .splitting import (
     SplitCriterion,
     SplitDecision,
-    best_split,
     candidate_thresholds,
     entropy,
     minimax_search,
@@ -65,6 +64,7 @@ from .tree import (
     GrowConfig,
     PartitionReport,
     TreeModel,
+    best_split,
     canonical_json,
     classify,
     grow,

@@ -230,13 +230,13 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     kept = [i for i, s in enumerate(lines) if s and s.lstrip()[:1] != "#"]
     if quoted:
         for i, s in enumerate(lines):
-            if '"' in s and i < len(lines) - 1 and _quote_runs_on(s):
+            if '"' in s and i < len(lines) - 1 and _quote_runs_on(path, s):
                 raise DataError(f"{path}: line {i + 1}: a quoted cell runs past the end of the line")
         kept = [i for i in kept
-                if lines[i][0] != '"' or not _cells(lines[i])[0].lstrip().startswith("#")]
+                if lines[i][0] != '"' or not _cells(path, lines[i])[0].lstrip().startswith("#")]
     if not kept:
         raise DataError(f"{path}: empty file")
-    names = [h.strip() for h in _cells(lines[kept[0]])]
+    names = [h.strip() for h in _cells(path, lines[kept[0]])]
     t = None if target is None else _column_index(path, names, target, "target column")
     if columns is None:
         cols = [c for c in range(len(names)) if c != t]
@@ -300,16 +300,24 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _cells(line: str) -> List[str]:
-    return next(csv.reader([line]))
+def _first_record(path, lines: List[str]) -> Tuple[List[str], int]:
+    """The first record `csv.reader` splits from the lines, and how many of
+    them it took; DataError for a cell past csv.field_size_limit()."""
+    reader = csv.reader(lines)
+    try:
+        return next(reader), reader.line_num
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _quote_runs_on(line: str) -> bool:
+def _cells(path, line: str) -> List[str]:
+    return _first_record(path, [line])[0]
+
+
+def _quote_runs_on(path, line: str) -> bool:
     """Whether a quoted cell of the line is still open at its end, so that
     `csv.reader` would take the line break into the cell."""
-    reader = csv.reader([line, ""])
-    next(reader)
-    return reader.line_num > 1
+    return _first_record(path, [line, ""])[1] > 1
 
 
 def _column_index(path, names: List[str], spec, what: str) -> int:
@@ -334,7 +342,7 @@ def _first_fault(path, lines: List[str], body: List[int], names: List[str],
     for k in rows:
         if not 0 <= k < len(body):
             continue
-        cells = _cells(lines[body[k]])
+        cells = _cells(path, lines[body[k]])
         line = body[k] + 1
         if len(cells) != len(names):
             return DataError(f"{path}: row {line} has {len(cells)} cells, expected {len(names)}")

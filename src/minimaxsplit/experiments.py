@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -42,7 +41,7 @@ from .dataset import (
     write_pgm,
 )
 from .errors import ConfigError, DataError
-from .forest import ForestConfig, ForestModel, load_model, model_to_json, train_forest
+from .forest import ForestConfig, ForestModel, _pmap, load_model, model_to_json, train_forest
 from .martingale import (
     RULES,
     DiscreteLaw,
@@ -54,8 +53,8 @@ from .martingale import (
 )
 from .metrics import regression_metrics, ssim
 from .rng import derive_seed, stream
-from .splitting import SplitCriterion, best_split
-from .tree import GrowConfig, TreeModel, canonical_json, grow, partition_report
+from .splitting import SplitCriterion
+from .tree import GrowConfig, TreeModel, best_split, canonical_json, grow
 
 try:  # version stamp for manifests; absent when running from a raw checkout
     from importlib.metadata import version as _dist_version
@@ -185,16 +184,6 @@ def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
     (outdir / "manifest.json").write_text(canonical_json(doc) + "\n", encoding="utf-8")
     return RunResult(outdir=outdir, files=tuple(files) + ("manifest.json",),
                      summary=doc["summary"], warnings=tuple(warnings))
-
-
-def _pmap(fn, items, threads: int) -> list:
-    """Order-preserving map, threaded when asked. Every worker owns its own
-    derived streams, so the result does not depend on scheduling."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def config_from_dict(cls, payload: dict):
@@ -346,9 +335,9 @@ def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize",
         for m in cfg.methods:
             tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth, n_min=cfg.n_min))
             for k in range(cfg.max_depth + 1):
-                rep_stats = partition_report(tree, k)
-                rec.append((sigma, m, k, rep, rep_stats.n_cells,
-                            rep_stats.size_mean, rep_stats.size_sd))
+                counts = tree.count[tree.partition_ids(k)]
+                rec.append((sigma, m, k, rep, int(counts.size),
+                            float(np.mean(counts)), float(np.std(counts))))
         return rec
 
     jobs = [(sigma, rep) for sigma in cfg.noise_sigmas for rep in range(cfg.replicates)]

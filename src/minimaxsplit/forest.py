@@ -111,6 +111,16 @@ def _effective_plan(config: ForestConfig, d: int):
     return crit, m_try
 
 
+def _pmap(fn, items, threads: int) -> list:
+    """Order-preserving map, threaded when asked. Every worker owns its own
+    derived streams, so the result does not depend on scheduling."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
                  threads: int = 1) -> ForestModel:
     if not isinstance(threads, int) or threads < 1:
@@ -133,12 +143,7 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
                     splits_rng=stream(tree_seed, "splits"))
         return idx, tree
 
-    if threads == 1:
-        results = [one_tree(b) for b in range(config.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_tree, range(config.n_trees)))
-
+    results = _pmap(one_tree, range(config.n_trees), threads)
     return ForestModel(
         task=data.task,
         n_features=data.n_features,

@@ -1,12 +1,13 @@
-"""Level-synchronous tree growth: the array passes behind `tree.grow`.
+"""Level-synchronous tree growth: the one split engine, behind `tree.grow`
+and `tree.best_split`.
 
-Each level resolves every frontier node at once. The split each node gets
-is the one `splitting.best_split` returns for it, the node records are the
-ones a node-at-a-time grower writes, and both are exact: every prefix curve,
-argmin and node mean is computed from the same floats in the same order, so
-the tree serializes byte for byte as before. The block scan itself (row
-padding, block grouping, the prefix kernels and the mirrored read-back of
-the right curve) lives in `splitting`, shared with `martingale`.
+Each level resolves every frontier node at once; `best_split` is the same
+choice step run on a frontier of one node. The split each node gets and the
+node records are exactly those of the node-at-a-time grower kept as the test
+reference in `tests/pernode_grower.py`: every prefix curve, argmin and node
+mean is computed from the same floats in the same order. The block scan
+itself (row padding, block grouping, the prefix kernels and the mirrored
+read-back of the right curve) lives in `splitting`, shared with `martingale`.
 """
 
 from __future__ import annotations
@@ -67,18 +68,21 @@ class Growth:
         self.splits: List[tuple] = []
         self.leaves: List[tuple] = []
 
+    def root(self, risk: float = 0.0) -> _Frontier:
+        """The frontier of one node, id 0, that holds every sample."""
+        n = self.data.n_samples
+        lists = np.empty((self.d + 1, n), dtype=np.int32)
+        lists[:-1] = self.data.sort_index
+        lists[-1] = np.arange(n)
+        return _Frontier(np.zeros(1, dtype=np.int64), np.array([risk]),
+                         np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64), lists)
+
     def run(self) -> dict:
         data, config = self.data, self.config
         n = data.n_samples
-        lists = np.empty((self.d + 1, n), dtype=np.int32)
-        lists[:-1] = data.sort_index
-        lists[-1] = np.arange(n)
-        starts = np.zeros(1, dtype=np.int64)
-        sizes = np.full(1, n, dtype=np.int64)
         root_risk = NodeStats.from_targets(data.targets, data.task).risk
-        risks = np.array([root_risk])
-        front = _Frontier(self._add(0, lists[-1], starts, sizes, risks), risks, starts,
-                          sizes, lists)
+        front = self.root(root_risk)
+        self._add(0, front.lists[-1], front.starts, front.sizes, front.risks)
         total = root_risk
         trace = [total / n]
         for level in range(config.max_depth):
@@ -152,35 +156,14 @@ class Growth:
         or (cyclic rules) carry it to the next level. Returns the next
         frontier and the per-split risk reductions in frontier order."""
         ids, risks, starts, sizes, lists = front
-        d, n_min = self.d, self.config.n_min
-        # a feature is non-constant on a node when its sorted segment ends
-        # above where it starts
-        first = self.X[np.arange(d)[:, None], lists[:d, starts]]
-        last = self.X[np.arange(d)[:, None], lists[:d, starts + sizes - 1]]
-        spread = last > first  # (d, K)
+        d = self.d
+        spread = self.spread(front)
         y = self.y[lists[d]]
         constant_target = np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)
         reason = np.select(
-            [constant_target, ~spread[self.screen].any(axis=0), sizes <= n_min],
+            [constant_target, ~spread[self.screen].any(axis=0), sizes <= self.config.n_min],
             [_CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN], 0)
-        open_nodes = np.flatnonzero(reason == 0)
-
-        if self.crit.is_random:
-            nodes, feats, picks, uniform_t = self._random_rows(front, open_nodes, spread)
-            scan = self._scan(front, nodes, feats, picks)
-            thr = scan.threshold if uniform_t is None else uniform_t
-        else:
-            nodes, feats = self._allowed(level, open_nodes, spread)
-            scan = self._scan(front, nodes, feats)
-            # per node the least criterion, the lower feature on ties: a
-            # stable sort keeps each node's rows in feature order
-            order = np.lexsort((scan.criterion, nodes))
-            head = np.ones(order.size, dtype=bool)
-            head[1:] = nodes[order[1:]] != nodes[order[:-1]]
-            best = order[head]
-            nodes, feats = nodes[best], feats[best]
-            scan = _Scan(*(a[best] for a in scan))
-            thr = scan.threshold
+        nodes, feats, scan = self.choose(level, front, np.flatnonzero(reason == 0), spread)
 
         split = np.zeros(ids.size, dtype=bool)
         split[nodes] = True
@@ -194,10 +177,11 @@ class Growth:
         node_feature = np.zeros(ids.size, dtype=np.int64)
         node_feature[nodes] = feats
         node_threshold = np.zeros(ids.size)
-        node_threshold[nodes] = thr
+        node_threshold[nodes] = scan.threshold
         samples = lists[d]
         goes_right = ~(self.X[node_feature[seg], samples] < node_threshold[seg]) & split[seg]
-        n_left = np.bincount(seg[~goes_right & split[seg]], minlength=ids.size)
+        n_left = np.zeros(ids.size, dtype=np.int64)
+        n_left[nodes] = scan.left_count
 
         # next frontier: each carried node in place, each split node's left
         # then right child, in frontier order
@@ -219,7 +203,7 @@ class Growth:
         children = self._add(level + 1, new_lists[d], new_starts[child_slots],
                              new_sizes[child_slots], child_risks)
         parents = ids[nodes]
-        self.splits.append((parents, feats, thr, children[0::2], children[1::2], level))
+        self.splits.append((parents, feats, scan.threshold, children[0::2], children[1::2], level))
 
         new_ids = np.empty(new_sizes.size, dtype=np.int64)
         new_ids[base[carry]] = ids[carry]
@@ -233,6 +217,36 @@ class Growth:
         gains = risks[nodes] - scan.left_risk - scan.right_risk
         gains = np.where(gains > 0.0, gains, 0.0).tolist()
         return _Frontier(new_ids, new_risks, new_starts, new_sizes, new_lists), gains
+
+    def spread(self, front: _Frontier) -> np.ndarray:
+        """(d, K): whether each feature is non-constant on each frontier
+        node, that is, whether its sorted segment ends above where it starts."""
+        rows = np.arange(self.d)[:, None]
+        first = self.X[rows, front.lists[:-1, front.starts]]
+        last = self.X[rows, front.lists[:-1, front.starts + front.sizes - 1]]
+        return last > first
+
+    def choose(self, level: int, front: _Frontier, open_nodes: np.ndarray,
+               spread: np.ndarray):
+        """The split of each open frontier node at `level`: the nodes that
+        have one (a subset of `open_nodes`, in frontier order), their
+        features and their scan results. A node with no allowed non-constant
+        feature gets none."""
+        if self.crit.is_random:
+            nodes, feats, picks, uniform_t = self._random_rows(front, open_nodes, spread)
+            scan = self._scan(front, nodes, feats, picks)
+            if uniform_t is not None:
+                scan = scan._replace(threshold=uniform_t)
+            return nodes, feats, scan
+        nodes, feats = self._allowed(level, open_nodes, spread)
+        scan = self._scan(front, nodes, feats)
+        # per node the least criterion, the lower feature on ties: a stable
+        # sort keeps each node's rows in feature order
+        order = np.lexsort((scan.criterion, nodes))
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = nodes[order[1:]] != nodes[order[:-1]]
+        best = order[head]
+        return nodes[best], feats[best], _Scan(*(a[best] for a in scan))
 
     def _allowed(self, level: int, open_nodes: np.ndarray, spread: np.ndarray):
         """(node, feature) rows to scan for the deterministic criteria, by
@@ -255,10 +269,11 @@ class Growth:
 
     def _random_rows(self, front: _Frontier, open_nodes: np.ndarray, spread: np.ndarray):
         """Draw the random baselines' splits node by node, in frontier order,
-        exactly as `best_split` consumes the streams: the feature uniformly
-        among the allowed non-constant ones, then the threshold. Returns the
-        rows to scan, each row's candidate, and (random_uniform) the drawn
-        thresholds."""
+        as the reference grower in `tests/pernode_grower.py` consumes the
+        streams: the feature uniformly among the allowed non-constant ones
+        (in the order given, repeats counted), then the threshold. Returns
+        the rows to scan, each row's candidate, and (random_uniform) the
+        drawn thresholds."""
         config, rng, X = self.config, self.splits_rng, self.X
         starts, sizes, lists = front.starts, front.sizes, front.lists
         uniform = self.crit.tag == "random_uniform"
@@ -300,16 +315,18 @@ class Growth:
     def _scan(self, front: _Frontier, nodes: np.ndarray, feats: np.ndarray,
               picks: Optional[np.ndarray] = None) -> _Scan:
         """Prefix-curve scan of each (frontier node, feature) row. Candidate
-        c cuts the node's sorted segment between positions c and c + 1; the
-        row's result is at `picks[row]` if given, else at the first argmin
-        of the criterion, which is the smallest threshold among ties (and
-        for 'max', exactly where `minimax_search` lands).
+        c cuts the node's sorted segment between positions c and c + 1, so
+        c + 1 samples go left; the row's result is at `picks[row]` if given,
+        else at the first argmin of the criterion, which is the smallest
+        threshold among ties (and for 'max', exactly where `minimax_search`
+        lands).
 
         Rows are scanned in the padded blocks of `splitting._row_blocks`.
-        Each row gets its own sequential cumsum, so its curves are the
-        per-node curves bit for bit; a global cumsum minus segment offsets
-        would not be."""
-        out = _Scan(*(np.empty(nodes.size) for _ in _Scan._fields))
+        Each row gets its own sequential cumsum, so its curves are those of
+        `splitting.scan_feature` and of the reference grower bit for bit; a
+        global cumsum minus segment offsets would not be."""
+        out = _Scan(*(np.empty(nodes.size, dtype=np.int64 if name == "left_count" else None)
+                      for name in _Scan._fields))
         for rows in _row_blocks(_padded_width(front.sizes[nodes])):
             block = self._scan_block(front, nodes[rows], feats[rows],
                                      None if picks is None else picks[rows])
@@ -333,7 +350,7 @@ class Growth:
             picks = np.argmin(crit, axis=1)
         r = np.arange(nodes.size)
         return _Scan(crit[r, picks], midpoints(v[r, picks], v[r, picks + 1]),
-                     left[r, picks], right[r, picks])
+                     left[r, picks], right[r, picks], picks + 1)
 
 
 class _Frontier(NamedTuple):
@@ -354,6 +371,7 @@ class _Scan(NamedTuple):
     threshold: np.ndarray
     left_risk: np.ndarray
     right_risk: np.ndarray
+    left_count: np.ndarray  # samples below the threshold
 
 
 def _regroup(lists: np.ndarray, side: np.ndarray, n_left: np.ndarray,

@@ -13,15 +13,16 @@ floats is *exactly* non-decreasing. That exactness is what lets the bisection
 search (`minimax_search`) agree with the exhaustive scan bit-for-bit instead
 of merely within tolerance.
 
-Tie rule everywhere in this module: smallest threshold, then smallest feature
-index.
+Tie rule everywhere in this module: smallest threshold. Across features the
+level pass in `growth` (and `tree.best_split`, its one-node entry) keeps the
+smallest feature index among equal criteria.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -366,93 +367,3 @@ def minimax_search(node: NodeView, feature: int) -> FeatureScan:
         else:
             pick = plateau_left(cross - 1, crit_before)
     return _scan_from_curves(curves, "max", pick)
-
-
-# ---------------------------------------------------------------------------
-# Node-level best split
-# ---------------------------------------------------------------------------
-
-
-def _nonconstant(node: NodeView, feature: int) -> bool:
-    v = node.feature_values(feature)
-    return v.size > 1 and float(v.min()) < float(v.max())
-
-
-def _random_split(node: NodeView, criterion: SplitCriterion,
-                  features: Sequence[int], rng: np.random.Generator) -> Optional[SplitDecision]:
-    eligible = [j for j in features if _nonconstant(node, j)]
-    if not eligible:
-        return None
-    j = int(eligible[int(rng.integers(len(eligible)))])
-    curves = _risk_curves(node, j)
-    if criterion.tag == "random_observed":
-        idx = int(rng.integers(curves.thresholds.size))
-    else:  # random_uniform over the node's value range
-        v = node.feature_values(j)
-        vmin, vmax = float(v.min()), float(v.max())
-        t = vmin
-        for _ in range(64):
-            t = vmin + float(rng.uniform()) * (vmax - vmin)
-            if t > vmin:  # guarantees a nonempty left child; right holds vmax
-                break
-        else:  # pathological range; take the smallest valid midpoint
-            t = float(curves.thresholds[0])
-        # t lands in (vmin, vmax); the induced partition has left count #{x < t}
-        order_stat = np.sort(v)
-        left_count = int(np.searchsorted(order_stat, t, side="left"))
-        idx = int(np.searchsorted(curves.left_counts, left_count))
-        scan = _scan_from_curves(curves, "sum", idx)
-        return SplitDecision(j, float(t), scan.left_risk, scan.right_risk,
-                             scan.left_risk + scan.right_risk, left_count,
-                             node.size - left_count)
-    scan = _scan_from_curves(curves, "sum", idx)
-    return SplitDecision(j, scan.threshold, scan.left_risk, scan.right_risk,
-                         scan.criterion_value, scan.left_count, scan.right_count)
-
-
-def best_split(node: NodeView, criterion: SplitCriterion,
-               allowed_features: Optional[Sequence[int]] = None,
-               rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
-    """Best (feature, threshold) for the node under the criterion.
-
-    allowed_features defaults to all; cyclic tags ignore it and use feature
-    (depth mod d). Random baselines draw the feature uniformly among allowed
-    features that are non-constant on the node (a constant feature offers no
-    thresholds), then draw their threshold from `rng`. Returns None when no
-    allowed feature is splittable.
-    """
-    d = node.dataset.n_features
-    want = criterion.task()
-    if node.dataset.task != want:
-        raise ConfigError(f"criterion {criterion.tag!r} requires a {want} dataset")
-    if allowed_features is None:
-        features = range(d)
-    else:
-        features = list(allowed_features)
-        if not features:
-            raise ConfigError("allowed_features must be nonempty")
-        if any(not 0 <= j < d for j in features):
-            raise ConfigError(f"feature index outside [0, {d})")
-
-    if criterion.is_random:
-        if rng is None:
-            raise ConfigError(f"{criterion.tag} requires an rng stream")
-        return _random_split(node, criterion, features, rng)
-
-    if criterion.is_cyclic:
-        features = [node.depth % d]
-
-    mode = criterion.scan_mode
-    best: Optional[SplitDecision] = None
-    for j in sorted(set(int(j) for j in features)):
-        try:
-            if mode == "max":
-                scan = minimax_search(node, j)
-            else:
-                scan = scan_feature(node, j, mode)
-        except UnsplittableError:
-            continue
-        if best is None or scan.criterion_value < best.criterion_value:
-            best = SplitDecision(j, scan.threshold, scan.left_risk, scan.right_risk,
-                                 scan.criterion_value, scan.left_count, scan.right_count)
-    return best

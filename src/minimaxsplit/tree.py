@@ -18,15 +18,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION, Dataset, check_feature_names
+from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names
 from .errors import ConfigError, DataError
 from .growth import Growth
 from .rng import stream
-from .splitting import TAGS, SplitCriterion
+from .splitting import TAGS, SplitCriterion, SplitDecision
 
 FORMAT_TREE = "tree-v1"
 
@@ -260,8 +260,8 @@ def grow(data: Dataset, config: GrowConfig, *,
     standalone use derives them from config.seed.
 
     Each level is resolved in array passes over every frontier node at once
-    (see `growth`); the tree is the same, byte for byte, as one grown a node
-    at a time with `best_split`."""
+    (see `growth`); the tree is the same, byte for byte, as the one the
+    node-at-a-time reference grower in `tests/pernode_grower.py` makes."""
     crit = config.criterion
     d = data.n_features
     m_try = config.m_try
@@ -284,6 +284,49 @@ def grow(data: Dataset, config: GrowConfig, *,
     return TreeModel(task=data.task, n_features=d, criterion=crit.tag,
                      max_depth=config.max_depth, n_min=config.n_min,
                      n_train=data.n_samples, feature_names=data.feature_names, **nodes)
+
+
+def best_split(node: NodeView, criterion: SplitCriterion,
+               allowed_features: Optional[Sequence[int]] = None,
+               rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
+    """Best (feature, threshold) for the node under the criterion: the
+    choice step of `grow`'s level pass, run on a frontier of this one node.
+
+    allowed_features defaults to all; cyclic tags ignore it and use feature
+    (depth mod d). Deterministic tags take the least criterion, ties to the
+    smallest threshold, then the smallest feature index. Random baselines
+    draw the feature uniformly among allowed features that are non-constant
+    on the node (a constant feature offers no thresholds), then draw their
+    threshold from `rng`. Returns None when no allowed feature is splittable.
+    """
+    data = node.dataset
+    d = data.n_features
+    if data.task != criterion.task():
+        raise ConfigError(f"criterion {criterion.tag!r} requires a {criterion.task()} dataset")
+    if allowed_features is not None:
+        allowed_features = tuple(allowed_features)
+        if not allowed_features:
+            raise ConfigError("allowed_features must be nonempty")
+        if any(not 0 <= j < d for j in allowed_features):
+            raise ConfigError(f"feature index outside [0, {d})")
+    if criterion.is_random and rng is None:
+        raise ConfigError(f"{criterion.tag} requires an rng stream")
+    members = node.member_indices
+    if not np.array_equal(members, np.arange(data.n_samples)):
+        # the subset's stable sort_index breaks ties by place in members,
+        # as a stable sort of the node's own values does
+        data = data.subset(members)
+    growth = Growth(data, GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
+                    None, rng)
+    front = growth.root()
+    nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
+                                       growth.spread(front))
+    if nodes.size == 0:
+        return None
+    left = int(scan.left_count[0])
+    return SplitDecision(int(feats[0]), float(scan.threshold[0]), float(scan.left_risk[0]),
+                         float(scan.right_risk[0]), float(scan.criterion[0]), left,
+                         node.size - left)
 
 
 # ---------------------------------------------------------------------------

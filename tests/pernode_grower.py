@@ -1,7 +1,10 @@
 """Reference grower for the differential tests: one `best_split` call per
 node, breadth-first, exactly as `tree.grow` worked before it resolved whole
-levels in array passes. It is kept only to check that the level pass makes
-the same trees, byte for byte; the library does not use it.
+levels in array passes. `best_split` here is the per-node split search the
+library had before its `best_split` became a one-node call into that level
+pass: a loop over features, each scanned on its own stably sorted values.
+Both are kept only to check that the level pass makes the same splits and
+trees, byte for byte; the library does not use them.
 """
 
 from __future__ import annotations
@@ -12,9 +15,96 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from minimaxsplit.dataset import CLASSIFICATION, Dataset, NodeView, root_node
+from minimaxsplit.errors import ConfigError, UnsplittableError
 from minimaxsplit.rng import stream
-from minimaxsplit.splitting import NodeStats, _nonconstant, best_split
+from minimaxsplit.splitting import (NodeStats, SplitCriterion, SplitDecision, _risk_curves,
+                                    _scan_from_curves, minimax_search, scan_feature)
 from minimaxsplit.tree import GrowConfig, TreeModel
+
+
+def _nonconstant(node: NodeView, feature: int) -> bool:
+    v = node.feature_values(feature)
+    return v.size > 1 and float(v.min()) < float(v.max())
+
+
+def _random_split(node: NodeView, criterion: SplitCriterion,
+                  features: Sequence[int], rng: np.random.Generator) -> Optional[SplitDecision]:
+    eligible = [j for j in features if _nonconstant(node, j)]
+    if not eligible:
+        return None
+    j = int(eligible[int(rng.integers(len(eligible)))])
+    curves = _risk_curves(node, j)
+    if criterion.tag == "random_observed":
+        idx = int(rng.integers(curves.thresholds.size))
+    else:  # random_uniform over the node's value range
+        v = node.feature_values(j)
+        vmin, vmax = float(v.min()), float(v.max())
+        t = vmin
+        for _ in range(64):
+            t = vmin + float(rng.uniform()) * (vmax - vmin)
+            if t > vmin:  # guarantees a nonempty left child; right holds vmax
+                break
+        else:  # pathological range; take the smallest valid midpoint
+            t = float(curves.thresholds[0])
+        # t lands in (vmin, vmax); the induced partition has left count #{x < t}
+        order_stat = np.sort(v)
+        left_count = int(np.searchsorted(order_stat, t, side="left"))
+        idx = int(np.searchsorted(curves.left_counts, left_count))
+        scan = _scan_from_curves(curves, "sum", idx)
+        return SplitDecision(j, float(t), scan.left_risk, scan.right_risk,
+                             scan.left_risk + scan.right_risk, left_count,
+                             node.size - left_count)
+    scan = _scan_from_curves(curves, "sum", idx)
+    return SplitDecision(j, scan.threshold, scan.left_risk, scan.right_risk,
+                         scan.criterion_value, scan.left_count, scan.right_count)
+
+
+def best_split(node: NodeView, criterion: SplitCriterion,
+               allowed_features: Optional[Sequence[int]] = None,
+               rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
+    """Best (feature, threshold) for the node under the criterion.
+
+    allowed_features defaults to all; cyclic tags ignore it and use feature
+    (depth mod d). Random baselines draw the feature uniformly among allowed
+    features that are non-constant on the node (a constant feature offers no
+    thresholds), then draw their threshold from `rng`. Returns None when no
+    allowed feature is splittable.
+    """
+    d = node.dataset.n_features
+    want = criterion.task()
+    if node.dataset.task != want:
+        raise ConfigError(f"criterion {criterion.tag!r} requires a {want} dataset")
+    if allowed_features is None:
+        features = range(d)
+    else:
+        features = list(allowed_features)
+        if not features:
+            raise ConfigError("allowed_features must be nonempty")
+        if any(not 0 <= j < d for j in features):
+            raise ConfigError(f"feature index outside [0, {d})")
+
+    if criterion.is_random:
+        if rng is None:
+            raise ConfigError(f"{criterion.tag} requires an rng stream")
+        return _random_split(node, criterion, features, rng)
+
+    if criterion.is_cyclic:
+        features = [node.depth % d]
+
+    mode = criterion.scan_mode
+    best: Optional[SplitDecision] = None
+    for j in sorted(set(int(j) for j in features)):
+        try:
+            if mode == "max":
+                scan = minimax_search(node, j)
+            else:
+                scan = scan_feature(node, j, mode)
+        except UnsplittableError:
+            continue
+        if best is None or scan.criterion_value < best.criterion_value:
+            best = SplitDecision(j, scan.threshold, scan.left_risk, scan.right_risk,
+                                 scan.criterion_value, scan.left_count, scan.right_count)
+    return best
 
 
 class _Builder:

@@ -47,15 +47,19 @@ class TestExitCodes:
 
 
 class TestSeriesAndAtomFiles:
-    """The timeseries and martingale readers reject bad files with exit 3."""
+    """The timeseries, martingale and train readers reject bad files with
+    exit 3."""
 
-    @pytest.mark.parametrize("command,field", [("timeseries", "data"),
-                                               ("martingale", "density")])
-    @pytest.mark.parametrize("text,message", [
-        (b"time,value\n1,2\n\xff,3\n", "not UTF-8"),
-        (b"time,value\n1,2\n" + b"9" * 200_000 + b",3\n", "field limit")])
-    def test_unreadable_file_returns_three(self, tmp_path, capsys, command, field,
-                                           text, message):
+    @pytest.mark.parametrize("text,message,command,field", [
+        (text, message, command, field)
+        for text, message in [(b"time,value\n1,2\n\xff,3\n", "not UTF-8"),
+                              (b"time,value\n1,2\n" + b"9" * 200_000 + b",3\n", "field limit")]
+        for command, field in [("timeseries", "data"), ("martingale", "density")]
+    ] + [
+        # a header cell past csv.field_size_limit()
+        (b"a" + b"x" * 200_000 + b",y\n1,2\n3,4\n", "field limit", "train", "data")])
+    def test_unreadable_file_returns_three(self, tmp_path, capsys, text, message,
+                                           command, field):
         src = tmp_path / "series.csv"
         src.write_bytes(text)
         code = run_cli([command, "--out", tmp_path / "o", "--config",
