@@ -60,10 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=f"runs/{name}",
                        help=f"output directory (default runs/{name})")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; results are identical at any count. Small "
-                            "trees hold Python's interpreter lock for most of their work, "
-                            "so the denoise study runs slower at 2 or 4 threads than at 1 "
-                            "on a 2-core machine; forests on tens of thousands of rows gain")
+                       help="worker threads for a study's independent replicates; results "
+                            "are identical at any count. A forest fit always runs as one "
+                            "batch on one thread, whatever the count")
         p.add_argument("--config", default=None,
                        help="JSON file path or inline '{...}' object")
     return parser

@@ -4,8 +4,9 @@ Every ``run_*`` function is a pure function of (config, seed): it writes
 plot-ready CSV tables plus a canonical ``manifest.json`` (config echo, seed,
 package version, file list, summary) into the output directory, and rerunning
 with the same inputs reproduces every byte. The ``threads`` argument only
-parallelizes embarrassingly parallel inner loops; results are identical to
-sequential runs.
+parallelizes a study's independent replicates, methods or grid cells
+(`_pmap`); results are identical to sequential runs. A forest fit never
+uses threads: `train_forest` grows all its trees as one batch.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -41,7 +43,7 @@ from .dataset import (
     write_pgm,
 )
 from .errors import ConfigError, DataError
-from .forest import ForestConfig, ForestModel, _pmap, load_model, model_to_json, train_forest
+from .forest import ForestConfig, ForestModel, load_model, model_to_json, train_forest
 from .martingale import (
     RULES,
     DiscreteLaw,
@@ -184,6 +186,16 @@ def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
     (outdir / "manifest.json").write_text(canonical_json(doc) + "\n", encoding="utf-8")
     return RunResult(outdir=outdir, files=tuple(files) + ("manifest.json",),
                      summary=doc["summary"], warnings=tuple(warnings))
+
+
+def _pmap(fn, items, threads: int) -> list:
+    """Order-preserving map, threaded when asked. Every worker owns its own
+    derived streams, so the result does not depend on scheduling."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def config_from_dict(cls, payload: dict):

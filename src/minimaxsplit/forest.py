@@ -2,9 +2,10 @@
 
 Each tree b gets its own deterministic seed derived from the forest seed and
 the label "tree/{b}", and draws from three private streams ("bootstrap",
-"features", "splits"). Training tree b is a pure function of (data, config,
-seed, b), so growing trees across a thread pool yields exactly the same
-forest as a sequential loop — byte-identical after serialization.
+"features", "splits"). Tree b is a pure function of (data, config, seed, b):
+`train_forest` grows all the trees as one batch through shared level passes
+(`tree.grow_trees`), and each comes out byte-identical to the tree a
+sequential loop would grow on its own bootstrap sample.
 
 Regression forests average the trees' fitted means. Classification forests
 average the trees' smoothed per-leaf log-odds and threshold the average at
@@ -14,7 +15,6 @@ zero; the smoothing keeps single pure leaves from saturating the vote.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -24,8 +24,9 @@ from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
 from .splitting import TAGS, SplitCriterion
-from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, doc_feature_names,
-                   grow, header_int, int_list, tree_from_doc, tree_to_doc, tree_to_json)
+from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, config_int,
+                   doc_feature_names, grow_trees, header_int, int_list, tree_from_doc,
+                   tree_to_doc, tree_to_json)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -46,14 +47,16 @@ class ForestConfig:
     def __post_init__(self):
         if isinstance(self.criterion, str):
             object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
-        if not isinstance(self.n_trees, int) or self.n_trees < 1:
+        if not config_int(self.n_trees, 1):
             raise ConfigError(f"n_trees must be a positive int, got {self.n_trees!r}")
-        if not isinstance(self.max_depth, int) or self.max_depth < 0:
+        if not config_int(self.max_depth, 0):
             raise ConfigError(f"max_depth must be a nonnegative int, got {self.max_depth!r}")
-        if not isinstance(self.n_min, int) or self.n_min < 1:
+        if not config_int(self.n_min, 1):
             raise ConfigError(f"n_min must be a positive int, got {self.n_min!r}")
-        if self.m_try is not None and (not isinstance(self.m_try, int) or self.m_try < 1):
+        if self.m_try is not None and not config_int(self.m_try, 1):
             raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
+        if type(self.bootstrap) is not bool:
+            raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass
@@ -111,39 +114,27 @@ def _effective_plan(config: ForestConfig, d: int):
     return crit, m_try
 
 
-def _pmap(fn, items, threads: int) -> list:
-    """Order-preserving map, threaded when asked. Every worker owns its own
-    derived streams, so the result does not depend on scheduling."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
                  threads: int = 1) -> ForestModel:
-    if not isinstance(threads, int) or threads < 1:
+    """Grow the forest's trees as one batch on the calling thread (see
+    `tree.grow_trees`). `threads` is checked but no longer changes how the
+    forest grows: batched levels already keep the arrays large, and threads
+    would only hand the interpreter lock back and forth between small numpy
+    calls."""
+    if not config_int(threads, 1):
         raise ConfigError(f"threads must be a positive int, got {threads!r}")
     n = data.n_samples
     crit, m_try = _effective_plan(config, data.n_features)
     grow_cfg = GrowConfig(criterion=crit, max_depth=config.max_depth,
                           n_min=config.n_min, m_try=m_try)
-
-    def one_tree(b: int):
-        tree_seed = derive_seed(seed, f"tree/{b}")
-        if config.bootstrap:
-            idx = stream(tree_seed, "bootstrap").integers(0, n, size=n)
-            boot = data.subset(idx)
-        else:
-            idx = np.arange(n, dtype=np.int64)
-            boot = data
-        tree = grow(boot, grow_cfg,
-                    features_rng=stream(tree_seed, "features"),
-                    splits_rng=stream(tree_seed, "splits"))
-        return idx, tree
-
-    results = _pmap(one_tree, range(config.n_trees), threads)
+    tree_seeds = [derive_seed(seed, f"tree/{b}") for b in range(config.n_trees)]
+    if config.bootstrap:
+        indices = [stream(s, "bootstrap").integers(0, n, size=n) for s in tree_seeds]
+    else:
+        indices = [np.arange(n, dtype=np.int64) for _ in tree_seeds]
+    trees = grow_trees(data, grow_cfg, indices,
+                       [stream(s, "features") for s in tree_seeds],
+                       [stream(s, "splits") for s in tree_seeds])
     return ForestModel(
         task=data.task,
         n_features=data.n_features,
@@ -154,8 +145,8 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
         m_try=config.m_try,
         bootstrap=config.bootstrap,
         seed=int(seed),
-        trees=[t for _, t in results],
-        bootstrap_indices=[i for i, _ in results],
+        trees=trees,
+        bootstrap_indices=indices,
         feature_names=data.feature_names,
     )
 

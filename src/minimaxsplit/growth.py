@@ -1,19 +1,23 @@
-"""Level-synchronous tree growth: the one split engine, behind `tree.grow`
-and `tree.best_split`.
+"""Level-synchronous tree growth: the one grower, behind `tree.grow`,
+`tree.grow_trees` (a forest's trees) and `tree.best_split`.
 
-Each level resolves every frontier node at once; `best_split` is the same
-choice step run on a frontier of one node. The split each node gets and the
-node records are exactly those of the node-at-a-time grower kept as the test
-reference in `tests/pernode_grower.py`: every prefix curve, argmin and node
-mean is computed from the same floats in the same order. The block scan
-itself (row padding, block grouping, the prefix kernels and the mirrored
-read-back of the right curve) lives in `splitting`, shared with `martingale`.
+A `Growth` grows a group of trees through one shared level loop: each level
+resolves every frontier node of every tree at once, so a forest costs about
+the numpy calls of one tree per level, not one tree's calls per tree (SPRINT's
+breadth-first growth, applied across the trees of a random forest).
+`best_split` is the same choice step run on a frontier of one node. Each
+tree's splits and node records are exactly those of the node-at-a-time
+grower kept as the test reference in `tests/pernode_grower.py`, run on that
+tree's sample alone: every prefix curve, argmin and node mean is computed
+from the same floats in the same order. The block scan itself (row padding,
+block grouping, the prefix kernels and the mirrored read-back of the right
+curve) lives in `splitting`, shared with `martingale`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,29 +33,48 @@ _DEPTH, _CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN, _NO_VALID_SPLIT = range(1,
 
 
 class Growth:
-    """One tree's level-synchronous growth (the attribute lists of SLIQ and
-    SPRINT). `run` returns the node arrays and risk trace of a TreeModel.
+    """Level-synchronous growth of a group of trees (the attribute lists of
+    SLIQ and SPRINT). `run` returns, per tree, the node arrays and risk trace
+    of a TreeModel.
 
-    The frontier, the nodes still to resolve in breadth-first order, is a run
-    of contiguous segments in `lists`, a (d + 1, N) matrix of sample indices:
-    row j < d holds each node's samples ordered by feature j (value, then
-    sample index, the order of `Dataset.sort_index`), row d holds them by
-    sample index. Those are the orders a per-node search sorts into, so every
-    prefix curve, argmin and node mean sees the same floats in the same order.
-    After a level, a stable partition regroups every row by child.
+    Tree b grows on samples[b], sample indices into `data` (repeats allowed;
+    None is the whole dataset in order), and draws from its own streams
+    features_rngs[b] and splits_rngs[b]. The samples are the blocks, one
+    after another, of a shared index space: `X` and `y` hold the gathered
+    samples, and a position in them names one sample of one tree.
+
+    The frontier, the nodes still to resolve, is a run of contiguous segments
+    in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
+    positions ordered by feature j (value, then position: the stable sort a
+    tree's own `Dataset.sort_index` makes), row d holds them in position
+    order. Those are the orders a per-node search sorts into, so every prefix
+    curve, argmin and node mean sees the same floats in the same order. The
+    frontier is tree-major, each tree's nodes in breadth-first order, so each
+    tree draws from its streams in its own breadth-first node order. After a
+    level, a stable partition regroups every row by child. Node ids count
+    creation across the group; `run` numbers each tree's nodes from 0.
     """
 
     def __init__(self, data: Dataset, config: GrowConfig,
-                 features_rng: Optional[np.random.Generator],
-                 splits_rng: Optional[np.random.Generator]):
+                 samples: Sequence[Optional[np.ndarray]],
+                 features_rngs: Sequence[Optional[np.random.Generator]],
+                 splits_rngs: Sequence[Optional[np.random.Generator]]):
         self.data = data
         self.config = config
         self.crit = config.criterion
-        self.features_rng = features_rng
-        self.splits_rng = splits_rng
-        self.X = data.features
-        self.y = data.targets
+        self.samples = list(samples)
+        self.features_rngs = list(features_rngs)
+        self.splits_rngs = list(splits_rngs)
         self.d = data.n_features
+        self.sizes = np.array([data.n_samples if s is None else len(s) for s in self.samples],
+                              dtype=np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        if len(self.samples) == 1 and self.samples[0] is None:
+            self.X, self.y = data.features, data.targets
+        else:
+            take = np.concatenate([np.arange(data.n_samples) if s is None else s
+                                   for s in self.samples])
+            self.X, self.y = data.features[:, take], data.targets[take]
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
@@ -60,44 +83,52 @@ class Growth:
         fixed = config.fixed_features
         self.screen = list(fixed) if (fixed is not None and not self.crit.is_cyclic) \
             else list(range(self.d))
-        # node records, kept per level: created holds (depth, count, risk,
-        # value, log_odds) of the nodes each level creates, in id order;
-        # splits and leaves hold what each level resolved
+        # node records, kept per level: created holds (tree, depth, count,
+        # risk, value, log_odds) of the nodes each level creates, in id
+        # order; splits and leaves hold what each level resolved
         self.n_nodes = 0
         self.created: List[tuple] = []
         self.splits: List[tuple] = []
         self.leaves: List[tuple] = []
 
-    def root(self, risk: float = 0.0) -> _Frontier:
-        """The frontier of one node, id 0, that holds every sample."""
-        n = self.data.n_samples
-        lists = np.empty((self.d + 1, n), dtype=np.int32)
-        lists[:-1] = self.data.sort_index
-        lists[-1] = np.arange(n)
-        return _Frontier(np.zeros(1, dtype=np.int64), np.array([risk]),
-                         np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64), lists)
+    def root(self, risks: Optional[np.ndarray] = None) -> _Frontier:
+        """The frontier of every tree's root, ids 0, 1, ...: each holds its
+        tree's whole sample."""
+        t = self.sizes.size
+        lists = np.empty((self.d + 1, self.y.size), dtype=np.int32)
+        for sample, start, size in zip(self.samples, self.offsets.tolist(), self.sizes.tolist()):
+            block = lists[:-1, start:start + size]
+            block[:] = self.data.sort_index if sample is None else \
+                np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
+            block += start
+        lists[-1] = np.arange(self.y.size)
+        return _Frontier(np.arange(t), np.zeros(t) if risks is None else risks,
+                         self.offsets, self.sizes, lists, np.arange(t))
 
-    def run(self) -> dict:
-        data, config = self.data, self.config
-        n = data.n_samples
-        root_risk = NodeStats.from_targets(data.targets, data.task).risk
-        front = self.root(root_risk)
-        self._add(0, front.lists[-1], front.starts, front.sizes, front.risks)
-        total = root_risk
-        trace = [total / n]
+    def run(self) -> List[dict]:
+        config, task = self.config, self.data.task
+        sizes = self.sizes.tolist()
+        totals = [NodeStats.from_targets(self.y[start:start + size], task).risk
+                  for start, size in zip(self.offsets.tolist(), sizes)]
+        front = self.root(np.array(totals))
+        self._add(0, front.lists[-1], front.starts, front.sizes, front.risks, front.trees)
+        traces = [[total / n] for total, n in zip(totals, sizes)]
         for level in range(config.max_depth):
-            front, gains = self._level(level, front)
-            for gain in gains:  # one at a time in frontier order: the float sum depends on it
-                total -= gain
-            trace.append(total / n)
+            front, trees, gains = self._level(level, front)
+            # one at a time in each tree's frontier order: the float sum
+            # depends on it
+            for b, gain in zip(trees, gains):
+                totals[b] -= gain
+            for trace, total, n in zip(traces, totals, sizes):
+                trace.append(total / n)
             if front.ids.size == 0:
                 break
         self.leaves.append((front.ids, _DEPTH))
-        while len(trace) < config.max_depth + 1:
-            trace.append(trace[-1])
+        for trace in traces:
+            trace.extend(trace[-1:] * (config.max_depth + 1 - len(trace)))
 
         k = self.n_nodes
-        depth, count, risk, value, log_odds = (np.concatenate(f) for f in zip(*self.created))
+        tree, depth, count, risk, value, log_odds = (np.concatenate(f) for f in zip(*self.created))
         feature = np.full(k, -1, dtype=np.int64)
         threshold = np.full(k, math.nan)
         left = np.full(k, -1, dtype=np.int64)
@@ -112,25 +143,35 @@ class Growth:
         reason = np.zeros(k, dtype=np.int8)
         for at, code in self.leaves:
             reason[at] = code
-        return {
-            "depth": depth,
-            "count": count,
-            "risk": risk,
-            "value": value,
-            "log_odds": log_odds,
-            "feature": feature,
-            "threshold": threshold,
-            "left": left,
-            "right": right,
-            "split_level": split_level,
-            "leaf_reason": [_REASONS[r] for r in reason.tolist()],
-            "risk_trace": trace,
-        }
+        # a tree's nodes in creation order are its ids 0, 1, ...
+        order = np.argsort(tree, kind="stable")
+        per_tree = np.bincount(tree, minlength=len(sizes))
+        own_id = np.empty(k, dtype=np.int64)
+        own_id[order] = np.arange(k) - np.repeat(np.cumsum(per_tree) - per_tree, per_tree)
+        left = np.where(left >= 0, own_id[left], -1)
+        right = np.where(right >= 0, own_id[right], -1)
+        out = []
+        for at, trace in zip(np.split(order, np.cumsum(per_tree)[:-1]), traces):
+            out.append({
+                "depth": depth[at],
+                "count": count[at],
+                "risk": risk[at],
+                "value": value[at],
+                "log_odds": log_odds[at],
+                "feature": feature[at],
+                "threshold": threshold[at],
+                "left": left[at],
+                "right": right[at],
+                "split_level": split_level[at],
+                "leaf_reason": [_REASONS[r] for r in reason[at].tolist()],
+                "risk_trace": trace,
+            })
+        return out
 
     def _add(self, depth: int, by_index: np.ndarray, starts: np.ndarray,
-             sizes: np.ndarray, risks: np.ndarray) -> np.ndarray:
-        """Record new nodes, one per segment of `by_index` (sample indices in
-        ascending order); returns their ids."""
+             sizes: np.ndarray, risks: np.ndarray, trees: np.ndarray) -> np.ndarray:
+        """Record new nodes of the given trees, one per segment of `by_index`
+        (positions in ascending order); returns their ids."""
         ids = np.arange(self.n_nodes, self.n_nodes + sizes.size)
         self.n_nodes += sizes.size
         if self.data.task == CLASSIFICATION:
@@ -147,15 +188,16 @@ class Growth:
             for sel in _row_blocks(sizes):
                 m = int(sizes[sel[0]])
                 value[sel] = np.mean(self.y[by_index[starts[sel, None] + np.arange(m)]], axis=1)
-        self.created.append((np.full(sizes.size, depth, dtype=np.int64), sizes,
+        self.created.append((trees, np.full(sizes.size, depth, dtype=np.int64), sizes,
                              np.asarray(risks, dtype=np.float64), value, log_odds))
         return ids
 
     def _level(self, level: int, front: _Frontier):
         """Resolve every frontier node once: retire it to a leaf, split it,
         or (cyclic rules) carry it to the next level. Returns the next
-        frontier and the per-split risk reductions in frontier order."""
-        ids, risks, starts, sizes, lists = front
+        frontier, and the tree and risk reduction of each split in frontier
+        order."""
+        ids, risks, starts, sizes, lists, trees = front
         d = self.d
         spread = self.spread(front)
         y = self.y[lists[d]]
@@ -193,15 +235,16 @@ class Growth:
         new_sizes[base[nodes] + 1] = sizes[nodes] - n_left[nodes]
         new_starts = np.cumsum(new_sizes) - new_sizes
         going_on = width > 0
-        side = np.full(self.data.n_samples, 2, dtype=np.int8)
+        side = np.full(self.y.size, 2, dtype=np.int8)
         side[samples] = np.where(going_on[seg], goes_right, 2)
         new_lists = _regroup(lists, side, np.where(split, n_left, sizes)[going_on],
                              np.where(split, sizes - n_left, 0)[going_on])
 
         child_slots = np.stack([base[nodes], base[nodes] + 1], axis=1).ravel()
         child_risks = np.stack([scan.left_risk, scan.right_risk], axis=1).ravel()
+        child_trees = np.repeat(trees[nodes], 2)
         children = self._add(level + 1, new_lists[d], new_starts[child_slots],
-                             new_sizes[child_slots], child_risks)
+                             new_sizes[child_slots], child_risks, child_trees)
         parents = ids[nodes]
         self.splits.append((parents, feats, scan.threshold, children[0::2], children[1::2], level))
 
@@ -211,12 +254,16 @@ class Growth:
         new_risks = np.empty(new_sizes.size)
         new_risks[base[carry]] = risks[carry]
         new_risks[child_slots] = child_risks
+        new_trees = np.empty(new_sizes.size, dtype=np.int64)
+        new_trees[base[carry]] = trees[carry]
+        new_trees[child_slots] = child_trees
         # children risks come from the scan's prefix curves, the parent's
         # from its own creation; clamp so float noise in a zero-reduction
         # split can never tick the trace upward
         gains = risks[nodes] - scan.left_risk - scan.right_risk
         gains = np.where(gains > 0.0, gains, 0.0).tolist()
-        return _Frontier(new_ids, new_risks, new_starts, new_sizes, new_lists), gains
+        return (_Frontier(new_ids, new_risks, new_starts, new_sizes, new_lists, new_trees),
+                trees[nodes].tolist(), gains)
 
     def spread(self, front: _Frontier) -> np.ndarray:
         """(d, K): whether each feature is non-constant on each frontier
@@ -238,7 +285,7 @@ class Growth:
             if uniform_t is not None:
                 scan = scan._replace(threshold=uniform_t)
             return nodes, feats, scan
-        nodes, feats = self._allowed(level, open_nodes, spread)
+        nodes, feats = self._allowed(level, front, open_nodes, spread)
         scan = self._scan(front, nodes, feats)
         # per node the least criterion, the lower feature on ties: a stable
         # sort keeps each node's rows in feature order
@@ -248,17 +295,20 @@ class Growth:
         best = order[head]
         return nodes[best], feats[best], _Scan(*(a[best] for a in scan))
 
-    def _allowed(self, level: int, open_nodes: np.ndarray, spread: np.ndarray):
+    def _allowed(self, level: int, front: _Frontier, open_nodes: np.ndarray,
+                 spread: np.ndarray):
         """(node, feature) rows to scan for the deterministic criteria, by
         node then feature: the features a node may use that are non-constant
-        on it. m_try draws one subset per open node, in frontier order."""
+        on it. m_try draws one subset per open node, in frontier order, from
+        the node's tree's `features` stream."""
         d, config = self.d, self.config
         allow = np.zeros((open_nodes.size, d), dtype=bool)
         if self.crit.is_cyclic:
             allow[:, level % d] = True
         elif config.m_try is not None:
-            for row in allow:
-                row[self.features_rng.choice(d, size=config.m_try, replace=False)] = True
+            rngs = self.features_rngs
+            for row, b in zip(allow, front.trees[open_nodes].tolist()):
+                row[rngs[b].choice(d, size=config.m_try, replace=False)] = True
         elif config.fixed_features is not None:
             allow[:, list(config.fixed_features)] = True
         else:
@@ -269,19 +319,21 @@ class Growth:
 
     def _random_rows(self, front: _Frontier, open_nodes: np.ndarray, spread: np.ndarray):
         """Draw the random baselines' splits node by node, in frontier order,
-        as the reference grower in `tests/pernode_grower.py` consumes the
-        streams: the feature uniformly among the allowed non-constant ones
+        as the reference grower in `tests/pernode_grower.py` consumes each
+        tree's streams: the feature uniformly among the allowed non-constant ones
         (in the order given, repeats counted), then the threshold. Returns
         the rows to scan, each row's candidate, and (random_uniform) the
         drawn thresholds."""
-        config, rng, X = self.config, self.splits_rng, self.X
-        starts, sizes, lists = front.starts, front.sizes, front.lists
+        config, X = self.config, self.X
+        starts, sizes, lists, trees = front.starts, front.sizes, front.lists, front.trees
         uniform = self.crit.tag == "random_uniform"
         fixed = config.fixed_features
         nodes, feats, picks, drawn = [], [], [], []
         for k in open_nodes.tolist():
+            b = int(trees[k])
+            rng = self.splits_rngs[b]
             if config.m_try is not None:
-                allowed = np.sort(self.features_rng.choice(
+                allowed = np.sort(self.features_rngs[b].choice(
                     self.d, size=config.m_try, replace=False)).tolist()
             else:
                 allowed = fixed if fixed is not None else range(self.d)
@@ -354,14 +406,16 @@ class Growth:
 
 
 class _Frontier(NamedTuple):
-    """The nodes a level resolves, in breadth-first order: their ids and
-    risks, and their segments (starts, sizes) of the index matrix `lists`."""
+    """The nodes a level resolves, tree by tree in breadth-first order: their
+    ids and risks, their segments (starts, sizes) of the index matrix
+    `lists`, and their trees."""
 
     ids: np.ndarray
     risks: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     lists: np.ndarray
+    trees: np.ndarray
 
 
 class _Scan(NamedTuple):

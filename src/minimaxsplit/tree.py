@@ -57,19 +57,28 @@ class GrowConfig:
     def __post_init__(self):
         if isinstance(self.criterion, str):
             object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
-        if not isinstance(self.max_depth, int) or self.max_depth < 0:
+        if not config_int(self.max_depth, 0):
             raise ConfigError(f"max_depth must be a nonnegative int, got {self.max_depth!r}")
-        if not isinstance(self.n_min, int) or self.n_min < 1:
+        if not config_int(self.n_min, 1):
             raise ConfigError(f"n_min must be a positive int, got {self.n_min!r}")
         if self.fixed_features is not None:
             if self.m_try is not None:
                 raise ConfigError("fixed_features and m_try are mutually exclusive")
+            if any(isinstance(j, bool) for j in self.fixed_features):
+                raise ConfigError(f"fixed_features must be ints, got {self.fixed_features!r}")
             feats = tuple(int(j) for j in self.fixed_features)
             if not feats:
                 raise ConfigError("fixed_features must be nonempty")
             object.__setattr__(self, "fixed_features", feats)
-        if self.m_try is not None and (not isinstance(self.m_try, int) or self.m_try < 1):
+        if self.m_try is not None and not config_int(self.m_try, 1):
             raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
+
+
+def config_int(value, low: int) -> bool:
+    """Whether a config value is an int of at least `low`. As in
+    `header_int`, a bool is not an int: `true` in a JSON config must not
+    read as 1."""
+    return type(value) is int and value >= low
 
 
 @dataclass
@@ -251,17 +260,43 @@ def classify(tree: TreeModel, X, max_depth: Optional[int] = None):
     return tree.predict(X, max_depth), tree.predict_log_odds(X, max_depth)
 
 
+# The combined sample count of one group of trees grown through one level
+# loop: it bounds the group's index matrices and gathered samples (int32
+# positions stay far from overflow), and a tree larger than this grows alone.
+_GROUP_SAMPLES = 1 << 18
+
+
 def grow(data: Dataset, config: GrowConfig, *,
          features_rng: Optional[np.random.Generator] = None,
          splits_rng: Optional[np.random.Generator] = None) -> TreeModel:
     """Grow one tree, breadth-first. With m_try set, a fresh feature subset
     of that size is drawn for every split attempt, in breadth-first node
-    order. The rng keywords let a forest substitute its per-tree streams;
+    order. The rng keywords let a caller substitute its own streams;
     standalone use derives them from config.seed.
 
     Each level is resolved in array passes over every frontier node at once
     (see `growth`); the tree is the same, byte for byte, as the one the
     node-at-a-time reference grower in `tests/pernode_grower.py` makes."""
+    if config.m_try is not None and features_rng is None:
+        features_rng = stream(config.seed, "features")
+    if splits_rng is None and config.criterion.is_random:
+        splits_rng = stream(config.seed, "splits")
+    return grow_trees(data, config, [None], [features_rng], [splits_rng])[0]
+
+
+def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[Optional[np.ndarray]],
+               features_rngs: Sequence[Optional[np.random.Generator]],
+               splits_rngs: Sequence[Optional[np.random.Generator]]) -> List[TreeModel]:
+    """One tree per entry of `samples`: tree b grows on the rows samples[b]
+    of `data` (repeats allowed; None for the whole dataset) with the streams
+    features_rngs[b] (needed with m_try) and splits_rngs[b] (needed by the
+    random criteria). Each tree is the one `grow` makes on `data.subset`
+    of its rows with those streams, byte for byte.
+
+    Consecutive trees grow as one group through one shared level loop, as
+    many as fit in _GROUP_SAMPLES samples together (at least one), so a
+    forest pays each level's fixed numpy calls once per group, not once per
+    tree."""
     crit = config.criterion
     d = data.n_features
     m_try = config.m_try
@@ -276,14 +311,25 @@ def grow(data: Dataset, config: GrowConfig, *,
         if crit.is_cyclic:
             raise ConfigError("cyclic criteria fix the feature per level; "
                               "feature subsampling contradicts that")
-        if features_rng is None:
-            features_rng = stream(config.seed, "features")
-    if splits_rng is None and crit.is_random:
-        splits_rng = stream(config.seed, "splits")
-    nodes = Growth(data, config, features_rng, splits_rng).run()
-    return TreeModel(task=data.task, n_features=d, criterion=crit.tag,
-                     max_depth=config.max_depth, n_min=config.n_min,
-                     n_train=data.n_samples, feature_names=data.feature_names, **nodes)
+    groups: List[List[int]] = []
+    held = 0
+    for b, sample in enumerate(samples):
+        size = data.n_samples if sample is None else len(sample)
+        if not groups or held + size > _GROUP_SAMPLES:
+            groups.append([])
+            held = 0
+        groups[-1].append(b)
+        held += size
+    trees: List[TreeModel] = []
+    for group in groups:
+        grown = Growth(data, config, [samples[b] for b in group],
+                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group]).run()
+        trees += [TreeModel(task=data.task, n_features=d, criterion=crit.tag,
+                            max_depth=config.max_depth, n_min=config.n_min,
+                            n_train=int(nodes["count"][0]), feature_names=data.feature_names,
+                            **nodes)
+                  for nodes in grown]
+    return trees
 
 
 def best_split(node: NodeView, criterion: SplitCriterion,
@@ -317,7 +363,7 @@ def best_split(node: NodeView, criterion: SplitCriterion,
         # as a stable sort of the node's own values does
         data = data.subset(members)
     growth = Growth(data, GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
-                    None, rng)
+                    [None], [None], [rng])
     front = growth.root()
     nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
                                        growth.spread(front))

@@ -3,8 +3,10 @@ node, breadth-first, exactly as `tree.grow` worked before it resolved whole
 levels in array passes. `best_split` here is the per-node split search the
 library had before its `best_split` became a one-node call into that level
 pass: a loop over features, each scanned on its own stably sorted values.
-Both are kept only to check that the level pass makes the same splits and
-trees, byte for byte; the library does not use them.
+`forest_per_tree` is `train_forest` as it was before it grew its trees as
+one batch: one `grow_per_node` per tree, on that tree's bootstrap sample.
+All three are kept only to check that the level pass makes the same splits,
+trees and forests, byte for byte; the library does not use them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from minimaxsplit.dataset import CLASSIFICATION, Dataset, NodeView, root_node
 from minimaxsplit.errors import ConfigError, UnsplittableError
-from minimaxsplit.rng import stream
+from minimaxsplit.forest import ForestConfig, ForestModel, _effective_plan
+from minimaxsplit.rng import derive_seed, stream
 from minimaxsplit.splitting import (NodeStats, SplitCriterion, SplitDecision, _risk_curves,
                                     _scan_from_curves, minimax_search, scan_feature)
 from minimaxsplit.tree import GrowConfig, TreeModel
@@ -242,4 +245,43 @@ def grow_per_node(data: Dataset, config: GrowConfig, *,
         split_level=np.asarray(builder.split_level, dtype=np.int64),
         leaf_reason=builder.leaf_reason,
         risk_trace=trace,
+        feature_names=data.feature_names,
+    )
+
+
+def forest_per_tree(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestModel:
+    """`forest.train_forest`, one tree after another: tree b draws its
+    bootstrap sample from its own "bootstrap" stream and grows on
+    `data.subset` of it (on `data` itself without bootstrap) with its own
+    "features" and "splits" streams (argument checks left to the caller: run
+    `train_forest` on the same input first)."""
+    n = data.n_samples
+    crit, m_try = _effective_plan(config, data.n_features)
+    grow_cfg = GrowConfig(criterion=crit, max_depth=config.max_depth,
+                          n_min=config.n_min, m_try=m_try)
+    trees, indices = [], []
+    for b in range(config.n_trees):
+        tree_seed = derive_seed(seed, f"tree/{b}")
+        if config.bootstrap:
+            idx = stream(tree_seed, "bootstrap").integers(0, n, size=n)
+            boot = data.subset(idx)
+        else:
+            idx = np.arange(n, dtype=np.int64)
+            boot = data
+        trees.append(grow_per_node(boot, grow_cfg, features_rng=stream(tree_seed, "features"),
+                                   splits_rng=stream(tree_seed, "splits")))
+        indices.append(idx)
+    return ForestModel(
+        task=data.task,
+        n_features=data.n_features,
+        criterion=config.criterion.tag,
+        n_trees=config.n_trees,
+        max_depth=config.max_depth,
+        n_min=config.n_min,
+        m_try=config.m_try,
+        bootstrap=config.bootstrap,
+        seed=int(seed),
+        trees=trees,
+        bootstrap_indices=indices,
+        feature_names=data.feature_names,
     )

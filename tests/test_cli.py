@@ -155,6 +155,36 @@ class TestWarningsAndHelp:
         assert metrics["mse"] == 0.0
 
 
+class TestTrainConfigTypes:
+    """A bool is not an int and `bootstrap` must be a bool: each of these
+    train configs exits 2 and writes no model."""
+
+    @pytest.mark.parametrize("override", [
+        {"model": "forest", "m_try": True},
+        {"model": "forest", "n_trees": True},
+        {"model": "forest", "max_depth": True},
+        {"model": "forest", "n_min": True},
+        {"model": "forest", "bootstrap": 0},
+        {"model": "forest", "bootstrap": "no"},
+        {"model": "forest", "bootstrap": None},
+        {"model": "tree", "m_try": True},
+        {"model": "tree", "max_depth": False},
+        {"model": "tree", "n_min": True},
+        {"model": "tree", "fixed_features": [True]},
+    ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
+    def test_bad_type_returns_two(self, tmp_path, capsys, override):
+        src = tmp_path / "d.csv"
+        src.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(20)),
+                       encoding="utf-8")
+        config = dict({"data": str(src), "target": "y", "max_depth": 2, "n_trees": 2},
+                      **override)
+        code = run_cli(["train", "--out", tmp_path / "tr", "--config", json.dumps(config)])
+        assert code == 2
+        key = next(k for k in override if k != "model")
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "tr" / "model.json").exists()
+
+
 class TestPredictMatchesColumnsByName:
     """train records the training header; predict takes the model's columns
     from a scoring file by name, wherever they stand."""

@@ -1,8 +1,12 @@
 """Differential tests: `grow` resolves each level in array passes, and must
 make the same trees, byte for byte, as the per-node grower it replaced
-(kept as the reference in pernode_grower.py). Both trees are compared as
-canonical JSON, so every split, count, mean, risk, leaf reason and the risk
-trace must agree exactly."""
+(kept as the reference in pernode_grower.py); `train_forest` grows all its
+trees through shared level passes, and must make the same forests as one
+per-node grower run per tree. Models are compared as canonical JSON, so
+every split, count, mean, risk, leaf reason and risk trace must agree
+exactly."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from minimaxsplit import (CLASSIFICATION, REGRESSION, Dataset, ForestConfig, GrowConfig,
                           forest_to_json, grow, train_forest, tree_to_json)
-from minimaxsplit import forest as forest_module
+from minimaxsplit import tree as tree_module
 from minimaxsplit.dataset import image_to_dataset, make_phantom
 from minimaxsplit.rng import stream
 from minimaxsplit.splitting import TAGS
 
-from pernode_grower import grow_per_node
+from pernode_grower import forest_per_tree, grow_per_node
 
 
 def assert_same_tree(data: Dataset, config: GrowConfig) -> None:
@@ -144,19 +148,33 @@ def test_denoise_phantom_tree_matches_per_node_grower():
         assert_same_tree(data, GrowConfig(tag, max_depth=10))
 
 
-def test_denoise_forest_matches_per_node_grower(monkeypatch):
-    # the denoise study's forest:minimax:m1 method on a smaller phantom
-    clean = make_phantom(24, 24)
+def _denoise_phantom(size: int, seed: int) -> Dataset:
+    clean = make_phantom(size, size)
     base = image_to_dataset(clean)
-    noisy = clean.pixels.ravel() + 0.1 * stream(12, "noise").standard_normal(base.n_samples)
-    data = regression(base.features, noisy)
+    noisy = clean.pixels.ravel() + 0.1 * stream(seed, "noise").standard_normal(base.n_samples)
+    return regression(base.features, noisy)
+
+
+def test_denoise_forest_matches_per_node_grower():
+    # the denoise study's forest:minimax:m1 method on a smaller phantom
+    data = _denoise_phantom(24, 12)
     config = ForestConfig(criterion="minimax", n_trees=6, max_depth=8, m_try=1)
     serial = forest_to_json(train_forest(data, config, seed=3, threads=1))
     threaded = forest_to_json(train_forest(data, config, seed=3, threads=4))
-    monkeypatch.setattr(forest_module, "grow", grow_per_node)
-    reference = forest_to_json(train_forest(data, config, seed=3, threads=1))
     assert serial == threaded
-    assert serial == reference
+    assert serial == forest_to_json(forest_per_tree(data, config, seed=3))
+
+
+@pytest.mark.parametrize("cap", [1, 576, 1200])
+def test_forest_spanning_several_groups_matches_per_tree(monkeypatch, cap):
+    # 576 samples per tree: one tree per group, then exactly two, then two
+    # with room left over (the last group holds one tree)
+    monkeypatch.setattr(tree_module, "_GROUP_SAMPLES", cap)
+    data = _denoise_phantom(24, 13)
+    for config in (ForestConfig(criterion="variance", n_trees=5, max_depth=7),
+                   ForestConfig(criterion="random_uniform", n_trees=5, max_depth=6, m_try=1)):
+        got = forest_to_json(train_forest(data, config, seed=4))
+        assert got == forest_to_json(forest_per_tree(data, config, seed=4))
 
 
 @st.composite
@@ -198,3 +216,31 @@ def grow_cases(draw):
 def test_random_cases_match_per_node_grower(case):
     data, config = case
     assert_same_tree(data, config)
+
+
+@st.composite
+def forest_cases(draw):
+    """Forests on the same kinds of small datasets: every criterion, with
+    all features or an m_try subset (cyclic forests at m_try 1 or d), with
+    or without bootstrap, and a group cap that puts one tree, a few or all
+    of them in each group."""
+    data, config = draw(grow_cases())
+    d = data.n_features
+    m_try = draw(st.one_of(st.none(), st.integers(1, d)))
+    if config.criterion.is_cyclic and m_try is not None:
+        m_try = draw(st.sampled_from([1, d]))
+    forest = ForestConfig(criterion=config.criterion, n_trees=draw(st.integers(1, 6)),
+                          max_depth=config.max_depth, n_min=config.n_min, m_try=m_try,
+                          bootstrap=draw(st.booleans()))
+    cap = draw(st.sampled_from([tree_module._GROUP_SAMPLES, 1, data.n_samples,
+                                2 * data.n_samples + 1]))
+    return data, forest, config.seed, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forest_cases())
+def test_random_forests_match_per_tree_grower(case):
+    data, config, seed, cap = case
+    with mock.patch.object(tree_module, "_GROUP_SAMPLES", cap):
+        got = forest_to_json(train_forest(data, config, seed=seed))
+    assert got == forest_to_json(forest_per_tree(data, config, seed=seed))
