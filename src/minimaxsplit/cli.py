@@ -60,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=f"runs/{name}",
                        help=f"output directory (default runs/{name})")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for a study's independent replicates; results "
-                            "are identical at any count. A forest fit always runs as one "
-                            "batch on one thread, whatever the count")
+                       help="accepted for compatibility and ignored: every study runs "
+                            "on one thread (must be >= 1)")
         p.add_argument("--config", default=None,
                        help="JSON file path or inline '{...}' object")
     return parser
@@ -75,7 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = config_from_dict(cfg_cls, _parse_config(args.config))
-        result = runner(cfg, seed=args.seed, out=args.out, threads=args.threads)
+        result = runner(cfg, seed=args.seed, out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,7 @@ class Dataset:
     features: np.ndarray  # shape (d, n)
     targets: np.ndarray  # shape (n,)
     task: str
-    sort_index: np.ndarray = field(default=None)  # shape (d, n), int64
+    sort_index: np.ndarray = field(init=False)  # shape (d, n), int64; set from features
     feature_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):

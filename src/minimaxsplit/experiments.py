@@ -3,10 +3,9 @@
 Every ``run_*`` function is a pure function of (config, seed): it writes
 plot-ready CSV tables plus a canonical ``manifest.json`` (config echo, seed,
 package version, file list, summary) into the output directory, and rerunning
-with the same inputs reproduces every byte. The ``threads`` argument only
-parallelizes a study's independent replicates, methods or grid cells
-(`_pmap`); results are identical to sequential runs. A forest fit never
-uses threads: `train_forest` grows all its trees as one batch.
+with the same inputs reproduces every byte. Every study runs on the calling
+thread: its replicates, methods and grid cells one after another, a forest
+fit as one batch of trees (`train_forest`).
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -188,30 +187,48 @@ def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
                      summary=doc["summary"], warnings=tuple(warnings))
 
 
-def _pmap(fn, items, threads: int) -> list:
-    """Order-preserving map, threaded when asked. Every worker owns its own
-    derived streams, so the result does not depend on scheduling."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+_JSON_TYPE = {int: "integer", float: "number", bool: "boolean", str: "string",
+              type(None): "null"}
+
+
+def _fits(hint, value) -> bool:
+    """Whether a parsed JSON value has a config field's declared type. As in
+    `tree.config_int`, a bool is not an int; a float field also takes an
+    int; a tuple field takes a list whose entries fit its entry type."""
+    if get_origin(hint) is Union:
+        return any(_fits(h, value) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(get_args(hint)[0], v) for v in value)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is Union:
+        return " | ".join(map(_type_name, get_args(hint)))
+    if get_origin(hint) is tuple:
+        return f"list of {_type_name(get_args(hint)[0])}"
+    return _JSON_TYPE[hint]
 
 
 def config_from_dict(cls, payload: dict):
     """Build a config dataclass from parsed JSON, rejecting unknown keys and
-    coercing lists to the tuples the frozen dataclasses expect."""
+    values of the wrong type, and coercing lists to the tuples the frozen
+    dataclasses expect."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {type(payload).__name__}")
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {unknown} (valid: {sorted(names)})")
+    hints = get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
-        if f.name in payload:
-            v = payload[f.name]
-            kwargs[f.name] = tuple(v) if isinstance(v, list) else v
+    for name, v in payload.items():
+        if not _fits(hints[name], v):
+            raise ConfigError(f"{cls.__name__}.{name}: want {_type_name(hints[name])}, "
+                              f"got {v!r}")
+        kwargs[name] = tuple(v) if isinstance(v, list) else v
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -243,6 +260,8 @@ class EcpConfig:
             raise ConfigError("ecp needs n >= 2")
         if self.replicates < 1:
             raise ConfigError("replicate count must be >= 1")
+        if not self.noise_laws:
+            raise ConfigError("noise_laws must be nonempty")
         if not 0.0 < self.threshold < 0.5:
             raise ConfigError("threshold must lie in (0, 0.5)")
         _check_criteria(self.methods)
@@ -265,7 +284,7 @@ def _noise_spec(tag: str, n: int) -> PureNoiseSpec:
     raise ConfigError(f"unknown noise law {tag!r} (want 'normal' or 't<df>')")
 
 
-def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp", threads: int = 1) -> RunResult:
+def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp") -> RunResult:
     """One root split per (noise law, replicate, method); records the smaller
     child's share min(n_L, n_R)/n. The same replicate dataset is shared
     across methods so comparisons are paired."""
@@ -275,23 +294,17 @@ def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp", threads: int = 1) -> 
     summary: Dict[str, dict] = {}
     for law in cfg.noise_laws:
         spec = _noise_spec(law, cfg.n)
-
-        def one_rep(rep: int, law=law, spec=spec) -> List[tuple]:
+        for rep in range(cfg.replicates):
             rep_seed = derive_seed(seed, f"ecp/{law}/{rep}")
             data = gen_synthetic(spec, rep_seed)
             node = root_node(data)
-            rec = []
             for m in cfg.methods:
                 crit = SplitCriterion(m)
                 rng = stream(rep_seed, f"split/{m}") if crit.is_random else None
                 dec = best_split(node, crit, rng=rng)
                 if dec is None:
                     raise DataError(f"replicate {rep} of law {law!r} admits no valid split")
-                rec.append((law, m, rep, min(dec.left_count, dec.right_count) / data.n_samples))
-            return rec
-
-        for rec in _pmap(one_rep, range(cfg.replicates), threads):
-            rows.extend(rec)
+                rows.append((law, m, rep, min(dec.left_count, dec.right_count) / data.n_samples))
         for m in cfg.methods:
             vals = np.array([r[3] for r in rows if r[0] == law and r[1] == m])
             below = float(np.mean(vals < cfg.threshold))
@@ -328,33 +341,28 @@ class LeafSizeConfig:
             raise ConfigError("replicate count must be >= 1")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
+        if not self.noise_sigmas:
+            raise ConfigError("noise_sigmas must be nonempty")
         _check_criteria(self.methods)
 
 
-def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize",
-                  threads: int = 1) -> RunResult:
+def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize") -> RunResult:
     """Partition-size statistics per depth for each splitting rule. Each tree
     is grown once to max_depth; depth-k rows read the tree cut at level k,
     which coincides with the depth-k tree because growth is level-greedy."""
     outdir = _outdir(out)
     detail: List[tuple] = []
-
-    def one_rep(job) -> List[tuple]:
-        sigma, rep = job
-        data = gen_synthetic(PiecewiseSpec(n=cfg.n, noise_sigma=sigma),
-                             derive_seed(seed, f"leafsize/{sigma!r}/{rep}"))
-        rec = []
-        for m in cfg.methods:
-            tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth, n_min=cfg.n_min))
-            for k in range(cfg.max_depth + 1):
-                counts = tree.count[tree.partition_ids(k)]
-                rec.append((sigma, m, k, rep, int(counts.size),
-                            float(np.mean(counts)), float(np.std(counts))))
-        return rec
-
-    jobs = [(sigma, rep) for sigma in cfg.noise_sigmas for rep in range(cfg.replicates)]
-    for rec in _pmap(one_rep, jobs, threads):
-        detail.extend(rec)
+    for sigma in cfg.noise_sigmas:
+        for rep in range(cfg.replicates):
+            data = gen_synthetic(PiecewiseSpec(n=cfg.n, noise_sigma=sigma),
+                                 derive_seed(seed, f"leafsize/{sigma!r}/{rep}"))
+            for m in cfg.methods:
+                tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth,
+                                             n_min=cfg.n_min))
+                for k in range(cfg.max_depth + 1):
+                    counts = tree.count[tree.partition_ids(k)]
+                    detail.append((sigma, m, k, rep, int(counts.size),
+                                   float(np.mean(counts)), float(np.std(counts))))
 
     aggregate: List[tuple] = []
     summary: Dict[str, float] = {}
@@ -400,12 +408,14 @@ class SineConfig:
             raise ConfigError("sine needs n >= 2 and n_test >= 1")
         if self.batches < 1:
             raise ConfigError("batches must be >= 1")
+        if not self.p_values:
+            raise ConfigError("p_values must be nonempty")
         if any(k < 0 or k > self.max_depth for k in self.eval_depths):
             raise ConfigError("eval_depths must lie in [0, max_depth]")
         _check_criteria(self.methods)
 
 
-def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine", threads: int = 1) -> RunResult:
+def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
     """Training risk traces per frequency 2^p. When eval_depths is set, an
     average-MSE table against the noise-free signal on a fresh design is
     emitted across batches as well."""
@@ -413,9 +423,7 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine", threads: int = 1) 
     trace_rows: List[tuple] = []
     mse_rows: List[tuple] = []
     summary: Dict[str, dict] = {}
-
-    def one_p(p: int):
-        recs_trace, recs_mse, recs_sum = [], [], {}
+    for p in cfg.p_values:
         for b in range(cfg.batches):
             if b > 0 and not cfg.eval_depths:
                 break  # later batches only feed the eval table
@@ -429,21 +437,15 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine", threads: int = 1) 
                 tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth))
                 if b == 0:
                     for k, risk in enumerate(tree.risk_trace):
-                        recs_trace.append((p, m, k, risk))
-                    recs_sum[m] = {"final_trace": tree.risk_trace[-1],
-                                   "first_ratio": (tree.risk_trace[1] / tree.risk_trace[0]
-                                                   if len(tree.risk_trace) > 1 and tree.risk_trace[0] > 0
-                                                   else None)}
+                        trace_rows.append((p, m, k, risk))
+                    summary[f"p={p}/{m}"] = {
+                        "final_trace": tree.risk_trace[-1],
+                        "first_ratio": (tree.risk_trace[1] / tree.risk_trace[0]
+                                        if len(tree.risk_trace) > 1 and tree.risk_trace[0] > 0
+                                        else None)}
                 for k in cfg.eval_depths:
                     err = truth - tree.predict(x_test[:, None], max_depth=k)
-                    recs_mse.append((p, m, k, b, float(np.mean(err * err))))
-        return p, recs_trace, recs_mse, recs_sum
-
-    for p, recs_trace, recs_mse, recs_sum in _pmap(one_p, cfg.p_values, threads):
-        trace_rows.extend(recs_trace)
-        mse_rows.extend(recs_mse)
-        for m, s in recs_sum.items():
-            summary[f"p={p}/{m}"] = s
+                    mse_rows.append((p, m, k, b, float(np.mean(err * err))))
 
     files = [_write_csv(outdir, "sine_trace.csv", ("p", "method", "depth", "risk"), trace_rows)]
     if cfg.eval_depths:
@@ -482,7 +484,7 @@ class AsbpConfig:
         _check_criteria(self.methods)
 
 
-def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp", threads: int = 1) -> RunResult:
+def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp") -> RunResult:
     """Which coordinate each level splits, plus held-out MSE per depth, for
     trees on the y = x_1 + ... + x_{d-1} + |x_d| target."""
     outdir = _outdir(out)
@@ -498,27 +500,20 @@ def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp", threads: int = 1) 
     dim_rows: List[tuple] = []
     mse_rows: List[tuple] = []
     summary: Dict[str, dict] = {}
-
-    def one_method(m: str):
+    for m in cfg.methods:
         tree = grow(train, GrowConfig(criterion=m, max_depth=cfg.max_depth))
         by_level: Dict[int, set] = {}
         for i in range(tree.n_nodes):
             if tree.left[i] >= 0:
                 by_level.setdefault(int(tree.split_level[i]), set()).add(int(tree.feature[i]))
-        dims = [(m, k, ";".join(str(j) for j in sorted(feats)))
-                for k, feats in sorted(by_level.items())]
-        mses = []
+        dim_rows.extend((m, k, ";".join(str(j) for j in sorted(feats)))
+                        for k, feats in sorted(by_level.items()))
         for k in range(cfg.max_depth + 1):
             err = test.targets - tree.predict(x_test, max_depth=k)
-            mses.append((m, k, float(np.mean(err * err))))
-        only_first = bool(by_level) and all(feats == {0} for feats in by_level.values())
-        return m, dims, mses, only_first
-
-    for m, dims, mses, only_first in _pmap(one_method, cfg.methods, threads):
-        dim_rows.extend(dims)
-        mse_rows.extend(mses)
-        summary[m] = {"final_mse": mses[-1][2],
-                      "all_levels_split_first_coordinate": only_first}
+            mse_rows.append((m, k, float(np.mean(err * err))))
+        summary[m] = {"final_mse": mse_rows[-1][2],
+                      "all_levels_split_first_coordinate":
+                          bool(by_level) and all(feats == {0} for feats in by_level.values())}
 
     files = [
         _write_csv(outdir, "asbp_dims.csv", ("method", "level", "features"), dim_rows),
@@ -576,8 +571,7 @@ class DenoiseConfig:
             _parse_denoise_method(m)
 
 
-def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise",
-                threads: int = 1) -> RunResult:
+def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunResult:
     """Add seeded Gaussian pixel noise, fit one model per method on the noisy
     targets at the pixel-center design, and score each clamped reconstruction
     against the clean image. The 'noisy' baseline row scores the raw noisy
@@ -612,7 +606,7 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise",
             model = train_forest(
                 train, ForestConfig(criterion=tag, n_trees=cfg.n_trees,
                                     max_depth=cfg.max_depth, n_min=cfg.n_min, m_try=m_try),
-                seed=model_seed, threads=threads)
+                seed=model_seed)
         img = dataset_to_image(model.predict(x_pixels), h, w)
         name = "denoised_" + m.replace(":", "-") + ".pgm"
         write_pgm(img, outdir / name)
@@ -648,6 +642,8 @@ class PowellConfig:
     def __post_init__(self):
         if not self.n_values or min(self.n_values) < 2:
             raise ConfigError("n_values must be nonempty with entries >= 2")
+        if not self.d_values:
+            raise ConfigError("d_values must be nonempty")
         for d in self.d_values:
             if d % 4 != 0 or d <= 0:
                 raise ConfigError(f"d must be a positive multiple of 4, got {d}")
@@ -656,30 +652,22 @@ class PowellConfig:
         _check_criteria(self.methods)
 
 
-def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell",
-               threads: int = 1) -> RunResult:
+def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult:
     """Test MSE over an (n, d) grid; the test draw of 10^4 points is shared
     across n for a given d so columns are comparable."""
     outdir = _outdir(out)
-
-    def one_cell(job):
-        n, d = job
-        train = gen_synthetic(PowellSpec(n=n, d=d, noise_sigma=cfg.noise_sigma),
-                              derive_seed(seed, f"powell/train/{n}/{d}"))
-        test = gen_synthetic(PowellSpec(n=cfg.n_test, d=d),
-                             derive_seed(seed, f"powell/test/{d}"))
-        x_test = test.features.T
-        rec = []
-        for m in cfg.methods:
-            tree = grow(train, GrowConfig(criterion=m, max_depth=cfg.max_depth))
-            err = test.targets - tree.predict(x_test)
-            rec.append((n, d, m, float(np.mean(err * err))))
-        return rec
-
-    jobs = [(n, d) for d in cfg.d_values for n in cfg.n_values]
     rows: List[tuple] = []
-    for rec in _pmap(one_cell, jobs, threads):
-        rows.extend(rec)
+    for d in cfg.d_values:
+        for n in cfg.n_values:
+            train = gen_synthetic(PowellSpec(n=n, d=d, noise_sigma=cfg.noise_sigma),
+                                  derive_seed(seed, f"powell/train/{n}/{d}"))
+            test = gen_synthetic(PowellSpec(n=cfg.n_test, d=d),
+                                 derive_seed(seed, f"powell/test/{d}"))
+            x_test = test.features.T
+            for m in cfg.methods:
+                tree = grow(train, GrowConfig(criterion=m, max_depth=cfg.max_depth))
+                err = test.targets - tree.predict(x_test)
+                rows.append((n, d, m, float(np.mean(err * err))))
     summary = {f"n={n}/d={d}/{m}": mse for n, d, m, mse in rows}
     files = [_write_csv(outdir, "powell.csv", ("n", "d", "method", "mse"), rows)]
     return _finish(outdir, "powell", cfg, seed, files, summary)
@@ -754,8 +742,7 @@ def _load_series(path) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     return times, values, warnings
 
 
-def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries",
-                   threads: int = 1) -> RunResult:
+def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries") -> RunResult:
     """Regress value on time with one tree per method; a single seeded random
     holdout (and the train-set standardization it induces) is reused for
     every method and depth, so all rows are directly comparable."""
@@ -789,22 +776,15 @@ def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries",
     metric_rows: List[tuple] = []
     pred_rows: List[tuple] = []
     summary: Dict[str, dict] = {}
-
-    def one_method(meth: str):
+    for meth in cfg.methods:
         tree = grow(train, GrowConfig(criterion=meth, max_depth=max(cfg.depths)))
-        recs_m, recs_p = [], []
         for k in sorted(set(cfg.depths)):
             pred = tree.predict(t_test[:, None], max_depth=k)
             rep = regression_metrics(v_test, pred)
-            recs_m.append((meth, k, rep.rmse, rep.mae, rep.r2))
-            recs_p.extend((meth, k, float(ti), float(vi), float(pi))
-                          for ti, vi, pi in zip(t_test, v_test, pred))
-        return meth, recs_m, recs_p
-
-    for meth, recs_m, recs_p in _pmap(one_method, cfg.methods, threads):
-        metric_rows.extend(recs_m)
-        pred_rows.extend(recs_p)
-        final = recs_m[-1]
+            metric_rows.append((meth, k, rep.rmse, rep.mae, rep.r2))
+            pred_rows.extend((meth, k, float(ti), float(vi), float(pi))
+                             for ti, vi, pi in zip(t_test, v_test, pred))
+        final = metric_rows[-1]
         summary[meth] = {"depth": final[1], "rmse": final[2], "r2": final[4]}
     summary["n_train"] = int(train_idx.size)
     summary["n_test"] = int(test_idx.size)
@@ -872,8 +852,8 @@ def _law_from_atom_csv(path) -> DiscreteLaw:
         raise DataError(f"{path}: {exc}") from None
 
 
-def run_martingale(cfg: MartingaleRunConfig, seed: int = 0, out="runs/martingale",
-                   threads: int = 1) -> RunResult:
+def run_martingale(cfg: MartingaleRunConfig, seed: int = 0,
+                   out="runs/martingale") -> RunResult:
     """Approximation-error decay and consecutive-ratio curves for each
     interval-splitting rule on one univariate law."""
     outdir = _outdir(out)
@@ -886,8 +866,7 @@ def run_martingale(cfg: MartingaleRunConfig, seed: int = 0, out="runs/martingale
     else:
         law = _law_from_atom_csv(cfg.density)
 
-    curves = dict(zip(cfg.rules,
-                      _pmap(lambda r: mse_curve(law, r, cfg.max_depth), cfg.rules, threads)))
+    curves = {r: mse_curve(law, r, cfg.max_depth) for r in cfg.rules}
     decay_rows = [(k, *(curves[r][k] for r in cfg.rules)) for k in range(cfg.max_depth + 1)]
     ratio_rows = [
         (k, *((curves[r][k + 1] / curves[r][k]) if curves[r][k] > 0 else None
@@ -930,7 +909,7 @@ class TrainConfig:
         SplitCriterion(self.criterion)
 
 
-def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train", threads: int = 1) -> RunResult:
+def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
     outdir = _outdir(out)
     data = load_csv(cfg.data, cfg.target, cfg.task)
     if cfg.model == "tree":
@@ -945,7 +924,7 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train", threads: int = 
             data, ForestConfig(criterion=cfg.criterion, n_trees=cfg.n_trees,
                                max_depth=cfg.max_depth, n_min=cfg.n_min,
                                m_try=cfg.m_try, bootstrap=cfg.bootstrap),
-            seed=seed, threads=threads)
+            seed=seed)
     (outdir / "model.json").write_text(model_to_json(model) + "\n", encoding="utf-8")
     x_train = data.features.T
     if data.task == REGRESSION:
@@ -969,8 +948,7 @@ class PredictConfig:
             raise ConfigError("predict config needs 'model' and 'data' paths")
 
 
-def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict",
-                threads: int = 1) -> RunResult:
+def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunResult:
     outdir = _outdir(out)
     model_path = Path(cfg.model)
     if not model_path.exists():

@@ -114,15 +114,10 @@ def _effective_plan(config: ForestConfig, d: int):
     return crit, m_try
 
 
-def train_forest(data: Dataset, config: ForestConfig, seed: int = 0,
-                 threads: int = 1) -> ForestModel:
+def train_forest(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestModel:
     """Grow the forest's trees as one batch on the calling thread (see
-    `tree.grow_trees`). `threads` is checked but no longer changes how the
-    forest grows: batched levels already keep the arrays large, and threads
-    would only hand the interpreter lock back and forth between small numpy
-    calls."""
-    if not config_int(threads, 1):
-        raise ConfigError(f"threads must be a positive int, got {threads!r}")
+    `tree.grow_trees`), so each level's numpy calls cover every tree's nodes
+    at once."""
     n = data.n_samples
     crit, m_try = _effective_plan(config, data.n_features)
     grow_cfg = GrowConfig(criterion=crit, max_depth=config.max_depth,

@@ -78,6 +78,19 @@ def brute_scan(x, y, mode: str, task: str = REGRESSION):
     return best
 
 
+def same_json(got: str, want: str) -> None:
+    """Fail, naming the first differing offset and the text around it, when
+    two serialized models differ. A bare `assert got == want` would have
+    pytest diff the whole strings, which takes minutes on long documents."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo, hi = max(0, at - 40), at + 40
+    pytest.fail(f"JSON differs at offset {at} (lengths {len(got)} and {len(want)}):\n"
+                f"  got  ...{got[lo:hi]!r}\n  want ...{want[lo:hi]!r}")
+
+
 def naive_ssim(a, b, window: int = 11, sigma: float = 1.5,
                k1: float = 0.01, k2: float = 0.03) -> float:
     """Doubly-looped reference SSIM with renormalized Gaussian weights."""

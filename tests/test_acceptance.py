@@ -50,6 +50,7 @@ from minimaxsplit.experiments import (
 from minimaxsplit.splitting import _risk_curves
 
 from conftest import entropy_risk, make_node, naive_ssim, two_pass_sse
+from pernode_grower import forest_per_tree
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -216,7 +217,7 @@ def test_criterion_07_end_cut_fractions(tmp_path):
     t0 = time.perf_counter()
     cfg = EcpConfig(n=500, replicates=1000, noise_laws=("normal", "t3", "t1"),
                     methods=("variance", "minimax"))
-    res = run_ecp(cfg, seed=0, out=tmp_path / "ecp", threads=4)
+    res = run_ecp(cfg, seed=0, out=tmp_path / "ecp")
     elapsed = time.perf_counter() - t0
     frac = {law: res.summary[f"{law}/minimax"]["frac_below"]
             for law in ("normal", "t3", "t1")}
@@ -280,20 +281,20 @@ def test_criterion_09_forest_properties():
             jensen_ok = False
 
     cfg = ForestConfig(criterion="minimax", n_trees=30, max_depth=5)
-    bytes_ok = (forest_to_json(train_forest(asbp_train, cfg, seed=3, threads=4))
-                == forest_to_json(train_forest(asbp_train, cfg, seed=3, threads=1)))
+    bytes_ok = (forest_to_json(train_forest(asbp_train, cfg, seed=3))
+                == forest_to_json(forest_per_tree(asbp_train, cfg, seed=3)))
 
     rand_dim = train_forest(asbp_train, ForestConfig(criterion="minimax",
                                                      n_trees=200, max_depth=5,
-                                                     m_try=1), seed=0, threads=4)
+                                                     m_try=1), seed=0)
     full_dim = train_forest(asbp_train, ForestConfig(criterion="minimax",
                                                      n_trees=200, max_depth=5,
-                                                     m_try=2), seed=0, threads=4)
+                                                     m_try=2), seed=0)
     mse_rand = float(np.mean((asbp_test.targets - rand_dim.predict(xt)) ** 2))
     mse_full = float(np.mean((asbp_test.targets - full_dim.predict(xt)) ** 2))
     escape_ok = mse_rand < 0.03 and mse_full >= 0.06
     report(9, jensen_ok and bytes_ok and escape_ok,
-           f"Jensen ensemble bound: {jensen_ok}; threaded == sequential bytes: "
+           f"Jensen ensemble bound: {jensen_ok}; batch == per-tree bytes: "
            f"{bytes_ok}; m_try=1 held-out {mse_rand:.4f} (< 0.03) vs m_try=d "
            f"{mse_full:.4f} (>= 0.06)")
 
@@ -360,8 +361,7 @@ def test_criterion_12_denoising_direction(tmp_path):
     ssim_wins = 0
     worse_than_noisy = []
     for s in range(5):
-        res = run_denoise(DenoiseConfig(), seed=s, out=tmp_path / f"d{s}",
-                          threads=4)
+        res = run_denoise(DenoiseConfig(), seed=s, out=tmp_path / f"d{s}")
         noisy = res.summary["noisy"]["mse"]
         for m in forest_methods:
             if res.summary[m]["mse"] >= noisy:

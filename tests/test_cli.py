@@ -185,6 +185,36 @@ class TestTrainConfigTypes:
         assert not (tmp_path / "tr" / "model.json").exists()
 
 
+class TestStudyConfigTypes:
+    """Every study rejects an ill-typed or empty config value with exit 2,
+    never a traceback or an empty table."""
+
+    @pytest.mark.parametrize("command,config", [
+        ("ecp", {"n": 2.5}),
+        ("ecp", {"replicates": 1.5}),
+        ("ecp", {"noise_laws": "normal"}),
+        ("ecp", {"noise_laws": []}),
+        ("leafsize", {"n": 64.5}),
+        ("leafsize", {"noise_sigmas": []}),
+        ("sine", {"batches": 2.5, "eval_depths": [1]}),
+        ("sine", {"p_values": []}),
+        ("asbp", {"d": 2.5}),
+        ("powell", {"n_values": [100.5]}),
+        ("powell", {"d_values": []}),
+        ("timeseries", {"n_synthetic": 100.5}),
+        ("timeseries", {"downsample": 2.5}),
+        ("martingale", {"n_atoms": 100.5}),
+        ("martingale", {"density": 5}),
+        ("train", {"data": 5}),
+        ("predict", {"model": 5, "data": "x"}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_bad_value_returns_two(self, tmp_path, capsys, command, config):
+        code = run_cli([command, "--out", tmp_path / "o", "--config", json.dumps(config)])
+        assert code == 2
+        assert next(iter(config)) in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+
 class TestPredictMatchesColumnsByName:
     """train records the training header; predict takes the model's columns
     from a scoring file by name, wherever they stand."""

@@ -44,6 +44,12 @@ class TestDataset:
                      task=REGRESSION)
         assert ds.sort_index[0].tolist() == [1, 3, 0, 2]
 
+    def test_sort_index_is_not_an_argument(self):
+        # the order is always computed from the features, never taken on trust
+        with pytest.raises(TypeError, match="sort_index"):
+            Dataset(features=[[3.0, 1.0, 2.0]], targets=[0.0, 0, 0], task=REGRESSION,
+                    sort_index=[[0, 1, 2]])
+
     def test_from_rows_transposes(self):
         ds = Dataset.from_rows([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
         assert ds.features.shape == (2, 2)
