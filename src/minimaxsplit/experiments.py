@@ -235,6 +235,12 @@ def config_from_dict(cls, payload: dict):
         raise ConfigError(f"bad {cls.__name__}: {exc}") from None
 
 
+def _check_sigma(name: str, sigma: float) -> None:
+    # JSON's NaN and Infinity parse as floats
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {sigma!r}")
+
+
 def _check_criteria(methods: Sequence[str]) -> None:
     if not methods:
         raise ConfigError("method list must be nonempty")
@@ -343,6 +349,8 @@ class LeafSizeConfig:
             raise ConfigError("max_depth must be >= 0")
         if not self.noise_sigmas:
             raise ConfigError("noise_sigmas must be nonempty")
+        for sigma in self.noise_sigmas:
+            _check_sigma("noise_sigmas entry", sigma)
         _check_criteria(self.methods)
 
 
@@ -412,6 +420,7 @@ class SineConfig:
             raise ConfigError("p_values must be nonempty")
         if any(k < 0 or k > self.max_depth for k in self.eval_depths):
             raise ConfigError("eval_depths must lie in [0, max_depth]")
+        _check_sigma("noise_sigma", self.noise_sigma)
         _check_criteria(self.methods)
 
 
@@ -561,8 +570,7 @@ class DenoiseConfig:
                                 "tree:variance", "tree:minimax")
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        _check_sigma("noise_sigma", self.noise_sigma)
         if self.n_trees < 1 or self.max_depth < 0 or self.n_min < 1:
             raise ConfigError("need n_trees >= 1, max_depth >= 0, n_min >= 1")
         if not self.methods:
@@ -649,6 +657,7 @@ class PowellConfig:
                 raise ConfigError(f"d must be a positive multiple of 4, got {d}")
         if self.n_test < 1 or self.max_depth < 0:
             raise ConfigError("need n_test >= 1 and max_depth >= 0")
+        _check_sigma("noise_sigma", self.noise_sigma)
         _check_criteria(self.methods)
 
 

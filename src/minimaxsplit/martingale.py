@@ -16,39 +16,58 @@ monotone, mirroring the empirical splitter.
 Each round is one array pass over every multi-atom cell of a level, the
 block scan `growth` runs on tree levels: the cells become (atom, weight)
 rows of the padded blocks of `splitting._padded_width` and
-`splitting._row_blocks`, and `splitting._child_curves` gives every row's
-child risk curves from the weighted `splitting._prefix_sse`, a sequential
-cumsum along the row, so they are the floats a one-cell computation makes,
-bit for bit. The same blocks give each cell's risk by a two-pass reduction,
-which is what the mse curve sums. The picks:
+`splitting._row_blocks`, which give each cell's risk by a two-pass
+reduction, the sums the mse curve adds up. The picks:
 
 - variance and minimax take the last argmin of L + R and of max(L, R) over
-  the boundaries (L and R are the left and right child risks). L is a
-  cumsum of non-negative increments, so it is exactly non-decreasing, and R
-  is exactly non-increasing. Let c be the first boundary with L >= R: before
-  c, max(L, R) = R is non-increasing, and from c on, max(L, R) = L is
-  non-decreasing. So every minimizer lies at c - 1 or on the plateau of L
-  that starts at c, and the last argmin is the largest minimizer, with no
-  search for the crossing.
+  the boundaries (L and R are the left and right child risks). L at
+  boundary b is the forward prefix curve of the cell read at atom b - 1, R
+  the reversed one read at atom b; both come from the weighted
+  `splitting._prefix_sse`, a sequential cumsum along the row, so they are
+  the floats a one-cell computation makes, bit for bit. Two flat buffers
+  indexed by atom hold the current cells' forward and reversed curves for
+  a whole build. A left child's forward curve is its parent's up to the
+  cut and a right child's reversed curve is its parent's from the cut on,
+  bit for bit, since both cumsums start at the same atom; so after the
+  root each round computes only the other half (the left children's
+  reversed rows and the right children's forward rows), writes it into the
+  buffers, and picks every cell's cut by one segmented last argmin over
+  the flat criterion. L is a cumsum of non-negative increments, so it is
+  exactly non-decreasing, and R is exactly non-increasing. Let c be the
+  first boundary with L >= R: before c, max(L, R) = R is non-increasing,
+  and from c on, max(L, R) = L is non-decreasing. So every minimizer lies
+  at c - 1 or on the plateau of L that starts at c, and the last argmin is
+  the largest minimizer, with no search for the crossing.
 - median groups rows by exact length instead, so each cell's total mass is
   the pairwise `np.sum` of its own weights and no padding enters it.
-- simons takes each cell's mean as `np.dot(w, u) / np.sum(w)` one cell at a
-  time: a block reduction sums in another order, and a cut at a mean that
-  lands on an atom flips with the last bit.
+- simons cuts where the first atom at or above the cell's mean lies, the
+  mean taken as `np.dot(w, u) / np.sum(w)` of that one cell. The block
+  reduction's mean sums in another order, but both lie within a float
+  error bound of the exact mean whatever the order (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, 2002, section 3.1). Where no atom
+  lies within a safe multiple of that bound of the block mean, every mean
+  in reach gives the same cut; only the other cells, such as an odd
+  equal-weight cell whose mean is its middle atom, take the one-cell mean
+  (a filter with an exact fallback, as in Shewchuk's adaptive predicates,
+  1997).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import stream
-from .splitting import _child_curves, _padded_width, _prefix_sse, _row_blocks
+from .splitting import _padded_width, _prefix_sse, _row_blocks
 
 RULES = ("variance", "simons", "minimax", "median")
+
+# the simons rule trusts a block-summed cell mean to within this many times
+# its float error bound (see `_level_pass`)
+_MEAN_SLACK = 8.0
 
 
 @dataclass(frozen=True)
@@ -115,9 +134,10 @@ def _rows(law: DiscreteLaw, lo: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, 
     return law.atoms[at], np.where(cols < m[:, None], law.weights[at], 0.0)
 
 
-def _risks(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per row, sum_i w_i (u_i - weighted row mean)^2, by two passes."""
-    delta = u - (np.sum(w * u, axis=-1) / np.sum(w, axis=-1))[..., None]
+def _risks(u: np.ndarray, w: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per row, sum_i w_i (u_i - mean)^2 about the row's weighted mean:
+    the second of two passes."""
+    delta = u - mean[..., None]
     delta *= delta  # in place: a cell can span the whole law
     delta *= w
     return np.sum(delta, axis=-1)
@@ -128,33 +148,109 @@ def _last_argmin(crit: np.ndarray) -> np.ndarray:
     return crit.shape[1] - 1 - np.argmin(crit[:, ::-1], axis=1)
 
 
-def _level_pass(law: DiscreteLaw, lo: np.ndarray, hi: np.ndarray,
-                rule: Optional[str]) -> Tuple[np.ndarray, np.ndarray]:
+def _mean_cuts(atoms: np.ndarray, mean: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Per cell, the number of atoms below its mean, which is the same for
+    every mean within `slack` of the estimate `mean`; -1 where an atom lies
+    within the slack or the bounds are not finite, so the count may turn on
+    the last bits of the mean."""
+    low, high = mean - slack, mean + slack
+    below = np.searchsorted(atoms, low, side="left")
+    sure = (below == np.searchsorted(atoms, high, side="right"))
+    sure &= np.isfinite(low) & np.isfinite(high)
+    return np.where(sure, below, -1)
+
+
+def _fill_curves(law: DiscreteLaw, curves: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 down: Union[bool, np.ndarray]) -> None:
+    """Write the prefix-SSE curve of each cell [lo, hi) into `curves` (2n + 1
+    floats for n atoms), one padded row per cell: where `down` is false the
+    row walks the cell's atoms up and its entry i lands in curves[lo + i]
+    (the forward curve), where it is true the row walks them down and entry
+    i lands in curves[n + hi - 1 - i] (the reversed curve). Entries past a
+    row's end land in the last slot, which nothing reads."""
+    n = law.n_atoms
+    m = (hi - lo)[:, None]
+    step = np.where(down, -1, 1)[..., None]
+    cols = np.arange(int(m.max()))
+    inside = cols < m
+    at = np.where(down, hi - 1, lo)[:, None] + step * np.minimum(cols, m - 1)
+    sse = _prefix_sse(law.atoms[at], np.where(inside, law.weights[at], 0.0))
+    at += n * (step < 0)
+    curves[np.where(inside, at, 2 * n)] = sse
+
+
+def _curve_cuts(curves: np.ndarray, lo: np.ndarray, hi: np.ndarray, rule: str) -> np.ndarray:
+    """Per cell [lo, hi), the last boundary b that minimizes L + R
+    (variance) or max(L, R) (minimax), with L = curves[b - 1] the forward
+    curve and R = curves[n + b] the reversed one (see `_fill_curves`). One
+    flat pass over every cell: crit[q] is the criterion at b = q + 1."""
+    n = (curves.size - 1) // 2
+    base, end = int(lo[0]), int(hi[-1]) - 1
+    combine = np.add if rule == "variance" else np.maximum
+    # the last entry pairs the end of the span with the slot past it and
+    # belongs to no cell
+    crit = combine(curves[base:end + 1], curves[n + base + 1:n + end + 2])
+    # cell i owns crit[lo - base : hi - 1 - base]; every other segment is a gap
+    edges = np.stack([lo, hi - 1], axis=1).ravel() - base
+    least = np.minimum.reduceat(crit, edges)
+    hit = crit == np.repeat(least, np.diff(edges, append=crit.size))
+    if np.isnan(least[::2]).any():  # argmin counts a NaN as the least value
+        hit |= np.isnan(crit)
+    hits = np.flatnonzero(hit)
+    # the last hit before a cell's end lies in that cell, which holds one
+    return base + 1 + hits[np.searchsorted(hits, hi - 1 - base) - 1]
+
+
+def _level_pass(law: DiscreteLaw, lo: np.ndarray, hi: np.ndarray, rule: Optional[str],
+                curves: Optional[np.ndarray] = None,
+                left: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """(boundaries, risks) of the multi-atom cells [lo, hi): the boundary
     the rule picks in each cell (left unset without a rule) and each cell's
-    risk contribution."""
+    risk contribution.
+
+    variance and minimax keep each cell's curves in `curves`, the buffer of
+    `_fill_curves`. A left child inherits its forward curve from its parent
+    and a right child its reversed one, so given `left`, which marks the
+    left children, the pass makes only the other curve of each cell and
+    reads the inherited one from `curves`. Without `left` it makes both
+    (in a buffer of its own if `curves` is not given)."""
     m = hi - lo
     cuts = np.empty(m.size, dtype=np.int64)
     risks = np.empty(m.size)
-    if rule == "simons":
-        means = np.array([law.cell_mean(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
-        # the first atom at or above the mean: it and all above go right. The
-        # mean lies in (atoms[lo], atoms[hi-1]]; clamp anyway so float dust
-        # can never produce an empty child
-        cuts[:] = np.clip(np.searchsorted(law.atoms, means, side="left"), lo + 1, hi - 1)
+    if not m.size:
+        return cuts, risks
+    if curves is None and rule in ("variance", "minimax"):
+        curves = np.zeros(2 * law.n_atoms + 1)
     for rows in _row_blocks(m if rule == "median" else _padded_width(m)):
         r_lo, r_m = lo[rows], m[rows]
         u, w = _rows(law, r_lo, r_m)
-        risks[rows] = _risks(u, w)
+        wu = w * u
+        total = np.sum(w, axis=-1)
+        mean = np.sum(wu, axis=-1) / total
+        risks[rows] = _risks(u, w, mean)
         if rule == "median":
-            gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - np.sum(w, axis=1)[:, None])
+            gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - total[:, None])
             cuts[rows] = r_lo + 1 + _last_argmin(gap)
+        elif rule == "simons":
+            # in any summation order, the block mean and the one-cell
+            # `cell_mean` each lie within about (2m + 1) 2^-53 sum w|u| / sum w
+            # of the exact mean, plus m 2^-1075 / sum w for products that
+            # underflow; the slack is _MEAN_SLACK (m + 2) times that scale
+            slack = (2.0 ** -53 * np.sum(np.abs(wu), axis=-1) + 2.0 ** -1074) / total
+            cuts[rows] = _mean_cuts(law.atoms, mean, _MEAN_SLACK * (r_m + 2) * slack)
         elif rule in ("variance", "minimax"):
-            left, right = _child_curves(_prefix_sse, (u, w), r_m)
-            crit = left + right if rule == "variance" else np.maximum(left, right)
-            # padding repeats the last atom, so it never shows a strict rise
-            crit = np.where(u[:, 1:] > u[:, :-1], crit, np.inf)
-            cuts[rows] = r_lo + 1 + _last_argmin(crit)
+            for down in ((False, True) if left is None else (left[rows],)):
+                _fill_curves(law, curves, r_lo, hi[rows], down)
+    if rule == "simons":
+        # the first atom at or above the mean goes right. Where the block
+        # mean cannot settle which atom that is, the one-cell mean does
+        for i in np.flatnonzero(cuts < 0).tolist():
+            cuts[i] = np.searchsorted(law.atoms, law.cell_mean(int(lo[i]), int(hi[i])))
+        # the mean lies in (atoms[lo], atoms[hi-1]]; clamp anyway so float
+        # dust can never produce an empty child
+        np.clip(cuts, lo + 1, hi - 1, out=cuts)
+    elif rule in ("variance", "minimax"):
+        cuts = _curve_cuts(curves, lo, hi, rule)
     return cuts, risks
 
 
@@ -211,24 +307,25 @@ class CellTree:
         return np.asarray([np.sum(r) for r in self.level_risks], dtype=np.float64)
 
 
-def build_cell_tree(law: DiscreteLaw, rule: str, depth: int) -> CellTree:
-    """Split every multi-atom cell for `depth` rounds, one level pass per
-    round. Single-atom cells persist unchanged (their risk is already
-    zero)."""
+def _grow(law: DiscreteLaw, rule: str, depth: int):
+    """Yield each level's cells, as arrays lo and hi, and each cell's risk
+    contribution, after 0..depth rounds of splitting every multi-atom cell
+    in one level pass per round."""
     if rule not in RULES:
         raise ConfigError(f"unknown rule {rule!r}; valid: {RULES}")
     if not isinstance(depth, int) or depth < 0:
         raise ConfigError(f"depth must be a nonnegative int, got {depth!r}")
     lo = np.zeros(1, dtype=np.int64)
     hi = np.full(1, law.n_atoms, dtype=np.int64)
-    levels, level_risks = [], []
+    curves = np.zeros(2 * law.n_atoms + 1) if rule in ("variance", "minimax") else None
+    left = None  # the root inherits no curve
     for k in range(depth + 1):
         multi = np.flatnonzero(hi - lo >= 2)
-        cuts, risks = _level_pass(law, lo[multi], hi[multi], rule if k < depth else None)
+        cuts, risks = _level_pass(law, lo[multi], hi[multi], rule if k < depth else None,
+                                  curves, None if left is None else left[multi])
         cell_risks = np.zeros(lo.size)
         cell_risks[multi] = risks
-        levels.append(tuple(zip(lo.tolist(), hi.tolist())))
-        level_risks.append(cell_risks)
+        yield lo, hi, cell_risks
         if k < depth:
             # each multi-atom cell becomes its left then right child in place
             width = np.ones(lo.size, dtype=np.int64)
@@ -237,13 +334,27 @@ def build_cell_tree(law: DiscreteLaw, rule: str, depth: int) -> CellTree:
             lo, hi = np.repeat(lo, width), np.repeat(hi, width)
             hi[first] = cuts
             lo[first + 1] = cuts
+            left = np.zeros(lo.size, dtype=bool)
+            left[first] = True
+
+
+def build_cell_tree(law: DiscreteLaw, rule: str, depth: int) -> CellTree:
+    """Split every multi-atom cell for `depth` rounds, one level pass per
+    round. Single-atom cells persist unchanged (their risk is already
+    zero)."""
+    levels, level_risks = [], []
+    for lo, hi, risks in _grow(law, rule, depth):
+        levels.append(tuple(zip(lo.tolist(), hi.tolist())))
+        level_risks.append(risks)
     return CellTree(law=law, rule=rule, levels=tuple(levels), level_risks=tuple(level_risks))
 
 
 def mse_curve(law: DiscreteLaw, rule: str, depth: int) -> np.ndarray:
-    """Partition risk after 0..depth rounds of splitting."""
-    return build_cell_tree(law, rule, depth).mse_curve()
-
+    """Partition risk after 0..depth rounds of splitting: the sums
+    `build_cell_tree(law, rule, depth).mse_curve()` gives, without the
+    cells' index pairs."""
+    return np.asarray([np.sum(risks) for _, _, risks in _grow(law, rule, depth)],
+                      dtype=np.float64)
 
 
 def rate_bound(rule: str, k: int) -> float:

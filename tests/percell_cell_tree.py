@@ -1,8 +1,14 @@
-"""Reference cell tree for the differential tests: one `split_cell` call per
-cell, and each level's risk summed cell by cell, exactly as
-`martingale.build_cell_tree` and `CellTree.mse_curve` worked before they
-resolved whole levels in array passes. It is kept only to check that the
-level pass makes the same partitions and curves; the library does not use it.
+"""Reference cell trees for the differential tests; the library uses none
+of this.
+
+- `build_levels` / `mse_curve`: one `split_cell` call per cell, and each
+  level's risk summed cell by cell, as `martingale.build_cell_tree` and
+  `CellTree.mse_curve` worked before they resolved whole levels in array
+  passes.
+- `level_pass_tree`: the first array level pass. Every round computes both
+  child risk curves of every cell afresh through `splitting._child_curves`,
+  and the simons rule takes each cell's mean with one `np.dot`. Its levels
+  and level risks are the bitwise reference for `build_cell_tree`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import numpy as np
 
 from minimaxsplit.errors import ConfigError
 from minimaxsplit.martingale import RULES, DiscreteLaw
+from minimaxsplit.splitting import _child_curves, _padded_width, _prefix_sse, _row_blocks
 
 
 def cell_risk(law: DiscreteLaw, lo: int, hi: int) -> float:
@@ -148,3 +155,73 @@ def mse_curve(law: DiscreteLaw, levels) -> np.ndarray:
     return np.asarray(
         [sum(cell_risk(law, lo, hi) for lo, hi in cells)
          for cells in levels], dtype=np.float64)
+
+
+def _rows(law: DiscreteLaw, lo: np.ndarray, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(atoms, weights) of the cells [lo, lo + m) as the rows of two blocks.
+    Past a row's end the atom repeats its last one and the weight is zero.
+    A single cell is a view of the law."""
+    if lo.size == 1:
+        cell = slice(int(lo[0]), int(lo[0] + m[0]))
+        return law.atoms[cell][None], law.weights[cell][None]
+    cols = np.arange(int(m.max()))
+    at = lo[:, None] + np.minimum(cols, m[:, None] - 1)
+    return law.atoms[at], np.where(cols < m[:, None], law.weights[at], 0.0)
+
+
+def _risks(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row, sum_i w_i (u_i - weighted row mean)^2, by two passes."""
+    delta = u - (np.sum(w * u, axis=-1) / np.sum(w, axis=-1))[..., None]
+    delta *= delta
+    delta *= w
+    return np.sum(delta, axis=-1)
+
+
+def _last_argmin(crit: np.ndarray) -> np.ndarray:
+    return crit.shape[1] - 1 - np.argmin(crit[:, ::-1], axis=1)
+
+
+def _level_pass(law: DiscreteLaw, lo: np.ndarray, hi: np.ndarray, rule):
+    """(boundaries, risks) of the multi-atom cells [lo, hi)."""
+    m = hi - lo
+    cuts = np.empty(m.size, dtype=np.int64)
+    risks = np.empty(m.size)
+    if rule == "simons":
+        means = np.array([law.cell_mean(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        cuts[:] = np.clip(np.searchsorted(law.atoms, means, side="left"), lo + 1, hi - 1)
+    for rows in _row_blocks(m if rule == "median" else _padded_width(m)):
+        r_lo, r_m = lo[rows], m[rows]
+        u, w = _rows(law, r_lo, r_m)
+        risks[rows] = _risks(u, w)
+        if rule == "median":
+            gap = np.abs(2.0 * np.cumsum(w[:, :-1], axis=1) - np.sum(w, axis=1)[:, None])
+            cuts[rows] = r_lo + 1 + _last_argmin(gap)
+        elif rule in ("variance", "minimax"):
+            left, right = _child_curves(_prefix_sse, (u, w), r_m)
+            crit = left + right if rule == "variance" else np.maximum(left, right)
+            crit = np.where(u[:, 1:] > u[:, :-1], crit, np.inf)
+            cuts[rows] = r_lo + 1 + _last_argmin(crit)
+    return cuts, risks
+
+
+def level_pass_tree(law: DiscreteLaw, rule: str, depth: int):
+    """(levels, level_risks) of the first array level pass: one
+    `_level_pass` per round over every multi-atom cell."""
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, law.n_atoms, dtype=np.int64)
+    levels, level_risks = [], []
+    for k in range(depth + 1):
+        multi = np.flatnonzero(hi - lo >= 2)
+        cuts, risks = _level_pass(law, lo[multi], hi[multi], rule if k < depth else None)
+        cell_risks = np.zeros(lo.size)
+        cell_risks[multi] = risks
+        levels.append(tuple(zip(lo.tolist(), hi.tolist())))
+        level_risks.append(cell_risks)
+        if k < depth:
+            width = np.ones(lo.size, dtype=np.int64)
+            width[multi] = 2
+            first = (np.cumsum(width) - width)[multi]
+            lo, hi = np.repeat(lo, width), np.repeat(hi, width)
+            hi[first] = cuts
+            lo[first + 1] = cuts
+    return tuple(levels), tuple(level_risks)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import minimaxsplit
 from minimaxsplit.cli import build_parser, main
 
 
@@ -121,6 +125,23 @@ class TestDeterminism:
         assert (tmp_path / "s" / "ecp.csv").read_bytes() == \
             (tmp_path / "p" / "ecp.csv").read_bytes()
 
+    def test_martingale_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """The simons rule takes its cell means from block sums, which no
+        BLAS thread count reorders, so every rule's curves come out the same
+        at one and at two BLAS threads."""
+        config = json.dumps({"density": "ramp", "max_depth": 12,
+                             "rules": ["variance", "simons", "minimax", "median"]})
+        env = dict(os.environ, PYTHONPATH=str(Path(minimaxsplit.__file__).parents[1]))
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            subprocess.run([sys.executable, "-m", "minimaxsplit.cli", "martingale",
+                            "--out", str(tmp_path / threads), "--config", config],
+                           env=env, check=True, capture_output=True, timeout=300)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == ["decay.csv", "manifest.json", "ratio.csv"]
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
 
 class TestWarningsAndHelp:
     def test_warnings_go_to_stderr(self, tmp_path, capsys):
@@ -213,6 +234,22 @@ class TestStudyConfigTypes:
         assert code == 2
         assert next(iter(config)) in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "NaN", "Infinity"])
+    @pytest.mark.parametrize("command,key,template", [
+        ("sine", "noise_sigma", "{}"),
+        ("powell", "noise_sigma", "{}"),
+        ("denoise", "noise_sigma", "{}"),
+        ("leafsize", "noise_sigmas", "[0.1, {}]"),
+    ])
+    def test_bad_noise_sigma_returns_two(self, tmp_path, capsys, command, key, template,
+                                         sigma):
+        """A negative, NaN or infinite noise level (JSON parses NaN and
+        Infinity) is a config error, not a noiseless run or a data error."""
+        config = f'{{"{key}": {template.format(sigma)}}}'
+        assert run_cli([command, "--out", tmp_path / "o", "--config", config]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredictMatchesColumnsByName:
