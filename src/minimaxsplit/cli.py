@@ -47,6 +47,10 @@ def _parse_config(text: Optional[str]) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{text}: bad config JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{text}: config file is not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{text}: cannot read config file ({exc.strerror or exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,6 +205,10 @@ def load_feature_matrix(path, columns: Optional[Sequence] = None,
     return _read_csv(path, columns, target)[1]
 
 
+# characters read per block; each block's data rows are one `np.loadtxt` call
+_CSV_CHARS = 1 << 20
+
+
 def _read_csv(path, columns: Optional[Sequence] = None,
               target=None) -> Tuple[Tuple[str, ...], np.ndarray]:
     """The one CSV reader: returns the stripped names of the feature columns
@@ -214,64 +218,141 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     Lines end at '\\n', '\\r\\n' or '\\r', as `csv.reader` splits them.
     Empty lines are skipped, and so is a comment line: one whose first cell,
     left-stripped, starts with '#'. The first remaining line is the header,
-    split by `csv`; every later line is a data row, and one `np.loadtxt`
-    call parses them all, with '"' quoting as in `csv`. A quoted cell must
-    close on its own line. Cells are read as `float` reads them, except that
-    digit separators ('1_000') and non-ASCII digits are not numbers. Errors
-    name the 1-based line of the file; to find the bad cell, only the rows
-    numpy's message points at are split again.
+    split by `csv`; every later line is a data row, with '"' quoting as in
+    `csv`. A quoted cell must close on its own line. Cells are read as
+    `float` reads them, except that digit separators ('1_000') and non-ASCII
+    digits are not numbers.
+
+    The file is read a block of lines (about `_CSV_CHARS` characters) at a
+    time, and one `np.loadtxt` call parses each block's data rows, so memory
+    stays near the size of the table. Errors name the 1-based line of the
+    file; to find the bad cell, only the rows numpy's message points at are
+    split again. A fault in the rows or the header is held until every line
+    has been decoded and checked for a run-on quote, so those faults are
+    reported first wherever they are, and non-finite values only after every
+    row has parsed.
     """
     path = Path(path)
-    text = _read_text(path)
-    quoted = '"' in text
-    separated = any(c in text for c in _SEPARATORS)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    del text
-    kept = [i for i, s in enumerate(lines) if s and s.lstrip()[:1] != "#"]
-    if quoted:
-        for i, s in enumerate(lines):
-            if '"' in s and i < len(lines) - 1 and _quote_runs_on(path, s):
-                raise DataError(f"{path}: line {i + 1}: a quoted cell runs past the end of the line")
-        kept = [i for i in kept
-                if lines[i][0] != '"' or not _cells(path, lines[i])[0].lstrip().startswith("#")]
-    if not kept:
+    names: Optional[List[str]] = None
+    parts: List[np.ndarray] = []
+    finite = True
+    fault: Optional[DataError] = None
+    first = 0  # 0-based index of the block's first line in the file
+    for block in _blocks(path):
+        lines = block.split("\n")
+        ended = block.endswith("\n")
+        if ended:
+            lines.pop()
+        if '"' in block:
+            _check_quotes(path, lines, first, ended)
+        if fault is None:
+            try:
+                body = [k for k, s in enumerate(lines) if s and s.lstrip()[:1] != "#"
+                        and (s[0] != '"' or not _cells(path, s)[0].lstrip().startswith("#"))]
+                if names is None and body:
+                    names = [h.strip() for h in _cells(path, lines[body.pop(0)])]
+                    t = None if target is None else _column_index(path, names, target,
+                                                                  "target column")
+                    if columns is None:
+                        cols = [c for c in range(len(names)) if c != t]
+                    else:
+                        cols = [_column_index(path, names, c, "column") for c in columns]
+                    wanted = cols + ([] if t is None else [t])
+                    # cells are checked in this order within a row: features, target, the rest
+                    order = wanted + [c for c in range(len(names)) if c not in wanted]
+                    select = slice(None) if wanted == list(range(len(names))) else wanted
+                if body:
+                    part = _parse_rows(path, lines, first, body, names, order,
+                                       sum(map(len, parts)),
+                                       any(c in block for c in _SEPARATORS))
+                    finite = finite and bool(np.isfinite(part).all())
+                    parts.append(part[:, select])
+            except DataError as exc:
+                fault, parts = exc, []
+        first += len(lines)
+    if fault is not None:
+        raise fault
+    if names is None:
         raise DataError(f"{path}: empty file")
-    names = [h.strip() for h in _cells(path, lines[kept[0]])]
-    t = None if target is None else _column_index(path, names, target, "target column")
-    if columns is None:
-        cols = [c for c in range(len(names)) if c != t]
-    else:
-        cols = [_column_index(path, names, c, "column") for c in columns]
-    body = kept[1:]
-    if not body:
+    if not parts:
         raise DataError(f"{path}: no data rows")
-    wanted = cols + ([] if t is None else [t])
-    # cells are checked in this order within a row: features, target, the rest
-    order = wanted + [c for c in range(len(names)) if c not in wanted]
+    if not finite:
+        raise DataError(f"{path}: non-finite value encountered")
+    table = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return tuple(names[c] for c in cols), table
+
+
+def _parse_rows(path, lines: List[str], first: int, body: List[int], names: List[str],
+                order: List[int], before: int, separated: bool) -> np.ndarray:
+    """The data rows lines[k], k in body, parsed by one `np.loadtxt` call;
+    DataError for the first faulty one. `first` numbers the lines, and
+    `before` counts the data rows of earlier blocks."""
     # numpy strips U+001C..U+001F around a number, float() does not
     odd_rows = ([k for k, i in enumerate(body) if not _SEPARATORS.isdisjoint(lines[i])]
                 if separated else [])
     try:
-        table = np.loadtxt([lines[i] for i in body], dtype=np.float64, delimiter=",",
-                           quotechar='"', comments=None, ndmin=2)
+        part = np.loadtxt([lines[i] for i in body], dtype=np.float64, delimiter=",",
+                          quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
         # numpy counts the row it names from 0 for a bad cell and from 1 for
         # a changed column count: both readings are tried, the earlier first
         named = re.search(r"\brow (\d+)", str(exc))
         guesses = [int(named.group(1)) - 1, int(named.group(1))] if named else []
-        fault = _first_fault(path, lines, body, names, order, sorted({0, *guesses, *odd_rows}))
-        raise fault or DataError(f"{path}: {exc}") from None
-    if table.shape[1] != len(names):
-        raise DataError(f"{path}: row {body[0] + 1} has {table.shape[1]} cells, "
+        fault = _first_fault(path, lines, first, body, names, order,
+                             sorted({0, *guesses, *odd_rows}))
+        message = re.sub(r"\brow (\d+)", lambda m: f"row {int(m.group(1)) + before}", str(exc))
+        raise fault or DataError(f"{path}: {message}") from None
+    if part.shape[1] != len(names):
+        raise DataError(f"{path}: row {first + body[0] + 1} has {part.shape[1]} cells, "
                         f"expected {len(names)}")
-    fault = _first_fault(path, lines, body, names, order, odd_rows)
+    fault = _first_fault(path, lines, first, body, names, order, odd_rows)
     if fault:
         raise fault
-    if not np.isfinite(table).all():
-        raise DataError(f"{path}: non-finite value encountered")
-    if wanted != list(range(len(names))):
-        table = table[:, wanted]
-    return tuple(names[c] for c in cols), table
+    return part
+
+
+def _blocks(path: Path) -> Iterator[str]:
+    """The file's text in blocks of whole lines of about `_CSV_CHARS`
+    characters, every line break read as '\\n'; each block but the last ends
+    with one. DataError if the file is missing, unreadable or not UTF-8."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    try:
+        with path.open(encoding="utf-8") as fh:  # universal newlines
+            head: List[str] = []
+            while chunk := fh.read(_CSV_CHARS):
+                cut = chunk.rfind("\n") + 1
+                if cut:
+                    yield "".join(head) + chunk[:cut]
+                    head = []
+                head.append(chunk[cut:])
+            if any(head):
+                yield "".join(head)
+    except UnicodeDecodeError as exc:
+        try:  # decoded whole, the error names its position in the file
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+
+
+def _check_quotes(path, lines: List[str], first: int, ended: bool) -> None:
+    """DataError for the first of the lines (the file's lines from index
+    `first`) with a quoted cell that runs past its line break or a cell past
+    csv.field_size_limit(). `ended` says the last line has a line break; if
+    not, it is the file's last, and only a line starting with '"' is split,
+    as the comment test of `_read_csv` splits it."""
+    for k, s in enumerate(lines):
+        if '"' not in s:
+            continue
+        if k < len(lines) - 1 or ended:
+            if _quote_runs_on(path, s):
+                raise DataError(f"{path}: line {first + k + 1}: "
+                                f"a quoted cell runs past the end of the line")
+        elif s[0] == '"':
+            _cells(path, s)
 
 
 def read_records(path) -> List[List[str]]:
@@ -280,7 +361,7 @@ def read_records(path) -> List[List[str]]:
     with '#'). Each caller parses the cells in its own grammar."""
     path = Path(path)
     try:
-        with io.StringIO(_read_text(path), newline="") as fh:
+        with io.StringIO(read_text(path), newline="") as fh:
             records = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
         raise DataError(f"{path}: {exc}") from None
@@ -289,8 +370,10 @@ def read_records(path) -> List[List[str]]:
     return records
 
 
-def _read_text(path: Path) -> str:
-    """The whole file as text; DataError if it is missing or not UTF-8."""
+def read_text(path) -> str:
+    """The whole file as text, line breaks as written; DataError if it is
+    missing, unreadable or not UTF-8."""
+    path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
@@ -298,6 +381,12 @@ def _read_text(path: Path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+
+
+def _unreadable(path, exc: OSError) -> DataError:
+    return DataError(f"{path}: cannot read ({exc.strerror or exc})")
 
 
 def _first_record(path, lines: List[str]) -> Tuple[List[str], int]:
@@ -334,16 +423,16 @@ def _column_index(path, names: List[str], spec, what: str) -> int:
     return names.index(str(spec))
 
 
-def _first_fault(path, lines: List[str], body: List[int], names: List[str],
+def _first_fault(path, lines: List[str], first: int, body: List[int], names: List[str],
                  order: List[int], rows: List[int]) -> Optional[DataError]:
-    """The error for the first of the given data rows (indices into body,
-    ascending) with the wrong number of cells or a cell that is not a
-    number, or None."""
+    """The error for the first of the given data rows lines[body[k]] (k
+    ascending; the file's line index is `first` + body[k]) with the wrong
+    number of cells or a cell that is not a number, or None."""
     for k in rows:
         if not 0 <= k < len(body):
             continue
         cells = _cells(path, lines[body[k]])
-        line = body[k] + 1
+        line = first + body[k] + 1
         if len(cells) != len(names):
             return DataError(f"{path}: row {line} has {len(cells)} cells, expected {len(names)}")
         for c in order:
@@ -398,7 +487,10 @@ def load_pgm(path) -> ImageGrid:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     tokens = _pgm_tokens(data)
     try:
         magic, _ = next(tokens)

@@ -15,8 +15,9 @@ import io
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from itertools import islice
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .dataset import (
     load_pgm,
     make_phantom,
     read_records,
+    read_text,
     root_node,
     write_pgm,
 )
@@ -134,22 +136,50 @@ def _texts(values) -> List[str]:
     return list(map(fmt or _text, values))
 
 
+# rows formatted and written per block
+_CSV_ROWS = 1 << 12
+
+
 def _write_csv(outdir: Path, name: str, header: Sequence[str], rows) -> str:
     """Write a headered CSV, each line ended by '\\n': floats by repr, ints in
     decimal, bools as true/false, None empty, anything else by str. The bytes
     are what `csv.writer` writes for those cells. Every row has the header's
-    width; the table is formatted a column at a time."""
-    rows = list(rows)
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError(f"{name}: every row needs the header's {len(header)} cells")
-    lines = [",".join(_texts(header))]
-    lines.extend(map(",".join, zip(*map(_texts, zip(*rows)))))
-    if len(header) == 1:
+    width. Rows may come from any iterable; they are taken, formatted a
+    column at a time and written a block of `_CSV_ROWS` rows at a time. A
+    ragged row raises ValueError and leaves no file behind."""
+    rows = iter(rows)
+    path = outdir / name
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        try:
+            fh.write(_lines([header]))
+            while block := list(islice(rows, _CSV_ROWS)):
+                if set(map(len, block)) - {len(header)}:
+                    raise ValueError(f"{name}: every row needs the header's "
+                                     f"{len(header)} cells")
+                fh.write(_lines(block))
+        except BaseException:
+            fh.close()
+            path.unlink()
+            raise
+    return name
+
+
+def _lines(rows: list) -> str:
+    """The CSV lines of rows of one width, each ended by '\\n'."""
+    width = len(rows[0])
+    lines = list(map(",".join, zip(*map(_texts, zip(*rows))))) if width else [""] * len(rows)
+    if width == 1:
         # csv.writer writes a lone empty cell as "" to tell it from no row
         lines = [line or '""' for line in lines]
     lines.append("")
-    (outdir / name).write_text("\n".join(lines), encoding="utf-8", newline="")
-    return name
+    return "\n".join(lines)
+
+
+def _array_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length 1-D arrays, as tuples of Python scalars
+    converted a block of `_CSV_ROWS` at a time."""
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        yield from zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
 
 
 def _jsonable(x):
@@ -959,10 +989,7 @@ class PredictConfig:
 
 def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunResult:
     outdir = _outdir(out)
-    model_path = Path(cfg.model)
-    if not model_path.exists():
-        raise DataError(f"no such file: {model_path}")
-    model = load_model(model_path.read_text(encoding="utf-8"))
+    model = load_model(read_text(cfg.model))
     # a model that knows its training columns' names takes them by name
     table = load_feature_matrix(cfg.data, model.feature_names, cfg.target)
     if cfg.target is None:
@@ -978,7 +1005,7 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
     if model.task == REGRESSION:
         pred = np.asarray(model.predict(X), dtype=np.float64)
         files.append(_write_csv(outdir, "predictions.csv", ("row", "prediction"),
-                                zip(range(n), pred.tolist())))
+                                _array_rows(np.arange(n), pred)))
         if targets is not None:
             scores = regression_metrics(targets, pred).as_dict()
             (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",
@@ -990,8 +1017,8 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
         score = (model.predict_log_odds(X) if isinstance(model, TreeModel)
                  else model.predict_value(X))
         files.append(_write_csv(outdir, "predictions.csv", ("row", "label", "log_odds"),
-                                zip(range(n), labels.astype(np.int64).tolist(),
-                                    np.asarray(score, dtype=np.float64).tolist())))
+                                _array_rows(np.arange(n), labels.astype(np.int64),
+                                            np.asarray(score, dtype=np.float64))))
         if targets is not None:
             scores = {"error_rate": float(np.mean(labels != targets))}
             (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",

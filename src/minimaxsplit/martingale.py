@@ -93,6 +93,11 @@ class DiscreteLaw:
             raise ConfigError("weights must be positive")
         total = float(np.sum(weights))
         weights = weights / total
+        if not np.all(weights > 0.0):
+            # a weight far below the total underflows; a zero-mass atom
+            # would make the prefix curves of a cell starting there 0/0
+            raise ConfigError("every weight must stay positive once normalized "
+                              "(a weight underflows to 0 against their total)")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

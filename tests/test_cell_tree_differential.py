@@ -18,6 +18,7 @@ from minimaxsplit import (RULES, DiscreteLaw, build_cell_tree, law_from_density,
                           power_density, ramp_density, random_density, rate_witness,
                           split_cell, uniform_grid)
 from minimaxsplit import martingale
+from minimaxsplit.errors import ConfigError
 from minimaxsplit.splitting import _prefix_sse
 
 import percell_cell_tree as oracle
@@ -95,14 +96,6 @@ EXTREME = {
     "subnormal_atoms": (equal(np.arange(1.0, 40.0) * 5e-324), 6),
     "subnormal_skewed": (DiscreteLaw(np.arange(1.0, 30.0) ** 2 * 5e-324,
                                      1.0 + np.arange(29.0) % 4), 5),
-    # half the least subnormal rounds to zero: a weight normalizes to 0 and
-    # a forward curve turns NaN
-    "weight_underflows_to_zero": (DiscreteLaw(np.arange(10.0),
-                                              np.r_[1.0, 5e-324, np.ones(8)]), 4),
-    # ... and the right child [2, 5) starts at that atom, so its forward
-    # curve is NaN past its first entry and the last argmin lands on the NaN
-    "zero_weight_starts_a_cell": (DiscreteLaw([0.0, 1, 10, 11, 12],
-                                              [1.0, 1, 5e-324, 1, 1]), 3),
     # atom differences overflow
     "spread_past_max_float": (equal(np.linspace(-1.7, 1.7, 9) * 1e308), 4),
 }
@@ -135,6 +128,22 @@ def test_fixed_corpus(name, rule):
 def test_fixed_corpus_bitwise(name, rule):
     law, depth = BITWISE[name]
     assert_bitwise_level_pass(law, rule, depth)
+
+
+# weights that normalize to exactly 0 (the least subnormal over the total
+# rounds to zero); kept, such an atom would turn a cell's forward prefix
+# curve NaN and put the variance and minimax cuts on the NaN
+ZERO_WEIGHT = {
+    "weight_underflows_to_zero": (np.arange(10.0), np.r_[1.0, 5e-324, np.ones(8)]),
+    "zero_weight_starts_a_cell": ([0.0, 1, 10, 11, 12], [1.0, 1, 5e-324, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_WEIGHT))
+def test_weight_normalizing_to_zero_is_rejected(name):
+    atoms, weights = ZERO_WEIGHT[name]
+    with pytest.raises(ConfigError, match="positive once normalized"):
+        DiscreteLaw(atoms, weights)
 
 
 def bench_laws(seed: int = 101):

@@ -71,6 +71,23 @@ class TestSeriesAndAtomFiles:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,field,kind", [
+        ("train", "data", "directory"), ("predict", "model", "directory"),
+        ("denoise", "image", "directory"), ("predict", "model", "latin-1")])
+    def test_unreadable_input_path_returns_three(self, tmp_path, capsys, command, field,
+                                                 kind):
+        src = tmp_path / "input"
+        if kind == "directory":
+            src.mkdir()
+        else:
+            src.write_bytes(b'{"format": "tree-v1", "name": "caf\xe9"}')
+        config = {"data": str(tmp_path / "absent.csv")} if command == "predict" else {}
+        code = run_cli([command, "--out", tmp_path / "o", "--config",
+                        json.dumps({**config, field: str(src)})])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and ("cannot read" if kind == "directory" else "not UTF-8") in err
+
     @pytest.mark.parametrize("rows", ["0.0,1\n0.5,nan\n", "0.0,1\n0.5,0\n",
                                       "0.0,1\n0.5,-2\n", "0.0,1\nnan,1\n",
                                       "0.0,1\n0.5,inf\n"])
@@ -96,6 +113,18 @@ class TestConfigSources:
         code = run_cli(["martingale", "--out", tmp_path / "m",
                         "--config", tmp_path / "absent.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_file(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b'{"n_atoms": 8, "density": "caf\xe9"}')
+        code = run_cli(["martingale", "--out", tmp_path / "m", "--config", cfg])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and ("cannot read" if kind == "directory" else "not UTF-8") in err
 
     def test_malformed_inline_json(self, tmp_path):
         assert run_cli(["martingale", "--out", tmp_path / "m",

@@ -13,12 +13,13 @@ The writer test compares `experiments._write_csv` byte for byte with the
 import ast
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimaxsplit import load_csv, load_feature_matrix
+from minimaxsplit import dataset, experiments, load_csv, load_feature_matrix
 from minimaxsplit.errors import DataError
 from minimaxsplit.experiments import _write_csv
 
@@ -276,6 +277,7 @@ def test_random_files(workdir, case):
         check(path)
     else:
         check(path, target, "regression")
+    path.unlink()  # reopening a rewritten file can stall for tens of ms
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +325,105 @@ def test_writer_random_rows(workdir, rows):
     oracle._write_csv(workdir / "old", "t.csv", ("p", "q"), rows)
     _write_csv(workdir / "new", "t.csv", ("p", "q"), rows)
     assert (workdir / "new" / "t.csv").read_bytes() == (workdir / "old" / "t.csv").read_bytes()
+    for sub in ("old", "new"):  # reopening a rewritten file can stall for tens of ms
+        (workdir / sub / "t.csv").unlink()
 
 
 def test_writer_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="header's 2 cells"):
         _write_csv(tmp_path, "t.csv", ("a", "b"), [(1, 2), (3,)])
+    assert not (tmp_path / "t.csv").exists()
+    # a ragged row in a later block, after earlier blocks were written
+    rows = iter([(1, 2)] * (3 * experiments._CSV_ROWS) + [(3, 4, 5), (6, 7)])
+    with pytest.raises(ValueError, match="header's 2 cells"):
+        _write_csv(tmp_path, "t.csv", ("a", "b"), rows)
+    assert not (tmp_path / "t.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Blocks: the reader parses and the writer writes a block at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Blocks of 7 characters and 2 rows, so that block boundaries fall
+    inside comments, empty lines, quoted lines and faulty rows."""
+    monkeypatch.setattr(dataset, "_CSV_CHARS", 7)
+    monkeypatch.setattr(experiments, "_CSV_ROWS", 2)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_in_tiny_blocks(tiny_blocks, tmp_path, name):
+    test_corpus(tmp_path, name)
+
+
+@pytest.mark.parametrize("case", [
+    test_corpus_reads_what_it_should, test_quoted_cell_running_past_its_line_is_rejected,
+    test_errors_name_file_lines, test_classification_targets, test_writer_rejects_ragged_rows,
+], ids=lambda case: case.__name__)
+def test_cases_in_tiny_blocks(tiny_blocks, tmp_path, case):
+    case(tmp_path)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\uff11"])
+def test_rejected_digits_in_tiny_blocks(tiny_blocks, tmp_path, cell):
+    test_digit_separators_and_non_ascii_digits_are_rejected(tmp_path, cell)
+
+
+def test_random_files_in_tiny_blocks(tiny_blocks, workdir):
+    test_random_files(workdir=workdir)
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_writer_in_tiny_blocks(tiny_blocks, tmp_path, name):
+    test_writer_matches_csv_writer(tmp_path, name)
+
+
+def test_writer_random_rows_in_tiny_blocks(tiny_blocks, workdir):
+    test_writer_random_rows(workdir=workdir)
+
+
+def test_tiny_blocks_split_lines(tiny_blocks, tmp_path):
+    """Lines longer than a block are read whole; the blocks end at line
+    breaks of any kind."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"# a long comment\r\nalpha,beta\r1,2\n\n3,4")
+    blocks = list(dataset._blocks(path))
+    assert "".join(blocks) == "# a long comment\nalpha,beta\n1,2\n\n3,4"
+    assert len(blocks) > 3 and all(b.endswith("\n") for b in blocks[:-1])
+
+
+def test_reader_memory_stays_near_the_table(tmp_path):
+    """Reading a 100 000 x 9 file (six decimals, as the benchmark writes
+    them) peaks below 3.2 times the table: the table, the blocks it was
+    joined from and one block of text. Holding the whole text and its lines
+    took 3.75 times."""
+    path = tmp_path / "big.csv"
+    table = np.random.default_rng(3).uniform(size=(100_000, 9))
+    np.savetxt(path, table, fmt="%.6f", delimiter=",",
+               header=",".join(f"x{j}" for j in range(9)), comments="")
+    tracemalloc.start()
+    try:
+        got = load_feature_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (100_000, 9) and np.abs(got - table).max() <= 5e-7
+    assert peak < 3.2 * got.nbytes, peak / got.nbytes
+
+
+def test_writer_memory_is_one_block(tmp_path):
+    """Writing 100 000 (int, float) rows from an iterator peaks below 8 MiB;
+    formatting the whole table at once took 30 MiB."""
+    values = np.random.default_rng(4).standard_normal(100_000).tolist()
+    rows = zip(range(len(values)), values)
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path, "p.csv", ("row", "prediction"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    written = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)
+    assert written[:, 1].tolist() == values
