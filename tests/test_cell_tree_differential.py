@@ -63,6 +63,17 @@ def equal(atoms) -> DiscreteLaw:
     return DiscreteLaw(atoms, np.ones(atoms.size))
 
 
+def unchecked_law(atoms, weights) -> DiscreteLaw:
+    """A law normalized as `DiscreteLaw` normalizes it, but past its checks,
+    so a weight that normalizes to 0 is kept."""
+    law = object.__new__(DiscreteLaw)
+    atoms = np.ascontiguousarray(np.asarray(atoms, dtype=np.float64))
+    weights = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
+    object.__setattr__(law, "atoms", atoms)
+    object.__setattr__(law, "weights", weights / float(np.sum(weights)))
+    return law
+
+
 CORPUS = {
     "three_equal_atoms": (equal([0.0, 1, 2]), 2),  # cuts 1 and 2 tie; the mean is an atom
     "atom_at_mean": (DiscreteLaw([0.0, 1, 3, 4, 7], [3.0, 1, 2, 1, 1]), 3),
@@ -85,6 +96,18 @@ CORPUS = {
 }
 
 
+# weights that normalize to exactly 0: half the least subnormal rounds to
+# zero. `DiscreteLaw` rejects them; built past that check, such an atom
+# turns a cell's forward prefix curve NaN, and the level pass must still
+# match the oracle bit for bit
+ZERO_WEIGHT = {
+    "weight_underflows_to_zero": (np.arange(10.0), np.r_[1.0, 5e-324, np.ones(8)]),
+    # ... and the right child [2, 5) starts at that atom, so its forward
+    # curve is NaN past its first entry and the last argmin lands on the NaN
+    "zero_weight_starts_a_cell": ([0.0, 1, 10, 11, 12], [1.0, 1, 5e-324, 1, 1]),
+}
+
+
 # laws whose curves or risks underflow, overflow or turn NaN, which the
 # per-cell oracle's one-`np.dot` risks do not reproduce bit for bit
 EXTREME = {
@@ -96,6 +119,8 @@ EXTREME = {
     "subnormal_atoms": (equal(np.arange(1.0, 40.0) * 5e-324), 6),
     "subnormal_skewed": (DiscreteLaw(np.arange(1.0, 30.0) ** 2 * 5e-324,
                                      1.0 + np.arange(29.0) % 4), 5),
+    "weight_underflows_to_zero": (unchecked_law(*ZERO_WEIGHT["weight_underflows_to_zero"]), 4),
+    "zero_weight_starts_a_cell": (unchecked_law(*ZERO_WEIGHT["zero_weight_starts_a_cell"]), 3),
     # atom differences overflow
     "spread_past_max_float": (equal(np.linspace(-1.7, 1.7, 9) * 1e308), 4),
 }
@@ -128,15 +153,6 @@ def test_fixed_corpus(name, rule):
 def test_fixed_corpus_bitwise(name, rule):
     law, depth = BITWISE[name]
     assert_bitwise_level_pass(law, rule, depth)
-
-
-# weights that normalize to exactly 0 (the least subnormal over the total
-# rounds to zero); kept, such an atom would turn a cell's forward prefix
-# curve NaN and put the variance and minimax cuts on the NaN
-ZERO_WEIGHT = {
-    "weight_underflows_to_zero": (np.arange(10.0), np.r_[1.0, 5e-324, np.ones(8)]),
-    "zero_weight_starts_a_cell": ([0.0, 1, 10, 11, 12], [1.0, 1, 5e-324, 1, 1]),
-}
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_WEIGHT))
