@@ -62,13 +62,10 @@ from .splitting import (
 )
 from .tree import (
     GrowConfig,
-    PartitionReport,
     TreeModel,
     best_split,
     canonical_json,
-    classify,
     grow,
-    partition_report,
     tree_from_json,
     tree_to_json,
 )
@@ -78,16 +75,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveTVSpec", "AsbpSpec", "CLASSIFICATION", "CellTree", "ConfigError",
     "DataError", "Dataset", "DiscreteLaw", "ForestConfig", "ForestModel",
-    "GrowConfig", "ImageGrid", "MetricReport", "NodeView", "PartitionReport",
-    "PiecewiseSpec", "PowellSpec", "PureNoiseSpec", "REGRESSION", "RULES",
-    "SineSpec", "SplitCriterion", "SplitDecision", "TreeModel",
-    "UnsplittableError", "best_split", "build_cell_tree", "candidate_thresholds",
-    "canonical_json", "classify", "dataset_to_image", "derive_seed", "entropy",
-    "forest_from_json", "forest_to_json", "gen_synthetic", "grow",
-    "image_to_dataset", "law_from_density", "load_csv", "load_feature_matrix",
-    "load_model", "load_pgm", "make_phantom", "minimax_search", "model_to_json",
-    "mse_curve", "partition_report", "powell", "power_density", "ramp_density",
-    "random_density", "rate_bound",
+    "GrowConfig", "ImageGrid", "MetricReport", "NodeView", "PiecewiseSpec",
+    "PowellSpec", "PureNoiseSpec", "REGRESSION", "RULES", "SineSpec",
+    "SplitCriterion", "SplitDecision", "TreeModel", "UnsplittableError",
+    "best_split", "build_cell_tree", "candidate_thresholds", "canonical_json",
+    "dataset_to_image", "derive_seed", "entropy", "forest_from_json",
+    "forest_to_json", "gen_synthetic", "grow", "image_to_dataset",
+    "law_from_density", "load_csv", "load_feature_matrix", "load_model",
+    "load_pgm", "make_phantom", "minimax_search", "model_to_json", "mse_curve",
+    "powell", "power_density", "ramp_density", "random_density", "rate_bound",
     "rate_witness", "regression_metrics", "root_node", "scan_feature",
     "split_cell", "ssim", "stream", "train_forest", "tree_from_json",
     "tree_to_json", "uniform_grid", "witness_increments", "write_pgm",

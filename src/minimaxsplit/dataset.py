@@ -1,8 +1,8 @@
 """Data representation and ingestion.
 
-Owns the immutable `Dataset` (column-major features + targets + per-feature
-sort indexes), the `ImageGrid` used by the denoising pipeline, CSV and PGM
-loaders, and the synthetic data generators used throughout the experiments.
+Owns the immutable `Dataset` (column-major features + targets), the
+`ImageGrid` used by the denoising pipeline, CSV and PGM loaders, and the
+synthetic data generators used throughout the experiments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -35,8 +35,8 @@ class Dataset:
     """Immutable sample matrix.
 
     features is column-major: ``features[j, i]`` is feature j of sample i.
-    sort_index[j] is a permutation of sample indices ordering feature j
-    ascending (stable, so duplicate values keep sample order).
+    Tree growth (`growth.Growth`) sorts each tree's own sample by every
+    feature, so a dataset holds no sort order of its own.
     feature_names, when known (a CSV header), names feature j; models grown
     on the dataset record them so scoring files can be matched by name.
     """
@@ -44,7 +44,6 @@ class Dataset:
     features: np.ndarray  # shape (d, n)
     targets: np.ndarray  # shape (n,)
     task: str
-    sort_index: np.ndarray = field(init=False)  # shape (d, n), int64; set from features
     feature_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
@@ -67,13 +66,10 @@ class Dataset:
             raise DataError("classification targets must be exactly -1 or +1")
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", check_feature_names(self.feature_names, d))
-        sort_index = np.vstack([np.argsort(feats[j], kind="stable") for j in range(d)]).astype(np.int64)
         feats.setflags(write=False)
         targ.setflags(write=False)
-        sort_index.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targ)
-        object.__setattr__(self, "sort_index", sort_index)
 
     @property
     def n_samples(self) -> int:
@@ -464,7 +460,7 @@ def _is_number(cell: str) -> bool:
 
 
 def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
+    """Yield (token, offset past it) per header token, skipping '#' comments."""
     i = 0
     n = len(data)
     while i < n:
@@ -483,7 +479,9 @@ def _pgm_tokens(data: bytes):
 
 
 def load_pgm(path) -> ImageGrid:
-    """Read an ASCII (P2) or binary (P5) portable graymap, maxval <= 65535."""
+    """Read an ASCII (P2) or binary (P5) portable graymap, maxval <= 65535.
+    Each header number and P2 raster value is a run of ASCII digits (no
+    sign, no '_'); '#' starts a comment that runs to the end of its line."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -503,8 +501,14 @@ def load_pgm(path) -> ImageGrid:
         width, _ = next(tokens)
         height, _ = next(tokens)
         maxval, header_end = next(tokens)
+    except StopIteration:
+        raise DataError(f"{path}: malformed header") from None
+    for tok in (width, height, maxval):
+        if not tok.isdigit():  # ASCII digits only: no sign, no '_'
+            raise DataError(f"{path}: non-integer header token {tok!r}")
+    try:
         width, height, maxval = int(width), int(height), int(maxval)
-    except (StopIteration, ValueError):
+    except ValueError:  # past Python's digit limit for int()
         raise DataError(f"{path}: malformed header") from None
     if width < 1 or height < 1:
         raise DataError(f"{path}: bad dimensions {width}x{height}")
@@ -513,12 +517,12 @@ def load_pgm(path) -> ImageGrid:
 
     count = width * height
     if magic == "P2":
-        vals = []
-        for tok, _ in tokens:
-            try:
-                vals.append(int(tok))
-            except ValueError:
-                raise DataError(f"{path}: non-integer raster token {tok!r}") from None
+        # comments and separators as in the header
+        raster = re.sub(rb"#[^\r\n]*", b"", data[header_end:])
+        if re.search(rb"[^0-9 \t\r\n]", raster):
+            tok = next(t for t in re.findall(rb"[^ \t\r\n]+", raster) if not t.isdigit())
+            raise DataError(f"{path}: non-integer raster token {tok!r}")
+        vals = raster.split()
         if len(vals) < count:
             raise DataError(f"{path}: truncated raster ({len(vals)} of {count} values)")
         raw = np.array(vals[:count], dtype=np.float64)
@@ -531,7 +535,7 @@ def load_pgm(path) -> ImageGrid:
             raise DataError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
         raw = np.frombuffer(raster[:need], dtype=dtype).astype(np.float64)
     if raw.max() > maxval:
-        raise DataError(f"{path}: raster value {int(raw.max())} exceeds maxval {maxval}")
+        raise DataError(f"{path}: raster value {raw.max():.0f} exceeds maxval {maxval}")
     return ImageGrid(pixels=(raw / maxval).reshape(height, width))
 
 

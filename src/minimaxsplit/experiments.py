@@ -201,6 +201,12 @@ def _jsonable(x):
     return x
 
 
+def _write_json(outdir: Path, name: str, doc) -> str:
+    """Write `doc` as one line of canonical JSON; returns the file name."""
+    (outdir / name).write_text(canonical_json(_jsonable(doc)) + "\n", encoding="utf-8")
+    return name
+
+
 def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
             summary: dict, warnings: Sequence[str] = ()) -> RunResult:
     doc = {
@@ -212,7 +218,7 @@ def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
         "summary": _jsonable(summary),
         "warnings": list(warnings),
     }
-    (outdir / "manifest.json").write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    _write_json(outdir, "manifest.json", doc)
     return RunResult(outdir=outdir, files=tuple(files) + ("manifest.json",),
                      summary=doc["summary"], warnings=tuple(warnings))
 
@@ -314,8 +320,8 @@ def _noise_spec(tag: str, n: int) -> PureNoiseSpec:
             df = float(t[1:])
         except ValueError:
             raise ConfigError(f"bad Student-t tag {tag!r} (want e.g. 't3')") from None
-        if df <= 0:
-            raise ConfigError(f"t degrees of freedom must be positive, got {df}")
+        if not (math.isfinite(df) and df > 0):
+            raise ConfigError(f"t degrees of freedom must be finite and positive, got {df}")
         return PureNoiseSpec(n=n, law="t", df=df)
     raise ConfigError(f"unknown noise law {tag!r} (want 'normal' or 't<df>')")
 
@@ -448,6 +454,10 @@ class SineConfig:
             raise ConfigError("batches must be >= 1")
         if not self.p_values:
             raise ConfigError("p_values must be nonempty")
+        # the angular frequency 2*pi*2^p of the signal overflows from p = 1022 on
+        if max(self.p_values) > 1021:
+            raise ConfigError(f"p_values: p = {max(self.p_values)} gives no finite "
+                              f"frequency 2*pi*2^p")
         if any(k < 0 or k > self.max_depth for k in self.eval_depths):
             raise ConfigError("eval_depths must lie in [0, max_depth]")
         _check_sigma("noise_sigma", self.noise_sigma)
@@ -601,6 +611,8 @@ class DenoiseConfig:
 
     def __post_init__(self):
         _check_sigma("noise_sigma", self.noise_sigma)
+        if self.height < 1 or self.width < 1:
+            raise ConfigError(f"need height >= 1 and width >= 1, got {self.height}, {self.width}")
         if self.n_trees < 1 or self.max_depth < 0 or self.n_min < 1:
             raise ConfigError("need n_trees >= 1, max_depth >= 0, n_min >= 1")
         if not self.methods:
@@ -653,9 +665,7 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunRes
                       ssim=ssim(clean.pixels, img.pixels))
         metrics[m] = rep.as_dict()
 
-    (outdir / "metrics.json").write_text(canonical_json(_jsonable(metrics)) + "\n",
-                                         encoding="utf-8")
-    files.append("metrics.json")
+    files.append(_write_json(outdir, "metrics.json", metrics))
     files.append(_write_csv(outdir, "denoise.csv",
                             ("method", "mse", "rmse", "mae", "r2", "ssim"),
                             [(m, d["mse"], d["rmse"], d["mae"], d["r2"], d["ssim"])
@@ -970,7 +980,7 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
         fit = regression_metrics(data.targets, model.predict(x_train)).as_dict()
     else:
         fit = {"error_rate": float(np.mean(model.predict(x_train) != data.targets))}
-    (outdir / "metrics.json").write_text(canonical_json(_jsonable(fit)) + "\n", encoding="utf-8")
+    _write_json(outdir, "metrics.json", fit)
     summary = {"n": data.n_samples, "d": data.n_features, "task": data.task,
                "model": cfg.model, "fit": fit}
     return _finish(outdir, "train", cfg, seed, ["model.json", "metrics.json"], summary)
@@ -1006,12 +1016,7 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
         pred = np.asarray(model.predict(X), dtype=np.float64)
         files.append(_write_csv(outdir, "predictions.csv", ("row", "prediction"),
                                 _array_rows(np.arange(n), pred)))
-        if targets is not None:
-            scores = regression_metrics(targets, pred).as_dict()
-            (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",
-                                                 encoding="utf-8")
-            files.append("metrics.json")
-            summary["metrics"] = scores
+        scores = None if targets is None else regression_metrics(targets, pred).as_dict()
     else:
         labels = np.asarray(model.predict(X), dtype=np.float64)
         score = (model.predict_log_odds(X) if isinstance(model, TreeModel)
@@ -1019,12 +1024,10 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
         files.append(_write_csv(outdir, "predictions.csv", ("row", "label", "log_odds"),
                                 _array_rows(np.arange(n), labels.astype(np.int64),
                                             np.asarray(score, dtype=np.float64))))
-        if targets is not None:
-            scores = {"error_rate": float(np.mean(labels != targets))}
-            (outdir / "metrics.json").write_text(canonical_json(_jsonable(scores)) + "\n",
-                                                 encoding="utf-8")
-            files.append("metrics.json")
-            summary["metrics"] = scores
+        scores = None if targets is None else {"error_rate": float(np.mean(labels != targets))}
+    if scores is not None:
+        files.append(_write_json(outdir, "metrics.json", scores))
+        summary["metrics"] = scores
     return _finish(outdir, "predict", cfg, seed, files, summary)
 
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset
+from .errors import ConfigError, DataError
 from .splitting import (_MODE_CRITERIA, NodeStats, _child_curves, _padded_width,
                         _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints)
 
@@ -37,52 +38,69 @@ class Growth:
     SLIQ and SPRINT). `run` returns, per tree, the node arrays and risk trace
     of a TreeModel.
 
-    Tree b grows on samples[b], sample indices into `data` (repeats allowed;
-    None is the whole dataset in order), and draws from its own streams
-    features_rngs[b] and splits_rngs[b]. The samples are the blocks, one
-    after another, of a shared index space: `X` and `y` hold the gathered
-    samples, and a position in them names one sample of one tree.
+    Tree b grows on samples[b], a non-empty array of sample indices into
+    `data` (repeats allowed), and draws from its own streams features_rngs[b]
+    (needed with m_try) and splits_rngs[b] (needed by the random criteria).
+    The constructor is the one place that checks these arguments against
+    the config and the data, for `grow`, `grow_trees` and `best_split`
+    alike. The samples are the blocks, one after another, of a shared index
+    space: `X` and `y` hold the gathered samples, and a position in them
+    names one sample of one tree.
 
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
-    positions ordered by feature j (value, then position: the stable sort a
-    tree's own `Dataset.sort_index` makes), row d holds them in position
-    order. Those are the orders a per-node search sorts into, so every prefix
-    curve, argmin and node mean sees the same floats in the same order. The
-    frontier is tree-major, each tree's nodes in breadth-first order, so each
-    tree draws from its streams in its own breadth-first node order. After a
-    level, a stable partition regroups every row by child. Node ids count
-    creation across the group; `run` numbers each tree's nodes from 0.
+    positions ordered by feature j (value, then position: `root` sorts each
+    sample block once, stably, as SPRINT presorts), row d holds them in
+    position order. Those are the orders a per-node search sorts into, so
+    every prefix curve, argmin and node mean sees the same floats in the same
+    order. The frontier is tree-major, each tree's nodes in breadth-first
+    order, so each tree draws from its streams in its own breadth-first node
+    order. After a level, a stable partition regroups every row by child.
+    Node ids count creation across the group; `run` numbers each tree's
+    nodes from 0.
     """
 
-    def __init__(self, data: Dataset, config: GrowConfig,
-                 samples: Sequence[Optional[np.ndarray]],
+    def __init__(self, data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
                  features_rngs: Sequence[Optional[np.random.Generator]],
                  splits_rngs: Sequence[Optional[np.random.Generator]]):
+        crit, d, n = config.criterion, data.n_features, data.n_samples
+        m_try, fixed = config.m_try, config.fixed_features
+        if crit.task() != data.task:
+            raise ConfigError(f"criterion {crit.tag!r} requires a {crit.task()} dataset")
+        if fixed is not None and any(not 0 <= j < d for j in fixed):
+            raise ConfigError(f"fixed_features outside [0, {d})")
+        if m_try is not None:
+            if not 1 <= m_try <= d:
+                raise ConfigError(f"m_try must be in [1, {d}], got {m_try}")
+            if crit.is_cyclic:
+                raise ConfigError("cyclic criteria fix the feature per level; "
+                                  "feature subsampling contradicts that")
+            if any(r is None for r in features_rngs):
+                raise ConfigError("m_try requires a features stream for every tree")
+        if crit.is_random and any(r is None for r in splits_rngs):
+            raise ConfigError(f"{crit.tag} requires a splits stream for every tree")
+        samples = [np.asarray(s) for s in samples]
+        for s in samples:
+            if not (s.ndim == 1 and s.size and s.dtype.kind in "iu" and 0 <= s.min()
+                    and s.max() < n):
+                raise DataError(f"each sample must be a non-empty 1-D index array in [0, {n})")
         self.data = data
         self.config = config
-        self.crit = config.criterion
-        self.samples = list(samples)
+        self.crit = crit
         self.features_rngs = list(features_rngs)
         self.splits_rngs = list(splits_rngs)
-        self.d = data.n_features
-        self.sizes = np.array([data.n_samples if s is None else len(s) for s in self.samples],
-                              dtype=np.int64)
+        self.d = d
+        self.sizes = np.array([s.size for s in samples], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        if len(self.samples) == 1 and self.samples[0] is None:
-            self.X, self.y = data.features, data.targets
-        else:
-            take = np.concatenate([np.arange(data.n_samples) if s is None else s
-                                   for s in self.samples])
-            self.X, self.y = data.features[:, take], data.targets[take]
+        take = np.concatenate(samples)
+        self.X, self.y = data.features.take(take, axis=1), data.targets[take]
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
         # use: the fixed subset if one is set, otherwise all of them (cyclic
         # rules and per-node draws range over all features)
-        fixed = config.fixed_features
-        self.screen = list(fixed) if (fixed is not None and not self.crit.is_cyclic) \
-            else list(range(self.d))
+        self.screen = list(fixed) if (fixed is not None and not crit.is_cyclic) \
+            else list(range(d))
         # node records, kept per level: created holds (tree, depth, count,
         # risk, value, log_odds) of the nodes each level creates, in id
         # order; splits and leaves hold what each level resolved
@@ -96,10 +114,9 @@ class Growth:
         tree's whole sample."""
         t = self.sizes.size
         lists = np.empty((self.d + 1, self.y.size), dtype=np.int32)
-        for sample, start, size in zip(self.samples, self.offsets.tolist(), self.sizes.tolist()):
+        for start, size in zip(self.offsets.tolist(), self.sizes.tolist()):
             block = lists[:-1, start:start + size]
-            block[:] = self.data.sort_index if sample is None else \
-                np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
+            block[:] = np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
             block += start
         lists[-1] = np.arange(self.y.size)
         return _Frontier(np.arange(t), np.zeros(t) if risks is None else risks,

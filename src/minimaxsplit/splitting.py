@@ -250,8 +250,8 @@ def _row_blocks(widths: np.ndarray) -> List[np.ndarray]:
     w = widths[order]
     # a row's place in its group of one width: its rank less the group's first
     place = np.arange(w.size) - np.searchsorted(w, w)
-    cuts = np.flatnonzero(place % np.maximum(_BLOCK // w, 1) == 0)
-    return np.split(order, cuts[1:]) if w.size else []
+    bounds = np.flatnonzero(place % np.maximum(_BLOCK // w, 1) == 0).tolist() + [w.size]
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _child_curves(prefix, rows: Tuple[np.ndarray, ...],

@@ -1,4 +1,4 @@
-"""Tree growth, prediction, partition summaries, and serialization.
+"""Tree growth, prediction, depth-cut partitions, and serialization.
 
 Growth is breadth-first and level-synchronous: every node at depth k is
 resolved (split, persisted, or retired to a leaf) before any node at depth
@@ -189,76 +189,6 @@ class TreeModel:
         member = (self.depth <= max_depth) & (leaf | (self.split_level >= max_depth))
         return np.nonzero(member)[0]
 
-    def cell_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Hyper-rectangle (lows, highs) per node, each (n_nodes, d), with
-        +-inf for unbounded sides. Children inherit the parent box shrunk at
-        the split threshold."""
-        lows = np.full((self.n_nodes, self.n_features), -np.inf)
-        highs = np.full((self.n_nodes, self.n_features), np.inf)
-        for i in range(self.n_nodes):
-            if self.left[i] < 0:
-                continue
-            j, t = int(self.feature[i]), float(self.threshold[i])
-            for child in (int(self.left[i]), int(self.right[i])):
-                lows[child] = lows[i]
-                highs[child] = highs[i]
-            highs[int(self.left[i]), j] = t
-            lows[int(self.right[i]), j] = t
-        return lows, highs
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Per-cell inventory of one partition (a depth cut of a tree) plus the
-    leaf-size summary: size_mean = (1/L) sum of cell counts and size_sd its
-    population standard deviation (divide by L, not L-1). Bounds are the
-    axis-aligned boxes, +-inf on unbounded sides. Risks are unnormalized
-    except risk_mean, which divides by the training size."""
-
-    n_cells: int
-    cell_depths: Tuple[int, ...]
-    cell_counts: Tuple[int, ...]
-    cell_values: Tuple[float, ...]
-    cell_risks: Tuple[float, ...]
-    cell_bounds: Tuple[Tuple[Tuple[float, float], ...], ...]
-    size_mean: float
-    size_sd: float
-    risk_sum: float
-    risk_mean: float
-    max_risk: float
-
-
-def partition_report(tree: TreeModel, max_depth: Optional[int] = None) -> PartitionReport:
-    ids = tree.partition_ids(max_depth)
-    counts = tree.count[ids]
-    risks = tree.risk[ids]
-    lows, highs = tree.cell_bounds()
-    boxes = tuple(
-        tuple((float(lows[i, j]), float(highs[i, j])) for j in range(tree.n_features))
-        for i in ids)
-    return PartitionReport(
-        n_cells=int(ids.size),
-        cell_depths=tuple(int(k) for k in tree.depth[ids]),
-        cell_counts=tuple(int(c) for c in counts),
-        cell_values=tuple(float(v) for v in tree.value[ids]),
-        cell_risks=tuple(float(r) for r in risks),
-        cell_bounds=boxes,
-        size_mean=float(np.mean(counts)),
-        size_sd=float(np.std(counts)),
-        risk_sum=float(np.sum(risks)),
-        risk_mean=float(np.sum(risks)) / tree.n_train,
-        max_risk=float(np.max(risks)),
-    )
-
-
-def classify(tree: TreeModel, X, max_depth: Optional[int] = None):
-    """Plug-in label(s) in {-1, +1} together with the smoothed log-odds.
-    The label uses the raw positive fraction (+1 iff >= 1/2); the log-odds
-    uses the (pos + 1/2)/(count + 1) smoothing and is always finite."""
-    if tree.task != CLASSIFICATION:
-        raise ConfigError("classify requires a classification tree")
-    return tree.predict(X, max_depth), tree.predict_log_odds(X, max_depth)
-
 
 # The combined sample count of one group of trees grown through one level
 # loop: it bounds the group's index matrices and gathered samples (int32
@@ -266,55 +196,39 @@ def classify(tree: TreeModel, X, max_depth: Optional[int] = None):
 _GROUP_SAMPLES = 1 << 18
 
 
-def grow(data: Dataset, config: GrowConfig, *,
-         features_rng: Optional[np.random.Generator] = None,
-         splits_rng: Optional[np.random.Generator] = None) -> TreeModel:
-    """Grow one tree, breadth-first. With m_try set, a fresh feature subset
-    of that size is drawn for every split attempt, in breadth-first node
-    order. The rng keywords let a caller substitute its own streams;
-    standalone use derives them from config.seed.
+def grow(data: Dataset, config: GrowConfig) -> TreeModel:
+    """Grow one tree, breadth-first, on every sample of `data` in order.
+    With m_try set, a fresh feature subset of that size is drawn for every
+    split attempt, in breadth-first node order, from the `features` stream
+    of config.seed; the random criteria draw from its `splits` stream.
 
     Each level is resolved in array passes over every frontier node at once
     (see `growth`); the tree is the same, byte for byte, as the one the
     node-at-a-time reference grower in `tests/pernode_grower.py` makes."""
-    if config.m_try is not None and features_rng is None:
-        features_rng = stream(config.seed, "features")
-    if splits_rng is None and config.criterion.is_random:
-        splits_rng = stream(config.seed, "splits")
-    return grow_trees(data, config, [None], [features_rng], [splits_rng])[0]
+    features_rng = stream(config.seed, "features") if config.m_try is not None else None
+    splits_rng = stream(config.seed, "splits") if config.criterion.is_random else None
+    return grow_trees(data, config, [np.arange(data.n_samples)], [features_rng],
+                      [splits_rng])[0]
 
 
-def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[Optional[np.ndarray]],
+def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
                features_rngs: Sequence[Optional[np.random.Generator]],
                splits_rngs: Sequence[Optional[np.random.Generator]]) -> List[TreeModel]:
     """One tree per entry of `samples`: tree b grows on the rows samples[b]
-    of `data` (repeats allowed; None for the whole dataset) with the streams
+    of `data` (a non-empty index array, repeats allowed) with the streams
     features_rngs[b] (needed with m_try) and splits_rngs[b] (needed by the
     random criteria). Each tree is the one `grow` makes on `data.subset`
-    of its rows with those streams, byte for byte.
+    of its rows with those streams, byte for byte. `growth.Growth` checks
+    the arguments and raises ConfigError or DataError.
 
     Consecutive trees grow as one group through one shared level loop, as
     many as fit in _GROUP_SAMPLES samples together (at least one), so a
     forest pays each level's fixed numpy calls once per group, not once per
     tree."""
-    crit = config.criterion
-    d = data.n_features
-    m_try = config.m_try
-    fixed = config.fixed_features
-    if crit.task() != data.task:
-        raise ConfigError(f"criterion {crit.tag!r} requires a {crit.task()} dataset")
-    if fixed is not None and any(not 0 <= j < d for j in fixed):
-        raise ConfigError(f"fixed_features outside [0, {d})")
-    if m_try is not None:
-        if not 1 <= m_try <= d:
-            raise ConfigError(f"m_try must be in [1, {d}], got {m_try}")
-        if crit.is_cyclic:
-            raise ConfigError("cyclic criteria fix the feature per level; "
-                              "feature subsampling contradicts that")
     groups: List[List[int]] = []
     held = 0
     for b, sample in enumerate(samples):
-        size = data.n_samples if sample is None else len(sample)
+        size = np.size(sample)
         if not groups or held + size > _GROUP_SAMPLES:
             groups.append([])
             held = 0
@@ -324,10 +238,10 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[Optional[np.
     for group in groups:
         grown = Growth(data, config, [samples[b] for b in group],
                        [features_rngs[b] for b in group], [splits_rngs[b] for b in group]).run()
-        trees += [TreeModel(task=data.task, n_features=d, criterion=crit.tag,
-                            max_depth=config.max_depth, n_min=config.n_min,
-                            n_train=int(nodes["count"][0]), feature_names=data.feature_names,
-                            **nodes)
+        trees += [TreeModel(task=data.task, n_features=data.n_features,
+                            criterion=config.criterion.tag, max_depth=config.max_depth,
+                            n_min=config.n_min, n_train=int(nodes["count"][0]),
+                            feature_names=data.feature_names, **nodes)
                   for nodes in grown]
     return trees
 
@@ -336,7 +250,8 @@ def best_split(node: NodeView, criterion: SplitCriterion,
                allowed_features: Optional[Sequence[int]] = None,
                rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
     """Best (feature, threshold) for the node under the criterion: the
-    choice step of `grow`'s level pass, run on a frontier of this one node.
+    choice step of `grow`'s level pass, run on a frontier of this one node,
+    whose sample is the node's member indices.
 
     allowed_features defaults to all; cyclic tags ignore it and use feature
     (depth mod d). Deterministic tags take the least criterion, ties to the
@@ -344,26 +259,11 @@ def best_split(node: NodeView, criterion: SplitCriterion,
     draw the feature uniformly among allowed features that are non-constant
     on the node (a constant feature offers no thresholds), then draw their
     threshold from `rng`. Returns None when no allowed feature is splittable.
+    `growth.Growth` checks the arguments, as it does for `grow`.
     """
-    data = node.dataset
-    d = data.n_features
-    if data.task != criterion.task():
-        raise ConfigError(f"criterion {criterion.tag!r} requires a {criterion.task()} dataset")
-    if allowed_features is not None:
-        allowed_features = tuple(allowed_features)
-        if not allowed_features:
-            raise ConfigError("allowed_features must be nonempty")
-        if any(not 0 <= j < d for j in allowed_features):
-            raise ConfigError(f"feature index outside [0, {d})")
-    if criterion.is_random and rng is None:
-        raise ConfigError(f"{criterion.tag} requires an rng stream")
-    members = node.member_indices
-    if not np.array_equal(members, np.arange(data.n_samples)):
-        # the subset's stable sort_index breaks ties by place in members,
-        # as a stable sort of the node's own values does
-        data = data.subset(members)
-    growth = Growth(data, GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
-                    [None], [None], [rng])
+    growth = Growth(node.dataset,
+                    GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
+                    [node.member_indices], [None], [rng])
     front = growth.root()
     nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
                                        growth.spread(front))

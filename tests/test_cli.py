@@ -281,6 +281,26 @@ class TestStudyConfigTypes:
         assert not (tmp_path / "o").exists()
 
 
+class TestStudyConfigFaults:
+    """Config values a study cannot run with exit 2 before any work, not as a
+    traceback (exit 1) or a data error (exit 3)."""
+
+    @pytest.mark.parametrize("command,config,fragment", [
+        ("sine", {"p_values": [1, 5000]}, "p = 5000"),
+        ("sine", {"p_values": [1022]}, "p = 1022"),
+        ("denoise", {"height": 0}, "height"),
+        ("denoise", {"width": -3}, "width"),
+        ("ecp", {"noise_laws": ["normal", "t1e999"]}, "finite"),
+        ("ecp", {"noise_laws": ["tnan"]}, "finite"),
+        ("ecp", {"noise_laws": ["tinf"]}, "finite"),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_returns_two(self, tmp_path, capsys, command, config, fragment):
+        code = run_cli([command, "--out", tmp_path / "o", "--config", json.dumps(config)])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestPredictMatchesColumnsByName:
     """train records the training header; predict takes the model's columns
     from a scoring file by name, wherever they stand."""

@@ -28,28 +28,6 @@ from minimaxsplit.dataset import piecewise_signal
 
 
 class TestDataset:
-    def test_sort_index_orders_each_feature(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 60))
-            d = int(rng.integers(1, 4))
-            X = rng.integers(0, 10, (d, n)).astype(float)
-            ds = Dataset(features=X, targets=rng.normal(size=n), task=REGRESSION)
-            for j in range(d):
-                idx = ds.sort_index[j]
-                assert sorted(idx) == list(range(n))
-                assert np.all(np.diff(X[j, idx]) >= 0)
-
-    def test_sort_is_stable_on_ties(self):
-        ds = Dataset(features=[[2.0, 1.0, 2.0, 1.0]], targets=[0.0, 1, 2, 3],
-                     task=REGRESSION)
-        assert ds.sort_index[0].tolist() == [1, 3, 0, 2]
-
-    def test_sort_index_is_not_an_argument(self):
-        # the order is always computed from the features, never taken on trust
-        with pytest.raises(TypeError, match="sort_index"):
-            Dataset(features=[[3.0, 1.0, 2.0]], targets=[0.0, 0, 0], task=REGRESSION,
-                    sort_index=[[0, 1, 2]])
-
     def test_from_rows_transposes(self):
         ds = Dataset.from_rows([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
         assert ds.features.shape == (2, 2)
@@ -74,9 +52,9 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("x,y\n2,5\n1,4\n")
         ds = load_csv(p, "y")
+        # row order is sample order
         assert ds.targets.tolist() == [5.0, 4.0]
-        # row order is sample order; sample 1 (x=1) sorts first
-        assert ds.sort_index[0].tolist() == [1, 0]
+        assert ds.features.tolist() == [[2.0, 1.0]]
 
     def test_target_by_index(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -145,6 +123,34 @@ class TestPgm:
         write_pgm(img, p, maxval=maxval, binary=binary)
         back = load_pgm(p)
         np.testing.assert_allclose(back.pixels, px, atol=0.5 / maxval)
+
+    @pytest.mark.parametrize("text,token", [
+        ("P2\n2 1\n1_0\n1 2\n", "b'1_0'"),
+        ("P2\n+2 1\n255\n1 2\n", "b'+2'"),
+        ("P2\n2 1\n255\n1_0 2\n", "b'1_0'"),
+        ("P2\n2 1\n255\n+5 2\n", "b'+5'"),
+        ("P2\n2 1\n255\n-5 2\n", "b'-5'"),
+        ("P2\n2 1\n255\n5 2.0\n", "b'2.0'"),
+        ("P2\n2 1\n255\n5\x0b2 3\n", "b'5\\x0b2'"),
+        ("P2\n2 1\n255\n\u0661 2\n", "b'\\xd9\\xa1'"),
+    ])
+    def test_only_ascii_digit_tokens(self, tmp_path, text, token):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(text.encode())
+        with pytest.raises(DataError, match="non-integer") as err:
+            load_pgm(p)
+        assert token in str(err.value)
+
+    def test_raster_comments_and_leading_zeros(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_text("P2\n3 1\n0255 # max\n0 # dark\n00000000000000000000255\t017#\n")
+        assert load_pgm(p).pixels.tolist() == [[0.0, 1.0, 17 / 255]]
+
+    def test_long_raster_value_exceeds_maxval(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_text("P2\n2 1\n255\n1 " + "9" * 400 + "\n")
+        with pytest.raises(DataError, match="exceeds maxval"):
+            load_pgm(p)
 
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "i.pgm"

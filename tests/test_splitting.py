@@ -8,7 +8,9 @@ from minimaxsplit import (
     CLASSIFICATION,
     REGRESSION,
     ConfigError,
+    DataError,
     Dataset,
+    NodeView,
     SplitCriterion,
     UnsplittableError,
     best_split,
@@ -174,6 +176,14 @@ class TestBestSplit:
         node = node_of([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ConfigError):
             best_split(node, SplitCriterion("random_uniform"))
+
+    def test_malformed_members(self):
+        data = Dataset(features=[[0.0, 1, 2, 3]], targets=[0.0, 4, 5, 9], task=REGRESSION)
+        for members, match in [([], "non-empty"), ([0, -1], r"\[0, 4\)"),
+                               ([1, 4], r"\[0, 4\)")]:
+            with pytest.raises(DataError, match=match):
+                best_split(NodeView(dataset=data, member_indices=members),
+                           SplitCriterion("variance"))
 
     def test_random_observed_picks_valid_midpoint(self, rng):
         for _ in range(40):

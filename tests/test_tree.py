@@ -12,14 +12,13 @@ from minimaxsplit import (
     DataError,
     Dataset,
     GrowConfig,
-    classify,
     grow,
     load_model,
-    partition_report,
     tree_from_json,
     tree_to_json,
 )
-from minimaxsplit.tree import tree_from_doc, tree_to_doc
+from minimaxsplit.rng import stream
+from minimaxsplit.tree import grow_trees, tree_from_doc, tree_to_doc
 
 
 def small_regression():
@@ -56,19 +55,18 @@ class TestStumpExample:
         assert t.leaf_reason[1] == "depth" and t.leaf_reason[2] == "depth"
 
     def test_partition_report(self):
-        rep = partition_report(self.grown())
-        assert rep.n_cells == 2
-        assert rep.cell_counts == (2, 2)
-        assert rep.cell_values == (2.0, 7.0)
-        assert rep.size_mean == 2.0 and rep.size_sd == 0.0
-        assert rep.risk_sum == 16.0 and rep.risk_mean == 4.0
+        t = self.grown()
+        ids = t.partition_ids()
+        assert ids.tolist() == [1, 2]
+        assert t.count[ids].tolist() == [2, 2]
+        assert t.value[ids].tolist() == [2.0, 7.0]
+        assert t.risk[ids].sum() == 16.0 and t.risk[ids].sum() / t.n_train == 4.0
 
     def test_cell_bounds(self):
+        # x < 1.5 lands in the left cell, x = 1.5 already in the right one
         t = self.grown()
-        lows, highs = t.cell_bounds()
-        assert lows[0, 0] == -math.inf and highs[0, 0] == math.inf
-        assert highs[int(t.left[0]), 0] == 1.5
-        assert lows[int(t.right[0]), 0] == 1.5
+        assert t.apply([[-math.inf], [1.4999], [1.5], [math.inf]]).tolist() == [
+            int(t.left[0]), int(t.left[0]), int(t.right[0]), int(t.right[0])]
 
     def test_depth_zero_truncation(self):
         t = self.grown()
@@ -81,10 +79,10 @@ class TestLeafSizeSplit:
         y = [100.0, 100] + [0.0] * 8
         data = Dataset(features=[list(range(10))], targets=y, task=REGRESSION)
         t = grow(data, GrowConfig(criterion="variance", max_depth=1))
-        rep = partition_report(t)
-        assert sorted(rep.cell_counts) == [2, 8]
-        assert rep.size_mean == 5.0 and rep.size_sd == 3.0
-        assert rep.risk_sum == 0.0 and rep.max_risk == 0.0
+        counts = t.count[t.partition_ids()]
+        assert sorted(counts.tolist()) == [2, 8]
+        assert np.mean(counts) == 5.0 and np.std(counts) == 3.0
+        assert t.risk[t.partition_ids()].tolist() == [0.0, 0.0]
 
 
 class TestStoppingRules:
@@ -140,6 +138,41 @@ class TestStoppingRules:
                                   fixed_features=(3,)))
 
 
+class TestGrowTreesChecks:
+    """`grow_trees` (through `growth.Growth`) rejects a missing stream, an
+    empty sample and an index outside [0, n) instead of crashing or reading
+    a wrapped-around row."""
+
+    def grow(self, samples, criterion="minimax", m_try=None, features=True, splits=True):
+        data = Dataset(features=[[0.0, 1, 2, 3], [3.0, 1, 2, 0]], targets=[0.0, 4, 5, 9],
+                       task=REGRESSION)
+        cfg = GrowConfig(criterion=criterion, max_depth=2, m_try=m_try)
+        trees = range(len(samples))
+        return grow_trees(data, cfg, samples,
+                          [stream(b, "features") if features else None for b in trees],
+                          [stream(b, "splits") if splits else None for b in trees])
+
+    @pytest.mark.parametrize("criterion,m_try,features,splits", [
+        ("minimax", 1, False, True),
+        ("random_uniform", None, True, False),
+        ("random_observed", None, True, False),
+    ])
+    def test_missing_stream(self, criterion, m_try, features, splits):
+        with pytest.raises(ConfigError, match="stream"):
+            self.grow([np.arange(4)], criterion, m_try, features, splits)
+
+    @pytest.mark.parametrize("sample", [np.array([], dtype=np.int64), [], None,
+                                        np.array([0.0, 1.0]), np.zeros((2, 2), dtype=np.int64)])
+    def test_malformed_sample(self, sample):
+        with pytest.raises(DataError, match="non-empty 1-D index array"):
+            self.grow([np.arange(4), sample])
+
+    @pytest.mark.parametrize("sample", [[0, -1], [4], [0, 1, 2, 3, 10]])
+    def test_index_out_of_range(self, sample):
+        with pytest.raises(DataError, match=r"\[0, 4\)"):
+            self.grow([np.array(sample)])
+
+
 class TestCyclicPersistence:
     """A node whose scheduled feature is constant waits for the next level
     instead of dying; split_level records where it finally cut."""
@@ -179,7 +212,7 @@ class TestClassification:
     def test_pure_leaves_and_smoothed_log_odds(self):
         t = grow(self.data(), GrowConfig(criterion="entropy_minimax", max_depth=1))
         assert t.threshold[0] == 3.5
-        labels, lo = classify(t, [[1.0], [5.0]])
+        labels, lo = t.predict([[1.0], [5.0]]), t.predict_log_odds([[1.0], [5.0]])
         np.testing.assert_array_equal(labels, [1.0, -1.0])
         assert lo[0] == pytest.approx(math.log(4.5 / 0.5), abs=1e-12)
         assert lo[1] == pytest.approx(math.log(0.5 / 3.5), abs=1e-12)
@@ -191,8 +224,6 @@ class TestClassification:
 
     def test_classify_rejects_regression_tree(self):
         t = grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1))
-        with pytest.raises(ConfigError):
-            classify(t, [[0.0]])
         with pytest.raises(ConfigError):
             t.predict_log_odds([[0.0]])
 
@@ -330,9 +361,10 @@ def test_partitions_cover_training_data(seed):
         counts = {int(i): int(c) for i, c in zip(*np.unique(hits, return_counts=True))}
         for i in ids:
             assert counts.get(int(i), 0) == int(t.count[i])
-    rep = partition_report(t)
-    assert sum(rep.cell_counts) == n
-    assert rep.risk_mean == pytest.approx(t.risk_trace[-1], rel=1e-9, abs=1e-12)
+    leaves = t.partition_ids()
+    assert t.count[leaves].sum() == n
+    assert t.risk[leaves].sum() / t.n_train == pytest.approx(t.risk_trace[-1], rel=1e-9,
+                                                             abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
