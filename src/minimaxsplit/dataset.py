@@ -1,8 +1,9 @@
 """Data representation and ingestion.
 
 Owns the immutable `Dataset` (column-major features + targets), the
-`ImageGrid` used by the denoising pipeline, CSV and PGM loaders, and the
-synthetic data generators used throughout the experiments.
+`ImageGrid` used by the denoising pipeline, CSV and PGM loaders, the one
+output writer (`write_file`), and the synthetic data generators used
+throughout the experiments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class Dataset:
             raise DataError("classification targets must be exactly -1 or +1")
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", check_feature_names(self.feature_names, d))
+        # flags go on views, so a caller's own array stays writeable
+        feats, targ = feats.view(), targ.view()
         feats.setflags(write=False)
         targ.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -101,8 +104,10 @@ class NodeView:
     depth: int = 0
 
     def __post_init__(self):
-        idx = np.asarray(self.member_indices, dtype=np.int64)
-        object.__setattr__(self, "member_indices", idx)
+        idx = np.asarray(self.member_indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise DataError(f"member indices must be integers, got dtype {idx.dtype}")
+        object.__setattr__(self, "member_indices", idx.astype(np.int64, copy=False))
         if self.depth < 0:
             raise ConfigError("node depth must be >= 0")
 
@@ -381,6 +386,37 @@ def read_text(path) -> str:
         raise _unreadable(path, exc) from None
 
 
+def write_file(path, chunks: Iterable[Union[str, bytes]]) -> None:
+    """Write the chunks (text as UTF-8) as a new file at `path`.
+
+    A file or link at `path` is removed first and the file is created anew
+    (exclusive mode), so a hard link or symlink at the path is replaced, not
+    written through. Truncating or renaming over a file that was already
+    rewritten can stall for tens of milliseconds on ext4; unlinking first
+    does not. The chunks may be a generator: if taking or writing one
+    raises, the partial file is removed and the exception propagates, an
+    OSError as ConfigError naming the path."""
+    path = Path(path)
+    try:
+        path.unlink(missing_ok=True)
+        fh = path.open("xb")
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from None
+        raise
+
+
+def _unwritable(path, exc: OSError) -> ConfigError:
+    return ConfigError(f"{path}: cannot write ({exc.strerror or exc})")
+
+
 def _unreadable(path, exc: OSError) -> DataError:
     return DataError(f"{path}: cannot read ({exc.strerror or exc})")
 
@@ -546,14 +582,13 @@ def write_pgm(img: ImageGrid, path, maxval: int = 255, binary: bool = False) -> 
         raise DataError(f"maxval {maxval} outside [1, 65535]")
     quant = np.rint(img.pixels * maxval).astype(np.int64)
     quant = np.clip(quant, 0, maxval)
-    path = Path(path)
     header = f"{'P5' if binary else 'P2'}\n{img.width} {img.height}\n{maxval}\n"
     if binary:
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        path.write_bytes(header.encode("ascii") + quant.astype(dtype).tobytes())
+        write_file(path, [header, quant.astype(dtype).tobytes()])
     else:
         lines = [" ".join(str(v) for v in row) for row in quant]
-        path.write_text(header + "\n".join(lines) + "\n", encoding="ascii")
+        write_file(path, [header, "\n".join(lines), "\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .dataset import (
     read_records,
     read_text,
     root_node,
+    write_file,
     write_pgm,
 )
 from .errors import ConfigError, DataError
@@ -84,7 +85,11 @@ class RunResult:
 
 def _outdir(out) -> Path:
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"{path}: cannot make output directory "
+                          f"({exc.strerror or exc})") from None
     return path
 
 
@@ -147,21 +152,18 @@ def _write_csv(outdir: Path, name: str, header: Sequence[str], rows) -> str:
     width. Rows may come from any iterable; they are taken, formatted a
     column at a time and written a block of `_CSV_ROWS` rows at a time. A
     ragged row raises ValueError and leaves no file behind."""
-    rows = iter(rows)
-    path = outdir / name
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        try:
-            fh.write(_lines([header]))
-            while block := list(islice(rows, _CSV_ROWS)):
-                if set(map(len, block)) - {len(header)}:
-                    raise ValueError(f"{name}: every row needs the header's "
-                                     f"{len(header)} cells")
-                fh.write(_lines(block))
-        except BaseException:
-            fh.close()
-            path.unlink()
-            raise
+    write_file(outdir / name, _csv_blocks(name, header, rows))
     return name
+
+
+def _csv_blocks(name: str, header: Sequence[str], rows) -> Iterator[str]:
+    yield _lines([header])
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_ROWS)):
+        if set(map(len, block)) - {len(header)}:
+            raise ValueError(f"{name}: every row needs the header's "
+                             f"{len(header)} cells")
+        yield _lines(block)
 
 
 def _lines(rows: list) -> str:
@@ -203,7 +205,7 @@ def _jsonable(x):
 
 def _write_json(outdir: Path, name: str, doc) -> str:
     """Write `doc` as one line of canonical JSON; returns the file name."""
-    (outdir / name).write_text(canonical_json(_jsonable(doc)) + "\n", encoding="utf-8")
+    write_file(outdir / name, [canonical_json(_jsonable(doc)), "\n"])
     return name
 
 
@@ -974,7 +976,7 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
                                max_depth=cfg.max_depth, n_min=cfg.n_min,
                                m_try=cfg.m_try, bootstrap=cfg.bootstrap),
             seed=seed)
-    (outdir / "model.json").write_text(model_to_json(model) + "\n", encoding="utf-8")
+    write_file(outdir / "model.json", [model_to_json(model), "\n"])
     x_train = data.features.T
     if data.task == REGRESSION:
         fit = regression_metrics(data.targets, model.predict(x_train)).as_dict()

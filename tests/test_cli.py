@@ -50,6 +50,27 @@ class TestExitCodes:
             run_cli(["frobnicate"])
 
 
+class TestOutputPathFaults:
+    """An output path that cannot be written exits 2 and names the path."""
+
+    def test_out_is_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("keep")
+        assert run_cli(["sine", "--out", tmp_path / "f"]) == 2
+        assert str(tmp_path / "f") in capsys.readouterr().err
+        assert (tmp_path / "f").read_text() == "keep"
+
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("keep")
+        assert run_cli(["sine", "--out", tmp_path / "f" / "sub"]) == 2
+        assert str(tmp_path / "f" / "sub") in capsys.readouterr().err
+
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys):
+        (tmp_path / "s" / "manifest.json").mkdir(parents=True)
+        assert run_cli(["sine", "--out", tmp_path / "s"]) == 2
+        assert str(tmp_path / "s" / "manifest.json") in capsys.readouterr().err
+        assert (tmp_path / "s" / "manifest.json").is_dir()
+
+
 class TestSeriesAndAtomFiles:
     """The timeseries, martingale and train readers reject bad files with
     exit 3."""

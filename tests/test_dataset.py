@@ -33,6 +33,15 @@ class TestDataset:
         assert ds.features.shape == (2, 2)
         assert ds.features[0].tolist() == [1.0, 3.0]
 
+    def test_callers_arrays_stay_writeable(self):
+        X, y = np.zeros((2, 3)), np.zeros(3)
+        ds = Dataset(features=X, targets=y, task=REGRESSION)
+        assert not ds.features.flags.writeable and not ds.targets.flags.writeable
+        assert np.shares_memory(ds.features, X)  # a view, not a copy
+        X[0, 0] = 1.0
+        y[0] = 1.0
+        assert X.flags.writeable and y.flags.writeable
+
     def test_rejects_nan_and_bad_labels(self):
         with pytest.raises(DataError):
             Dataset(features=[[np.nan]], targets=[0.0], task=REGRESSION)

@@ -185,6 +185,14 @@ class TestBestSplit:
                 best_split(NodeView(dataset=data, member_indices=members),
                            SplitCriterion("variance"))
 
+    def test_non_integer_members_are_rejected(self):
+        data = Dataset(features=[[0.0, 1, 2, 3]], targets=[0.0, 4, 5, 9], task=REGRESSION)
+        for members in ([0.7, 1.9], np.array([0.0, 1.0]), [True, False, True]):
+            with pytest.raises(DataError, match="must be integers"):
+                NodeView(dataset=data, member_indices=members)
+        view = NodeView(dataset=data, member_indices=np.array([3, 1], dtype=np.uint8))
+        assert view.member_indices.dtype == np.int64 and view.member_indices.tolist() == [3, 1]
+
     def test_random_observed_picks_valid_midpoint(self, rng):
         for _ in range(40):
             node = make_node(rng, max_size=64)
