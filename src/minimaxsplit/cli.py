@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
+from .dataset import read_text
 from .errors import ConfigError, DataError
 from .experiments import EXPERIMENTS, config_from_dict
 
@@ -40,17 +40,12 @@ def _parse_config(text: Optional[str]) -> dict:
             return json.loads(s)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad inline config JSON: {exc}") from None
-    path = Path(text)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {text}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(text))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{text}: bad config JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{text}: config file is not UTF-8 text ({exc})") from None
-    except OSError as exc:
-        raise ConfigError(f"{text}: cannot read config file ({exc.strerror or exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,10 +89,22 @@ class Dataset:
         return cls(features=X.T, targets=y, task=task)
 
     def subset(self, indices) -> "Dataset":
-        """New Dataset from the given sample rows (duplicates allowed)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """New Dataset from the given sample rows (duplicates allowed): a
+        non-empty 1-D array of integers in [0, n_samples)."""
+        idx = index_array(indices, self.n_samples, "subset indices")
         return Dataset(features=self.features[:, idx], targets=self.targets[idx], task=self.task,
                        feature_names=self.feature_names)
+
+
+def index_array(indices, n: int, what: str) -> np.ndarray:
+    """`indices` as an array; DataError unless it is a non-empty 1-D array
+    of integers in [0, n). A float or bool would otherwise be cast to some
+    other row, and a negative index would count from the end."""
+    idx = np.asarray(indices)
+    if not (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu" and 0 <= idx.min()
+            and idx.max() < n):
+        raise DataError(f"{what} must be a non-empty 1-D index array in [0, {n})")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -1010,6 +1010,10 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
         X, targets = table[:, :-1], table[:, -1]
         if model.task == CLASSIFICATION:
             check_labels(cfg.data, targets)
+    # only a model without names can meet a file of another width
+    if X.shape[1] != model.n_features:
+        raise DataError(f"{cfg.data}: the model takes {model.n_features} features, "
+                        f"the file has {X.shape[1]}")
 
     files: List[str] = []
     n = int(X.shape[0])

@@ -14,7 +14,6 @@ zero; the smoothing keeps single pure leaves from saturating the vote.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -23,10 +22,10 @@ import numpy as np
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
-from .splitting import TAGS, SplitCriterion
+from .splitting import SplitCriterion
 from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, config_int,
-                   doc_feature_names, grow_trees, header_int, int_list, tree_from_doc,
-                   tree_to_doc, tree_to_json)
+                   grow_trees, header_doc, header_int, int_list, parse_doc, read_header,
+                   tree_from_doc, tree_to_doc, tree_to_json)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -152,56 +151,33 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestMo
 
 
 def forest_to_doc(forest: ForestModel) -> dict:
-    doc = {
-        "format": FORMAT_FOREST,
-        "task": forest.task,
-        "n_features": forest.n_features,
-        "criterion": forest.criterion,
-        "n_trees": forest.n_trees,
-        "max_depth": forest.max_depth,
-        "n_min": forest.n_min,
-        "m_try": forest.m_try,
-        "bootstrap": forest.bootstrap,
-        "seed": forest.seed,
-        "bootstrap_indices": [[int(i) for i in idx] for idx in forest.bootstrap_indices],
-        "trees": [tree_to_doc(t) for t in forest.trees],
-    }
-    if forest.feature_names is not None:
-        doc["feature_names"] = list(forest.feature_names)
-    return doc
+    return {**header_doc(forest, FORMAT_FOREST), "n_trees": forest.n_trees,
+            "m_try": forest.m_try, "bootstrap": forest.bootstrap, "seed": forest.seed,
+            "bootstrap_indices": [np.asarray(idx, dtype=np.int64).tolist()
+                                  for idx in forest.bootstrap_indices],
+            "trees": [tree_to_doc(t) for t in forest.trees]}
 
 
 def forest_from_doc(doc: dict) -> ForestModel:
     """Load a forest document. Its header must agree with its trees: as many
     trees as `n_trees` and as many bootstrap index lists, and every tree of
     the header's task, `n_features`, `max_depth`, `n_min` and feature names."""
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_FOREST:
-        raise DataError(f"not a {FORMAT_FOREST} document")
+    header = read_header(doc, FORMAT_FOREST)
     try:
-        n_features = header_int(doc, "n_features")
         forest = ForestModel(
-            task=doc["task"],
-            n_features=n_features,
-            criterion=doc["criterion"],
-            n_trees=header_int(doc, "n_trees"),
-            max_depth=header_int(doc, "max_depth"),
-            n_min=header_int(doc, "n_min"),
+            **header,
+            n_trees=header_int(doc, "n_trees", 1),
             m_try=None if doc["m_try"] is None else header_int(doc, "m_try"),
             bootstrap=doc["bootstrap"],
             seed=header_int(doc, "seed"),
             trees=[tree_from_doc(t) for t in doc["trees"]],
             bootstrap_indices=[int_list(i, "bootstrap indices")
                                for i in doc["bootstrap_indices"]],
-            feature_names=doc_feature_names(doc, n_features),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_FOREST} document: {exc}") from exc
-    if forest.criterion not in TAGS:
-        raise DataError(f"unknown criterion {forest.criterion!r}")
     if type(forest.bootstrap) is not bool:
         raise DataError(f"'bootstrap' must be true or false, got {forest.bootstrap!r}")
-    if forest.n_trees < 1:
-        raise DataError(f"a forest needs at least one tree, got n_trees {forest.n_trees}")
     if not forest.n_trees == len(forest.trees) == len(forest.bootstrap_indices):
         raise DataError(f"n_trees is {forest.n_trees} but the document holds "
                         f"{len(forest.trees)} trees and {len(forest.bootstrap_indices)} "
@@ -220,11 +196,7 @@ def forest_to_json(forest: ForestModel) -> str:
 
 
 def forest_from_json(text: str) -> ForestModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}") from exc
-    return forest_from_doc(doc)
+    return forest_from_doc(parse_doc(text))
 
 
 def model_to_json(model: Union[TreeModel, ForestModel]) -> str:
@@ -238,12 +210,7 @@ def model_to_json(model: Union[TreeModel, ForestModel]) -> str:
 
 def load_model(text: str) -> Union[TreeModel, ForestModel]:
     """Parse either model format, dispatching on the embedded format tag."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("model document must be a JSON object")
+    doc = parse_doc(text)
     fmt = doc.get("format")
     if fmt == FORMAT_TREE:
         return tree_from_doc(doc)

@@ -21,10 +21,11 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, Dataset
-from .errors import ConfigError, DataError
-from .splitting import (_MODE_CRITERIA, NodeStats, _child_curves, _padded_width,
-                        _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints)
+from .dataset import CLASSIFICATION, Dataset, index_array
+from .errors import ConfigError
+from .splitting import (_MODE_CRITERIA, _child_curves, _padded_width,
+                        _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints,
+                        node_risk)
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
@@ -79,11 +80,7 @@ class Growth:
                 raise ConfigError("m_try requires a features stream for every tree")
         if crit.is_random and any(r is None for r in splits_rngs):
             raise ConfigError(f"{crit.tag} requires a splits stream for every tree")
-        samples = [np.asarray(s) for s in samples]
-        for s in samples:
-            if not (s.ndim == 1 and s.size and s.dtype.kind in "iu" and 0 <= s.min()
-                    and s.max() < n):
-                raise DataError(f"each sample must be a non-empty 1-D index array in [0, {n})")
+        samples = [index_array(s, n, "each sample") for s in samples]
         self.data = data
         self.config = config
         self.crit = crit
@@ -125,7 +122,7 @@ class Growth:
     def run(self) -> List[dict]:
         config, task = self.config, self.data.task
         sizes = self.sizes.tolist()
-        totals = [NodeStats.from_targets(self.y[start:start + size], task).risk
+        totals = [node_risk(self.y[start:start + size], task)
                   for start, size in zip(self.offsets.tolist(), sizes)]
         front = self.root(np.array(totals))
         self._add(0, front.lists[-1], front.starts, front.sizes, front.risks, front.trees)

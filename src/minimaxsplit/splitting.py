@@ -112,34 +112,21 @@ class SplitDecision:
     right_count: int
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    """Sufficient statistics of a node's targets plus its unnormalized risk."""
-
-    count: int
-    sum_y: float
-    sum_y_sq: float
-    pos_count: int
-    risk: float
-
-    @classmethod
-    def from_targets(cls, y: np.ndarray, task: str = REGRESSION) -> "NodeStats":
-        y = np.asarray(y, dtype=np.float64)
-        m = int(y.size)
-        if m == 0:
-            return cls(0, 0.0, 0.0, 0, 0.0)
-        # exactly-rounded sums: risk comes from a cancellation-prone
-        # difference, so cheap insurance here
-        s1 = math.fsum(y)
-        s2 = math.fsum(y * y)
-        if task == CLASSIFICATION:
-            pos = int(np.sum(y == 1.0))
-            return cls(m, s1, s2, pos, m * entropy(pos / m))
-        if m <= 1 or y.min() == y.max():
-            risk = 0.0
-        else:
-            risk = max(0.0, s2 - s1 * s1 / m)
-        return cls(m, s1, s2, int(np.sum(y == 1.0)), risk)
+def node_risk(y: np.ndarray, task: str) -> float:
+    """Unnormalized risk of a node with targets y: the sum of squared
+    deviations from the mean (regression) or m times the entropy of the
+    positive fraction (classification)."""
+    y = np.asarray(y, dtype=np.float64)
+    m = int(y.size)
+    if m == 0:
+        return 0.0
+    if task == CLASSIFICATION:
+        return m * entropy(int(np.sum(y == 1.0)) / m)
+    if m <= 1 or y.min() == y.max():
+        return 0.0
+    # exactly-rounded sums: the risk is a cancellation-prone difference
+    s1 = math.fsum(y)
+    return max(0.0, math.fsum(y * y) - s1 * s1 / m)
 
 
 class FeatureScan(NamedTuple):

@@ -11,6 +11,13 @@ retries at the next level with the next scheduled feature.
 risk_trace[k] is the mean unnormalized risk (per training sample) of the
 partition obtained by cutting the tree at depth k; it has max_depth + 1
 entries and is exactly non-increasing.
+
+A saved tree is a tree-v1 JSON document, a header and one object per node.
+The table NODE_FIELDS names each numeric node field, whether it holds
+integers and where a document writes null for it; `tree_to_doc`,
+`tree_from_doc` and `_check_structure` all work from it. `header_doc`,
+`read_header` and `parse_doc` serve forest-v1 documents too, so a new
+layout, such as one array per field, changes only these.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -280,41 +288,44 @@ def best_split(node: NodeView, criterion: SplitCriterion,
 # ---------------------------------------------------------------------------
 
 
-def _none_if_nan(x: float) -> Optional[float]:
-    return None if math.isnan(x) else float(x)
+class NodeField(NamedTuple):
+    """A TreeModel array and tree-v1 node key. A document writes null for it
+    on leaf nodes (null "leaf", held as -1 or NaN) or for NaN (null "nan")."""
+
+    name: str
+    integer: bool
+    null: Optional[str] = None
+
+
+NODE_FIELDS = (
+    NodeField("depth", True),
+    NodeField("count", True),
+    NodeField("risk", False),
+    NodeField("value", False),
+    NodeField("log_odds", False, "nan"),
+    NodeField("feature", True, "leaf"),
+    NodeField("threshold", False, "leaf"),
+    NodeField("left", True, "leaf"),
+    NodeField("right", True, "leaf"),
+    NodeField("split_level", True, "leaf"),
+)
+
+
+def _doc_column(tree: TreeModel, f: NodeField) -> list:
+    values = np.asarray(getattr(tree, f.name), dtype=np.int64 if f.integer else np.float64)
+    if f.null is None:
+        return values.tolist()
+    column = values.astype(object)
+    column[(tree.left < 0) if f.null == "leaf" else np.isnan(values)] = None
+    return column.tolist()
 
 
 def tree_to_doc(tree: TreeModel) -> dict:
-    nodes = []
-    for i in range(tree.n_nodes):
-        leaf = tree.left[i] < 0
-        nodes.append({
-            "depth": int(tree.depth[i]),
-            "count": int(tree.count[i]),
-            "risk": float(tree.risk[i]),
-            "value": float(tree.value[i]),
-            "log_odds": _none_if_nan(float(tree.log_odds[i])),
-            "feature": None if leaf else int(tree.feature[i]),
-            "threshold": None if leaf else float(tree.threshold[i]),
-            "left": None if leaf else int(tree.left[i]),
-            "right": None if leaf else int(tree.right[i]),
-            "split_level": None if leaf else int(tree.split_level[i]),
-            "leaf_reason": tree.leaf_reason[i],
-        })
-    doc = {
-        "format": FORMAT_TREE,
-        "task": tree.task,
-        "n_features": tree.n_features,
-        "criterion": tree.criterion,
-        "max_depth": tree.max_depth,
-        "n_min": tree.n_min,
-        "n_train": tree.n_train,
-        "risk_trace": [float(u) for u in tree.risk_trace],
-        "nodes": nodes,
-    }
-    if tree.feature_names is not None:
-        doc["feature_names"] = list(tree.feature_names)
-    return doc
+    keys = [f.name for f in NODE_FIELDS] + ["leaf_reason"]
+    columns = [_doc_column(tree, f) for f in NODE_FIELDS] + [tree.leaf_reason]
+    return {**header_doc(tree, FORMAT_TREE), "n_train": tree.n_train,
+            "risk_trace": [float(u) for u in tree.risk_trace],
+            "nodes": [dict(zip(keys, node)) for node in zip(*columns)]}
 
 
 def _check_structure(tree: TreeModel) -> None:
@@ -323,22 +334,15 @@ def _check_structure(tree: TreeModel) -> None:
     node's two children lie after it and before the end; every node but the
     root has exactly one parent; split levels lie in [0, max_depth) and rise
     from parent to child, so every descent ends within max_depth steps; split
-    features lie in [0, n_features) and split thresholds are finite."""
-    if tree.task not in (REGRESSION, CLASSIFICATION):
-        raise DataError(f"unknown task {tree.task!r}")
-    if tree.criterion not in TAGS:
-        raise DataError(f"unknown criterion {tree.criterion!r}")
-    if tree.max_depth < 0:
-        raise DataError(f"max_depth must be nonnegative, got {tree.max_depth}")
+    features lie in [0, n_features), split thresholds are finite, and so are
+    a classification tree's log-odds."""
     if len(tree.risk_trace) != tree.max_depth + 1:
         raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} entries, "
                         f"got {len(tree.risk_trace)}")
     n = len(tree.leaf_reason)
     if n == 0:
         raise DataError("tree has no nodes")
-    if any(np.shape(a) != (n,) for a in (tree.depth, tree.count, tree.risk, tree.value,
-                                          tree.log_odds, tree.feature, tree.threshold,
-                                          tree.left, tree.right, tree.split_level)):
+    if any(np.shape(getattr(tree, f.name)) != (n,) for f in NODE_FIELDS):
         raise DataError(f"every node field must hold one number per node ({n})")
     ids = np.arange(n)
     left, right = tree.left, tree.right
@@ -362,65 +366,96 @@ def _check_structure(tree: TreeModel) -> None:
         raise DataError(f"split features must lie in [0, n_features = {tree.n_features})")
     if not np.all(np.isfinite(tree.threshold[split])):
         raise DataError("split thresholds must be finite")
+    if tree.task == CLASSIFICATION and not np.all(np.isfinite(tree.log_odds)):
+        raise DataError("a classification tree's log_odds must be finite")
 
 
-def int_list(values: list,
-             what: str = "node ids, features, levels, depths and counts") -> np.ndarray:
+def int_list(values: list, what: str) -> np.ndarray:
     """An integer field; a float or bool would otherwise turn silently into
     another node or feature."""
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise DataError(f"{what} must be integers")
     return np.asarray(values, dtype=np.int64)
 
 
-def header_int(doc: dict, key: str) -> int:
-    """An integer header field of a model document; a float such as 1e400
-    or 3.5 is rejected rather than truncated."""
-    value = doc[key]
-    if type(value) is not int:
-        raise DataError(f"{key!r} must be an integer, got {value!r}")
+def _node_column(nodes: list, f: NodeField) -> np.ndarray:
+    """Field f of every node: integers through `int_list`, other fields
+    finite JSON numbers (not bools or strings), or null where f allows."""
+    get = itemgetter(f.name)
+    if f.null:  # null reads as -1 or NaN
+        fill = -1 if f.integer else math.nan
+        column = [fill if v is None else v for v in map(get, nodes)]
+    else:
+        column = list(map(get, nodes))
+    if f.integer:
+        return int_list(column, f"node {f.name} values")
+    if not set(map(type, column)) <= {int, float}:
+        raise DataError(f"node {f.name} values must be numbers")
+    values = np.asarray(column, dtype=np.float64)
+    # NaN is null's stand-in, so only the infinities are out where null is in
+    if np.any(np.isinf(values) if f.null else ~np.isfinite(values)):
+        raise DataError(f"node {f.name} values must be finite")
+    return values
+
+
+def header_int(doc: dict, key: str, low: Optional[int] = None) -> int:
+    """An integer header field of a model document, at least `low` if given;
+    a float such as 1e400 or 3.5 is rejected rather than truncated."""
+    value = doc.get(key)
+    if type(value) is not int or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise DataError(f"{key!r} must be an integer{at_least}, got {value!r}")
     return value
 
 
-def doc_feature_names(doc: dict, n_features: int) -> Optional[Tuple[str, ...]]:
-    """The optional `feature_names` of a model document, checked."""
-    names = doc.get("feature_names")
-    return None if names is None else check_feature_names(names, n_features)
+_HEADER = ("task", "n_features", "criterion", "max_depth", "n_min")
+
+
+def header_doc(model, fmt: str) -> dict:
+    """The header that tree and forest documents share (see `read_header`)."""
+    doc = {"format": fmt, **{key: getattr(model, key) for key in _HEADER}}
+    if model.feature_names is not None:
+        doc["feature_names"] = list(model.feature_names)
+    return doc
+
+
+def read_header(doc: dict, fmt: str) -> dict:
+    """The header that tree and forest documents share, checked: the format
+    tag `fmt`, a known task and criterion, n_features >= 1, max_depth >= 0,
+    an integer n_min and the optional feature names. Returns the fields as
+    keywords of TreeModel and ForestModel alike."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise DataError(f"not a {fmt} document")
+    task, criterion = doc.get("task"), doc.get("criterion")
+    if task not in (REGRESSION, CLASSIFICATION):
+        raise DataError(f"unknown task {task!r}")
+    if criterion not in TAGS:
+        raise DataError(f"unknown criterion {criterion!r}")
+    n_features, names = header_int(doc, "n_features", 1), doc.get("feature_names")
+    return {"task": task, "n_features": n_features, "criterion": criterion,
+            "max_depth": header_int(doc, "max_depth", 0), "n_min": header_int(doc, "n_min"),
+            "feature_names": None if names is None else check_feature_names(names, n_features)}
+
+
+def parse_doc(text: str) -> dict:
+    """The JSON object of a model document; DataError for anything else."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
+    return doc
 
 
 def tree_from_doc(doc: dict) -> TreeModel:
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TREE:
-        raise DataError(f"not a {FORMAT_TREE} document")
+    header = read_header(doc, FORMAT_TREE)
     try:
-        raw = doc["nodes"]
-        nan = math.nan
-        n_features = header_int(doc, "n_features")
-        tree = TreeModel(
-            task=doc["task"],
-            n_features=n_features,
-            criterion=doc["criterion"],
-            max_depth=header_int(doc, "max_depth"),
-            n_min=header_int(doc, "n_min"),
-            n_train=header_int(doc, "n_train"),
-            depth=int_list([r["depth"] for r in raw]),
-            count=int_list([r["count"] for r in raw]),
-            risk=np.asarray([r["risk"] for r in raw], dtype=np.float64),
-            value=np.asarray([r["value"] for r in raw], dtype=np.float64),
-            log_odds=np.asarray(
-                [nan if r["log_odds"] is None else r["log_odds"] for r in raw],
-                dtype=np.float64),
-            feature=int_list([-1 if r["feature"] is None else r["feature"] for r in raw]),
-            threshold=np.asarray(
-                [nan if r["threshold"] is None else r["threshold"] for r in raw],
-                dtype=np.float64),
-            left=int_list([-1 if r["left"] is None else r["left"] for r in raw]),
-            right=int_list([-1 if r["right"] is None else r["right"] for r in raw]),
-            split_level=int_list(
-                [-1 if r["split_level"] is None else r["split_level"] for r in raw]),
-            leaf_reason=[r["leaf_reason"] for r in raw],
-            risk_trace=[float(u) for u in doc["risk_trace"]],
-            feature_names=doc_feature_names(doc, n_features),
-        )
+        nodes = doc["nodes"]
+        tree = TreeModel(**header, n_train=header_int(doc, "n_train"),
+                         **{f.name: _node_column(nodes, f) for f in NODE_FIELDS},
+                         leaf_reason=[node["leaf_reason"] for node in nodes],
+                         risk_trace=[float(u) for u in doc["risk_trace"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc
     _check_structure(tree)
@@ -433,8 +468,4 @@ def tree_to_json(tree: TreeModel) -> str:
 
 
 def tree_from_json(text: str) -> TreeModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}") from exc
-    return tree_from_doc(doc)
+    return tree_from_doc(parse_doc(text))

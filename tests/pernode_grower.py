@@ -20,8 +20,9 @@ from minimaxsplit.dataset import CLASSIFICATION, Dataset, NodeView, root_node
 from minimaxsplit.errors import ConfigError, UnsplittableError
 from minimaxsplit.forest import ForestConfig, ForestModel, _effective_plan
 from minimaxsplit.rng import derive_seed, stream
-from minimaxsplit.splitting import (NodeStats, SplitCriterion, SplitDecision, _risk_curves,
-                                    _scan_from_curves, minimax_search, scan_feature)
+from minimaxsplit.splitting import (SplitCriterion, SplitDecision, _risk_curves,
+                                    _scan_from_curves, minimax_search, node_risk,
+                                    scan_feature)
 from minimaxsplit.tree import GrowConfig, TreeModel
 
 
@@ -176,7 +177,7 @@ def grow_per_node(data: Dataset, config: GrowConfig, *,
 
     builder = _Builder(data.task)
     view = root_node(data)
-    root_risk = NodeStats.from_targets(data.targets, data.task).risk
+    root_risk = node_risk(data.targets, data.task)
     root_id = builder.add(view, root_risk)
     total = root_risk
     trace = [total / n]

@@ -381,3 +381,47 @@ class TestPredictMatchesColumnsByName:
         # positional: renamed columns are taken in file order
         assert self.predict(tmp_path, "renamed", ["p", "q", "y"], rows,
                             keys=["a", "b", "y"]) == (0, same)
+
+
+class TestPredictChecksTheModel:
+    """A model that would predict NaN or one label for every row, or that
+    cannot meet the scoring file, is a data error (exit 3) naming the fault,
+    not a run that exits 0 or a config error."""
+
+    @staticmethod
+    def leaf_tree(n_features, task="regression", criterion="minimax"):
+        leaf = {"depth": 0, "count": 2, "risk": 0.0, "value": 1.0, "log_odds": None,
+                "feature": None, "threshold": None, "left": None, "right": None,
+                "split_level": None, "leaf_reason": "depth"}
+        return {"format": "tree-v1", "task": task, "n_features": n_features,
+                "criterion": criterion, "max_depth": 0, "n_min": 1, "n_train": 2,
+                "risk_trace": [0.0], "nodes": [leaf]}
+
+    @staticmethod
+    def predict(tmp_path, model, data):
+        (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+        (tmp_path / "d.csv").write_text(data, encoding="utf-8")
+        config = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "d.csv"),
+                  "target": "y"}
+        return run_cli(["predict", "--out", tmp_path / "pr", "--config", json.dumps(config)])
+
+    @pytest.mark.parametrize("n_features", [0, -1])
+    def test_n_features_below_one(self, tmp_path, capsys, n_features):
+        assert self.predict(tmp_path, self.leaf_tree(n_features), "a,y\n1,1\n2,2\n") == 3
+        assert "n_features" in capsys.readouterr().err
+
+    def test_unnamed_model_and_file_of_another_width(self, tmp_path, capsys):
+        assert self.predict(tmp_path, self.leaf_tree(2), "a,y\n1,1\n2,2\n") == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "d.csv") in err and "2 features" in err
+
+    def test_classification_forest_with_null_log_odds(self, tmp_path, capsys):
+        tree = self.leaf_tree(1, "classification", "entropy_minimax")
+        forest = {"format": "forest-v1", "n_trees": 1, "m_try": None, "bootstrap": True,
+                  "seed": 0, "bootstrap_indices": [[0, 1]], "trees": [tree],
+                  **{key: tree[key] for key in ("task", "n_features", "criterion",
+                                                "max_depth", "n_min")}}
+        assert self.predict(tmp_path, forest, "a,y\n1,1\n2,1\n") == 3
+        assert "log_odds" in capsys.readouterr().err
+        tree["nodes"][0]["log_odds"] = 1.5
+        assert self.predict(tmp_path, forest, "a,y\n1,1\n2,1\n") == 0

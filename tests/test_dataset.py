@@ -55,6 +55,16 @@ class TestDataset:
         sub = ds.subset([2, 2, 0])
         assert sub.targets.tolist() == [7.0, 7.0, 5.0]
 
+    @pytest.mark.parametrize("indices", [[0.7, 1.9], [-1], [3], [True, False], [], [[0]]],
+                             ids=["floats", "negative", "past_the_end", "bools", "empty",
+                                  "two_dims"])
+    def test_subset_rejects_what_is_not_a_row(self, indices):
+        """A float or bool would be cast to some other row and -1 would take
+        the last one."""
+        ds = Dataset(features=[[1.0, 2.0, 3.0]], targets=[5.0, 6, 7], task=REGRESSION)
+        with pytest.raises(DataError, match=r"\[0, 3\)"):
+            ds.subset(indices)
+
 
 class TestCsv:
     def test_column_order_and_sorting(self, tmp_path):

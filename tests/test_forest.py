@@ -242,6 +242,23 @@ class TestCraftedForests:
         assert json.loads(model_to_json(forest)) == doc
 
 
+@pytest.mark.parametrize("nulls", ["one_leaf", "every_node"])
+def test_classification_log_odds_must_be_numbers(nulls):
+    """A classification forest votes with its trees' log-odds; a null one
+    would read as NaN and label every row it reaches -1."""
+    base = toy_regression(seed=3, n=80)
+    data = Dataset(features=base.features, targets=np.where(base.targets > 0.3, 1.0, -1.0),
+                   task=CLASSIFICATION)
+    forest = train_forest(data, ForestConfig(criterion="entropy_minimax", n_trees=3,
+                                             max_depth=3), seed=1)
+    doc = json.loads(forest_to_json(forest))
+    nodes = doc["trees"][1]["nodes"]
+    for node in nodes if nulls == "every_node" else [nodes[-1]]:
+        node["log_odds"] = None
+    with pytest.raises(DataError, match="log_odds"):
+        load_model(json.dumps(doc))
+
+
 def test_forest_records_dataset_feature_names():
     base = toy_regression(seed=2, n=60)
     data = Dataset(features=base.features, targets=base.targets, task=REGRESSION,

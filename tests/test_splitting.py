@@ -20,7 +20,7 @@ from minimaxsplit import (
     scan_feature,
 )
 from minimaxsplit.dataset import root_node
-from minimaxsplit.splitting import NodeStats, _risk_curves
+from minimaxsplit.splitting import _risk_curves, node_risk
 
 from conftest import brute_scan, entropy_risk, make_node, two_pass_sse
 
@@ -51,19 +51,19 @@ class TestEntropy:
 
 class TestNodeStats:
     def test_tiny_nodes_have_zero_risk(self):
-        assert NodeStats.from_targets(np.array([3.7]), REGRESSION).risk == 0.0
-        assert NodeStats.from_targets(np.array([5.0, 5.0]), REGRESSION).risk == 0.0
+        assert node_risk(np.array([3.7]), REGRESSION) == 0.0
+        assert node_risk(np.array([5.0, 5.0]), REGRESSION) == 0.0
 
     def test_matches_two_pass(self, rng):
         for _ in range(50):
             y = rng.normal(0, 10.0 ** float(rng.integers(-2, 3)), rng.integers(1, 100))
-            got = NodeStats.from_targets(y, REGRESSION).risk
+            got = node_risk(y, REGRESSION)
             want = two_pass_sse(y)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_classification_risk(self):
         y = np.array([1.0, 1.0, 1.0, -1.0])
-        assert NodeStats.from_targets(y, CLASSIFICATION).risk == pytest.approx(
+        assert node_risk(y, CLASSIFICATION) == pytest.approx(
             4 * entropy(0.75), abs=1e-12)
 
 
@@ -255,7 +255,7 @@ def test_children_risks_never_exceed_parent(seed):
     curves = _risk_curves(node, 0)
     if curves.thresholds.size == 0:
         return
-    parent = NodeStats.from_targets(node.targets(), task).risk
+    parent = node_risk(node.targets(), task)
     slack = 1e-9 * (1.0 + parent)
     assert np.all(curves.phi_left + curves.phi_right <= parent + slack)
 
@@ -310,7 +310,7 @@ def test_minimax_halving_with_atomic_slack(seed):
     except UnsplittableError:
         return
     y = node.targets()
-    parent = NodeStats.from_targets(y, task).risk
+    parent = node_risk(y, task)
     _, counts = np.unique(node.feature_values(0), return_counts=True)
     w_max = int(counts.max())
     if task == REGRESSION:

@@ -292,6 +292,12 @@ CRAFTED = {
     "split_level_at_max_depth": _set(0, "split_level", 3),
     "child_splits_no_later": _set(1, "split_level", 0),
     "node_field_not_a_number": _set(2, "risk", [1.0, 2.0]),
+    "value_nan": _set(2, "value", math.nan),
+    "value_null": _set(2, "value", None),
+    "value_infinite": _set(2, "value", math.inf),
+    "value_a_string": _set(2, "value", "0.5"),
+    "value_a_bool": _set(2, "value", True),
+    "risk_nan": _set(1, "risk", math.nan),
     "risk_trace_too_short": lambda doc: doc["risk_trace"].pop(),
     "no_nodes": lambda doc: doc["nodes"].clear(),
     "unknown_task": lambda doc: doc.update(task="ranking"),
