@@ -1,9 +1,11 @@
 """Data representation and ingestion.
 
 Owns the immutable `Dataset` (column-major features + targets), the
-`ImageGrid` used by the denoising pipeline, CSV and PGM loaders, the one
-output writer (`write_file`), and the synthetic data generators used
-throughout the experiments.
+`ImageGrid` used by the denoising pipeline, the synthetic data generators
+used throughout the experiments, and the package's file boundary: the CSV
+and PGM loaders, `read_text` and `read_records`, whose failures to read a
+file all pass through one error ladder (`_unreadable`: missing, not UTF-8,
+cannot read), and the one output writer (`write_file`).
 """
 
 from __future__ import annotations
@@ -327,9 +329,7 @@ def _parse_rows(path, lines: List[str], first: int, body: List[int], names: List
 def _blocks(path: Path) -> Iterator[str]:
     """The file's text in blocks of whole lines of about `_CSV_CHARS`
     characters, every line break read as '\\n'; each block but the last ends
-    with one. DataError if the file is missing, unreadable or not UTF-8."""
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    with one. DataError (`_unreadable`) if the file cannot be read."""
     try:
         with path.open(encoding="utf-8") as fh:  # universal newlines
             head: List[str] = []
@@ -341,13 +341,12 @@ def _blocks(path: Path) -> Iterator[str]:
                 head.append(chunk[cut:])
             if any(head):
                 yield "".join(head)
-    except UnicodeDecodeError as exc:
-        try:  # decoded whole, the error names its position in the file
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            try:  # decoded whole, the error names its position in the file
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         raise _unreadable(path, exc) from None
 
 
@@ -368,33 +367,39 @@ def _check_quotes(path, lines: List[str], first: int, ended: bool) -> None:
             _cells(path, s)
 
 
-def read_records(path) -> List[List[str]]:
-    """The records of a small CSV file, as `csv.reader` splits them, less
-    empty records and comment records (first cell, left-stripped, starting
-    with '#'). Each caller parses the cells in its own grammar."""
+def read_records(path, key: int) -> List[Tuple[int, List[str]]]:
+    """The data records of a small CSV file as (line, cells) pairs: the
+    1-based file line a record starts on, and its cells as `csv.reader`
+    splits them. Empty and comment records (first cell, left-stripped,
+    starting with '#') are skipped. The first record is a header, and is
+    dropped, when it has a cell `key` that is not a number (`is_number`)."""
     path = Path(path)
-    try:
-        with io.StringIO(read_text(path), newline="") as fh:
-            records = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
-        raise DataError(f"{path}: {exc}") from None
+    records: List[Tuple[int, List[str]]] = []
+    line = 1
+    with io.StringIO(read_text(path), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for cells in reader:
+                if cells and not cells[0].lstrip().startswith("#"):
+                    records.append((line, cells))
+                line = reader.line_num + 1
+        except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+            raise DataError(f"{path}: line {line}: {exc}") from None
+    if records and key < len(records[0][1]) and not is_number(records[0][1][key]):
+        del records[0]
     if not records:
-        raise DataError(f"{path}: empty file")
+        raise DataError(f"{path}: no data rows")
     return records
 
 
 def read_text(path) -> str:
-    """The whole file as text, line breaks as written; DataError if it is
-    missing, unreadable or not UTF-8."""
+    """The whole file as text, line breaks as written; DataError
+    (`_unreadable`) if it cannot be read."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _unreadable(path, exc) from None
 
 
@@ -429,8 +434,15 @@ def _unwritable(path, exc: OSError) -> ConfigError:
     return ConfigError(f"{path}: cannot write ({exc.strerror or exc})")
 
 
-def _unreadable(path, exc: OSError) -> DataError:
-    return DataError(f"{path}: cannot read ({exc.strerror or exc})")
+def _unreadable(path, exc: Union[OSError, ValueError]) -> DataError:
+    """The one error for a user file that cannot be read: missing, not UTF-8
+    text, or unreadable for another reason, such as a directory or a path
+    with a NUL character (a ValueError)."""
+    if isinstance(exc, FileNotFoundError):
+        return DataError(f"no such file: {path}")
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{path}: not UTF-8 text ({exc})")
+    return DataError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})")
 
 
 def _first_record(path, lines: List[str]) -> Tuple[List[str], int]:
@@ -480,7 +492,7 @@ def _first_fault(path, lines: List[str], first: int, body: List[int], names: Lis
         if len(cells) != len(names):
             return DataError(f"{path}: row {line} has {len(cells)} cells, expected {len(names)}")
         for c in order:
-            if not _is_number(cells[c]):
+            if not is_number(cells[c]):
                 return DataError(f"{path}: non-numeric cell at row {line}, "
                                  f"column {names[c]!r}: {cells[c]!r}")
     return None
@@ -489,7 +501,7 @@ def _first_fault(path, lines: List[str], first: int, body: List[int], names: Lis
 _SEPARATORS = frozenset("\x1c\x1d\x1e\x1f")
 
 
-def _is_number(cell: str) -> bool:
+def is_number(cell: str) -> bool:
     """Whether the cell is a number to both `float` and `np.loadtxt`: what
     `float` reads, less digit separators and non-ASCII characters inside
     the surrounding whitespace."""
@@ -507,23 +519,10 @@ def _is_number(cell: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pgm_tokens(data: bytes):
-    """Yield (token, offset past it) per header token, skipping '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] not in b"\r\n":
-                i += 1
-        else:
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            yield data[i:j], j
-            i = j
+# a header token, and the gap before it: whitespace and whole '#' comments,
+# each comment running to the end of its line
+_PGM_GAP = re.compile(rb"(?:[ \t\r\n]+|#[^\r\n]*)*")
+_PGM_TOKEN = re.compile(rb"[^ \t\r\n#]+")
 
 
 def load_pgm(path) -> ImageGrid:
@@ -531,31 +530,28 @@ def load_pgm(path) -> ImageGrid:
     Each header number and P2 raster value is a run of ASCII digits (no
     sign, no '_'); '#' starts a comment that runs to the end of its line."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     try:
         data = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _unreadable(path, exc) from None
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    magic = magic.decode("ascii", "replace")
+    tokens: List[bytes] = []
+    header_end = 0
+    while len(tokens) < 4 and (token := _PGM_TOKEN.match(
+            data, _PGM_GAP.match(data, header_end).end())):
+        tokens.append(token.group())
+        header_end = token.end()
+    if not tokens:
+        raise DataError(f"{path}: empty file")
+    magic = tokens[0].decode("ascii", "replace")
     if magic not in ("P2", "P5"):
         raise DataError(f"{path}: unsupported magic {magic!r} (want P2 or P5)")
-    try:
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, header_end = next(tokens)
-    except StopIteration:
-        raise DataError(f"{path}: malformed header") from None
-    for tok in (width, height, maxval):
+    if len(tokens) < 4:
+        raise DataError(f"{path}: malformed header")
+    for tok in tokens[1:]:
         if not tok.isdigit():  # ASCII digits only: no sign, no '_'
             raise DataError(f"{path}: non-integer header token {tok!r}")
     try:
-        width, height, maxval = int(width), int(height), int(maxval)
+        width, height, maxval = map(int, tokens[1:])
     except ValueError:  # past Python's digit limit for int()
         raise DataError(f"{path}: malformed header") from None
     if width < 1 or height < 1:

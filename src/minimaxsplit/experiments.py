@@ -34,6 +34,7 @@ from .dataset import (
     dataset_to_image,
     gen_synthetic,
     image_to_dataset,
+    is_number,
     load_csv,
     load_feature_matrix,
     load_pgm,
@@ -762,35 +763,30 @@ def synthetic_series(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _load_series(path) -> Tuple[np.ndarray, np.ndarray, List[str]]:
     path = Path(path)
-    raw = read_records(path)
-    body = raw
-    try:  # drop a header row if the first record does not parse
-        float(raw[0][0]), float(raw[0][1])
-    except (ValueError, IndexError):
-        body = raw[1:]
-    if not body:
-        raise DataError(f"{path}: no data rows")
-    warnings: List[str] = []
-    times = np.empty(len(body))
-    values = np.empty(len(body))
-    numeric_time = True
-    for i, row in enumerate(body):
-        if len(row) < 2:
-            raise DataError(f"{path}: row {i + 1} has fewer than two columns")
-        try:
-            values[i] = float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: non-numeric value {row[1]!r} at row {i + 1}") from None
-        try:
-            times[i] = float(row[0])
-        except ValueError:
-            numeric_time = False
-    if not numeric_time:
-        times = np.arange(len(body), dtype=np.float64)
+    records = read_records(path, key=1)  # a header names the value column
+    short = next((line for line, cells in records if len(cells) < 2), None)
+    if short is not None:
+        raise DataError(f"{path}: line {short} has fewer than two cells")
+    values, warnings = _numbers(path, records, 1, "value"), []
+    if all(is_number(cells[0]) for _, cells in records):
+        times = _numbers(path, records, 0, "time")
+    else:
+        times = np.arange(len(records), dtype=np.float64)
         warnings.append("non-numeric time column; substituted the row index")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
         raise DataError(f"{path}: non-finite series entry")
     return times, values, warnings
+
+
+def _numbers(path, records: List[Tuple[int, List[str]]], j: int, what: str) -> np.ndarray:
+    """Cell j of each (line, cells) record of `read_records` as a float, 1.0
+    where a record has none; DataError naming the line of the first that is
+    not a number to `is_number`, the rule of train and predict."""
+    cells = [(line, row[j] if j < len(row) else "1") for line, row in records]
+    bad = next(((line, cell) for line, cell in cells if not is_number(cell)), None)
+    if bad:
+        raise DataError(f"{path}: line {bad[0]}: non-numeric {what} {bad[1]!r}")
+    return np.array([float(cell) for _, cell in cells])
 
 
 def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries") -> RunResult:
@@ -878,27 +874,14 @@ class MartingaleRunConfig:
 
 def _law_from_atom_csv(path) -> DiscreteLaw:
     path = Path(path)
-    raw = read_records(path)
-    body = raw
-    try:
-        float(raw[0][0])
-    except ValueError:
-        body = raw[1:]
-    if not body:
-        raise DataError(f"{path}: no atoms")
-    atoms, weights = [], []
-    for i, row in enumerate(body):
-        try:
-            atoms.append(float(row[0]))
-            weights.append(float(row[1]) if len(row) > 1 else 1.0)
-        except ValueError:
-            raise DataError(f"{path}: non-numeric atom row {i + 1}: {row!r}") from None
+    records = read_records(path, key=0)  # a header names the atom column
+    atoms, weights = _numbers(path, records, 0, "atom"), _numbers(path, records, 1, "weight")
     order = np.argsort(atoms, kind="stable")
-    a = np.asarray(atoms)[order]
+    a = atoms[order]
     if np.any(np.diff(a) <= 0):
         raise DataError(f"{path}: duplicate atom positions")
     try:
-        return DiscreteLaw(atoms=a, weights=np.asarray(weights)[order])
+        return DiscreteLaw(atoms=a, weights=weights[order])
     except ConfigError as exc:  # a bad value in the file, not in the config
         raise DataError(f"{path}: {exc}") from None
 

@@ -84,6 +84,8 @@ class Growth:
         self.data = data
         self.config = config
         self.crit = crit
+        # a subset of all d features is no subset: nothing is drawn for it
+        self.m_try = None if m_try == d else m_try
         self.features_rngs = list(features_rngs)
         self.splits_rngs = list(splits_rngs)
         self.d = d
@@ -313,16 +315,16 @@ class Growth:
                  spread: np.ndarray):
         """(node, feature) rows to scan for the deterministic criteria, by
         node then feature: the features a node may use that are non-constant
-        on it. m_try draws one subset per open node, in frontier order, from
-        the node's tree's `features` stream."""
+        on it. m_try < d draws one subset per open node, in frontier order,
+        from the node's tree's `features` stream."""
         d, config = self.d, self.config
         allow = np.zeros((open_nodes.size, d), dtype=bool)
         if self.crit.is_cyclic:
             allow[:, level % d] = True
-        elif config.m_try is not None:
+        elif self.m_try is not None:
             rngs = self.features_rngs
             for row, b in zip(allow, front.trees[open_nodes].tolist()):
-                row[rngs[b].choice(d, size=config.m_try, replace=False)] = True
+                row[rngs[b].choice(d, size=self.m_try, replace=False)] = True
         elif config.fixed_features is not None:
             allow[:, list(config.fixed_features)] = True
         else:
@@ -346,9 +348,9 @@ class Growth:
         for k in open_nodes.tolist():
             b = int(trees[k])
             rng = self.splits_rngs[b]
-            if config.m_try is not None:
+            if self.m_try is not None:
                 allowed = np.sort(self.features_rngs[b].choice(
-                    self.d, size=config.m_try, replace=False)).tolist()
+                    self.d, size=self.m_try, replace=False)).tolist()
             else:
                 allowed = fixed if fixed is not None else range(self.d)
             eligible = [j for j in allowed if spread[j, k]]

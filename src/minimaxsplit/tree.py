@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names
 from .errors import ConfigError, DataError
-from .growth import Growth
+from .growth import _REASONS, Growth
 from .rng import stream
 from .splitting import TAGS, SplitCriterion, SplitDecision
 
@@ -335,7 +335,8 @@ def _check_structure(tree: TreeModel) -> None:
     root has exactly one parent; split levels lie in [0, max_depth) and rise
     from parent to child, so every descent ends within max_depth steps; split
     features lie in [0, n_features), split thresholds are finite, and so are
-    a classification tree's log-odds."""
+    a classification tree's log-odds; a leaf_reason is null on split nodes
+    and one of growth's reason names on leaves."""
     if len(tree.risk_trace) != tree.max_depth + 1:
         raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} entries, "
                         f"got {len(tree.risk_trace)}")
@@ -351,6 +352,10 @@ def _check_structure(tree: TreeModel) -> None:
     split_ok = (left > ids) & (left < n) & (right > ids) & (right < n)
     if not np.all(np.where(split, split_ok, leaf_ok)):
         raise DataError("each split node's children must lie in (node, n_nodes)")
+    if not all(r is None if s else r in _REASONS[1:]
+               for r, s in zip(tree.leaf_reason, split.tolist())):
+        raise DataError(f"leaf_reason must be null on split nodes and one of "
+                        f"{list(_REASONS[1:])} on leaves")
     parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
     if np.any(parents[1:] != 1):
         raise DataError("every node but the root must have exactly one parent")
@@ -389,13 +394,19 @@ def _node_column(nodes: list, f: NodeField) -> np.ndarray:
         column = list(map(get, nodes))
     if f.integer:
         return int_list(column, f"node {f.name} values")
-    if not set(map(type, column)) <= {int, float}:
-        raise DataError(f"node {f.name} values must be numbers")
-    values = np.asarray(column, dtype=np.float64)
     # NaN is null's stand-in, so only the infinities are out where null is in
-    if np.any(np.isinf(values) if f.null else ~np.isfinite(values)):
-        raise DataError(f"node {f.name} values must be finite")
-    return values
+    return _float_list(column, f"node {f.name} values", nan=bool(f.null))
+
+
+def _float_list(values: list, what: str, nan: bool = False) -> np.ndarray:
+    """A float field: finite JSON numbers, not bools or strings (NaN too if
+    `nan`)."""
+    if not set(map(type, values)) <= {int, float}:
+        raise DataError(f"{what} must be numbers")
+    array = np.asarray(values, dtype=np.float64)
+    if np.any(np.isinf(array) if nan else ~np.isfinite(array)):
+        raise DataError(f"{what} must be finite")
+    return array
 
 
 def header_int(doc: dict, key: str, low: Optional[int] = None) -> int:
@@ -455,7 +466,7 @@ def tree_from_doc(doc: dict) -> TreeModel:
         tree = TreeModel(**header, n_train=header_int(doc, "n_train"),
                          **{f.name: _node_column(nodes, f) for f in NODE_FIELDS},
                          leaf_reason=[node["leaf_reason"] for node in nodes],
-                         risk_trace=[float(u) for u in doc["risk_trace"]])
+                         risk_trace=_float_list(doc["risk_trace"], "risk_trace").tolist())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc
     _check_structure(tree)

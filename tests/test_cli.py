@@ -109,6 +109,18 @@ class TestSeriesAndAtomFiles:
         err = capsys.readouterr().err
         assert str(src) in err and ("cannot read" if kind == "directory" else "not UTF-8") in err
 
+    @pytest.mark.parametrize("command,field", [
+        ("timeseries", "data"), ("martingale", "density"), ("train", "data"),
+        ("denoise", "image"), ("predict", "model")])
+    def test_path_with_a_nul_character_returns_three(self, tmp_path, capsys, command, field):
+        """Opening such a path raises ValueError, not OSError; it takes the
+        same error ladder."""
+        config = {"data": str(tmp_path / "absent.csv")} if command == "predict" else {}
+        code = run_cli([command, "--out", tmp_path / "o", "--config",
+                        json.dumps({**config, field: str(tmp_path / "in\x00.csv")})])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows", ["0.0,1\n0.5,nan\n", "0.0,1\n0.5,0\n",
                                       "0.0,1\n0.5,-2\n", "0.0,1\nnan,1\n",
                                       "0.0,1\n0.5,inf\n"])
@@ -119,6 +131,44 @@ class TestSeriesAndAtomFiles:
                         json.dumps({"density": str(src), "max_depth": 2})])
         assert code == 3
         assert "atoms.csv" in capsys.readouterr().err
+
+    def run_file(self, tmp_path, capsys, command, text):
+        src = tmp_path / "input.csv"
+        src.write_text(text, encoding="utf-8")
+        field = "data" if command == "timeseries" else "density"
+        code = run_cli([command, "--out", tmp_path / "o", "--config",
+                        json.dumps({field: str(src), "max_depth": 2} if command == "martingale"
+                                   else {field: str(src), "depths": [1]})])
+        return code, capsys.readouterr().err
+
+    def test_one_cell_first_record_returns_three(self, tmp_path, capsys):
+        text = "1.0\n" + "".join(f"{k},{k * k}\n" for k in range(2, 12))
+        code, err = self.run_file(tmp_path, capsys, "timeseries", text)
+        assert code == 3 and "line 1 has fewer than two cells" in err
+
+    # the number rule of train and predict: a digit separator or a non-ASCII
+    # digit, both of which `float` reads, is not a number
+    @pytest.mark.parametrize("cell", ["1_000", "٣"])
+    @pytest.mark.parametrize("command,head,row", [
+        ("timeseries", "time,value\n", "11,{}\n"),
+        ("martingale", "atom,weight\n", "{},1\n"),
+        ("martingale", "atom,weight\n", "0.75,{}\n"),
+    ])
+    def test_number_rule_of_train_and_predict(self, tmp_path, capsys, cell, command,
+                                              head, row):
+        good = ("".join(f"{k},{k % 3}\n" for k in range(10)) if command == "timeseries"
+                else "0.0,1\n0.5,2\n")
+        code, err = self.run_file(tmp_path, capsys, command, head + good + row.format(cell))
+        assert code == 3
+        assert f"line {good.count(chr(10)) + 2}" in err and repr(cell) in err
+
+    @pytest.mark.parametrize("command,text,line", [
+        ("timeseries", "# exported\ntime,value\n\n1,2\n# gap\n2,oops\n", 6),
+        ("martingale", "atom,weight\n\n# note\n0.0,1\nhalf,1\n", 5),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, capsys, command, text, line):
+        code, err = self.run_file(tmp_path, capsys, command, text)
+        assert code == 3 and f"line {line}" in err
 
 
 class TestConfigSources:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,19 @@ class TestPgm:
         p.write_text("P2\n2 1\n255\n1 " + "9" * 400 + "\n")
         with pytest.raises(DataError, match="exceeds maxval"):
             load_pgm(p)
+
+    def test_comment_text_is_never_a_token(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(b"P2\n# 4 4 255\n")
+        with pytest.raises(DataError, match="malformed header"):
+            load_pgm(p)
+
+    def test_long_header_comment_loads_fast(self, tmp_path):
+        p = tmp_path / "i.pgm"
+        p.write_bytes(b"P2\n# " + b"x" * (4 << 20) + b"\n2 1\n255\n0 255\n")
+        start = time.perf_counter()
+        assert load_pgm(p).pixels.tolist() == [[0.0, 1.0]]
+        assert time.perf_counter() - start < 0.5
 
     def test_truncated_raster(self, tmp_path):
         p = tmp_path / "i.pgm"

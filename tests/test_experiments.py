@@ -290,6 +290,16 @@ class TestTimeseries:
         res = run_timeseries(cfg, seed=0, out=tmp_path / "ts")
         assert any("row index" in w for w in res.warnings)
 
+    def test_headerless_dated_series_keeps_its_first_record(self, tmp_path):
+        """The header rule keys on the value column, so a first record whose
+        value is a number is data even when its time cell is not."""
+        src = tmp_path / "series.csv"
+        src.write_text("".join(f"2020-01-0{k},{k}\n" for k in range(1, 7)), encoding="utf-8")
+        cfg = TimeseriesConfig(data=str(src), depths=(1,), holdout=0.2, standardize=False)
+        res = run_timeseries(cfg, seed=0, out=tmp_path / "ts")
+        assert res.summary["n_train"] + res.summary["n_test"] == 6
+        assert any("row index" in w for w in res.warnings)
+
     def test_synthetic_fallback(self, tmp_path):
         cfg = TimeseriesConfig(n_synthetic=200, depths=(4,), holdout=0.2)
         res = run_timeseries(cfg, seed=3, out=tmp_path / "ts")

@@ -173,6 +173,25 @@ class TestGrowTreesChecks:
             self.grow([np.array(sample)])
 
 
+def test_full_feature_subset_draws_nothing():
+    """m_try = d allows every feature, so growth reads no features stream and
+    grows the trees that m_try = None grows."""
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"the features stream was used ({name})")
+
+    rng = np.random.default_rng(5)
+    data = Dataset(features=rng.normal(size=(3, 90)), targets=rng.normal(size=90),
+                   task=REGRESSION)
+    samples = [rng.integers(0, 90, size=90) for _ in range(3)]
+    for criterion in ("minimax", "variance", "random_observed", "random_uniform"):
+        trees = [grow_trees(data, GrowConfig(criterion=criterion, max_depth=5, m_try=m_try),
+                            samples, [Untouchable()] * 3,
+                            [stream(b, "splits") for b in range(3)])
+                 for m_try in (3, None)]
+        assert [tree_to_json(t) for t in trees[0]] == [tree_to_json(t) for t in trees[1]]
+
+
 class TestCyclicPersistence:
     """A node whose scheduled feature is constant waits for the next level
     instead of dying; split_level records where it finally cut."""
@@ -275,7 +294,7 @@ def _set(node: int, key: str, value):
 
 
 # each mutation of a grown depth-3 tree's document (node 0 splits into 1 and
-# 2, node 1 into 3 and 4) that load must reject
+# 2, node 1 into 3 and 4; node 3 is a leaf) that load must reject
 CRAFTED = {
     "root_left_is_itself": _set(0, "left", 0),
     "child_points_back": _set(1, "right", 0),
@@ -298,6 +317,14 @@ CRAFTED = {
     "value_a_string": _set(2, "value", "0.5"),
     "value_a_bool": _set(2, "value", True),
     "risk_nan": _set(1, "risk", math.nan),
+    "risk_trace_strings": lambda doc: doc.update(risk_trace=["NaN", "1e999", 0, 0]),
+    "risk_trace_nan": lambda doc: doc["risk_trace"].__setitem__(1, math.nan),
+    "risk_trace_infinite": lambda doc: doc["risk_trace"].__setitem__(1, math.inf),
+    "risk_trace_a_bool": lambda doc: doc["risk_trace"].__setitem__(0, True),
+    "leaf_reason_on_split_node": _set(0, "leaf_reason", "depth"),
+    "leaf_reason_missing_on_leaf": _set(3, "leaf_reason", None),
+    "leaf_reason_unknown": _set(3, "leaf_reason", "tired"),
+    "leaf_reason_an_object": _set(3, "leaf_reason", {"x": [1]}),
     "risk_trace_too_short": lambda doc: doc["risk_trace"].pop(),
     "no_nodes": lambda doc: doc["nodes"].clear(),
     "unknown_task": lambda doc: doc.update(task="ranking"),
@@ -311,7 +338,7 @@ class TestCraftedModels:
         data = Dataset(features=rng.normal(size=(2, 60)), targets=rng.normal(size=60),
                        task=REGRESSION)
         doc = tree_to_doc(grow(data, GrowConfig(criterion="variance", max_depth=3)))
-        assert [doc["nodes"][i]["left"] for i in (0, 1)] == [1, 3]
+        assert [doc["nodes"][i]["left"] for i in (0, 1, 3)] == [1, 3, None]
         assert tree_from_doc(json.loads(json.dumps(doc))) is not None
         return doc
 
