@@ -11,7 +11,12 @@ grower kept as the test reference in `tests/pernode_grower.py`, run on that
 tree's sample alone: every prefix curve, argmin and node mean is computed
 from the same floats in the same order. The block scan itself (row padding,
 block grouping, the prefix kernels and the mirrored read-back of the right
-curve) lives in `splitting`, shared with `martingale`.
+curve) lives in `splitting`, shared with `martingale`; a block gathers its
+rows through one array of flat offsets per source (`splitting._flat`), not
+through 2-D fancy indexing. With m_try, a level draws every open node's
+feature subset with one bounded-integer call per tree (`draw_subsets`),
+which consumes each tree's `features` stream exactly as one
+`Generator.choice` per node, in breadth-first order, would.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset, index_array
 from .errors import ConfigError
-from .splitting import (_MODE_CRITERIA, _child_curves, _padded_width,
+from .splitting import (_MODE_CRITERIA, _child_curves, _flat, _padded_width,
                         _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints,
                         node_risk)
 
@@ -232,12 +237,15 @@ class Growth:
 
         # route each sample of a splitting node; x < t goes left
         seg = np.repeat(np.arange(ids.size), sizes)
-        node_feature = np.zeros(ids.size, dtype=np.int64)
-        node_feature[nodes] = feats
+        # each sample's flat offset in X is its node's feature row plus its
+        # own column
+        node_row = np.zeros(ids.size, dtype=np.int64)
+        node_row[nodes] = feats * self.X.shape[1]
         node_threshold = np.zeros(ids.size)
         node_threshold[nodes] = scan.threshold
         samples = lists[d]
-        goes_right = ~(self.X[node_feature[seg], samples] < node_threshold[seg]) & split[seg]
+        goes_right = ~(self.X.reshape(-1).take(node_row.take(seg) + samples)
+                       < node_threshold[seg]) & split[seg]
         n_left = np.zeros(ids.size, dtype=np.int64)
         n_left[nodes] = scan.left_count
 
@@ -316,19 +324,18 @@ class Growth:
         """(node, feature) rows to scan for the deterministic criteria, by
         node then feature: the features a node may use that are non-constant
         on it. m_try < d draws one subset per open node, in frontier order,
-        from the node's tree's `features` stream."""
+        from the node's tree's `features` stream (`draw_subsets`)."""
         d, config = self.d, self.config
-        allow = np.zeros((open_nodes.size, d), dtype=bool)
-        if self.crit.is_cyclic:
-            allow[:, level % d] = True
-        elif self.m_try is not None:
-            rngs = self.features_rngs
-            for row, b in zip(allow, front.trees[open_nodes].tolist()):
-                row[rngs[b].choice(d, size=self.m_try, replace=False)] = True
-        elif config.fixed_features is not None:
-            allow[:, list(config.fixed_features)] = True
+        if self.m_try is not None:
+            allow = draw_subsets(self.features_rngs, front.trees[open_nodes], d, self.m_try)
         else:
-            allow[:] = True
+            allow = np.zeros((open_nodes.size, d), dtype=bool)
+            if self.crit.is_cyclic:
+                allow[:, level % d] = True
+            elif config.fixed_features is not None:
+                allow[:, list(config.fixed_features)] = True
+            else:
+                allow[:] = True
         allow &= spread[:, open_nodes].T
         rows, feats = np.nonzero(allow)
         return open_nodes[rows], feats
@@ -337,20 +344,23 @@ class Growth:
         """Draw the random baselines' splits node by node, in frontier order,
         as the reference grower in `tests/pernode_grower.py` consumes each
         tree's streams: the feature uniformly among the allowed non-constant ones
-        (in the order given, repeats counted), then the threshold. Returns
-        the rows to scan, each row's candidate, and (random_uniform) the
-        drawn thresholds."""
+        (in the order given, repeats counted), then the threshold. With
+        m_try, the level's subsets come first, all at once (`draw_subsets`):
+        they are the `features` stream's draws, which the node loop does
+        not touch, so no stream sees another order. Returns the rows to
+        scan, each row's candidate, and (random_uniform) the drawn
+        thresholds."""
         config, X = self.config, self.X
         starts, sizes, lists, trees = front.starts, front.sizes, front.lists, front.trees
         uniform = self.crit.tag == "random_uniform"
         fixed = config.fixed_features
+        if self.m_try is not None:
+            subsets = draw_subsets(self.features_rngs, trees[open_nodes], self.d, self.m_try)
         nodes, feats, picks, drawn = [], [], [], []
-        for k in open_nodes.tolist():
-            b = int(trees[k])
-            rng = self.splits_rngs[b]
+        for i, k in enumerate(open_nodes.tolist()):
+            rng = self.splits_rngs[int(trees[k])]
             if self.m_try is not None:
-                allowed = np.sort(self.features_rngs[b].choice(
-                    self.d, size=self.m_try, replace=False)).tolist()
+                allowed = np.flatnonzero(subsets[i]).tolist()
             else:
                 allowed = fixed if fixed is not None else range(self.d)
             eligible = [j for j in allowed if spread[j, k]]
@@ -405,20 +415,69 @@ class Growth:
     def _scan_block(self, front: _Frontier, nodes: np.ndarray, feats: np.ndarray,
                     picks: Optional[np.ndarray]) -> _Scan:
         m = front.sizes[nodes]
-        cols = np.arange(int(m.max()))
-        f = feats[:, None]
-        # padding repeats a row's last sample
-        sample = front.lists[f, front.starts[nodes, None] + np.minimum(cols, m[:, None] - 1)]
-        v = self.X[f, sample]
-        left, right = _child_curves(self.prefix, (self.y[sample],), m)
+        width = int(m.max())
+        # flat offsets (see `splitting._flat`) of each row's segment in the
+        # row of `lists` of its feature; padding repeats the row's last sample
+        lists, (step, _) = _flat(front.lists)
+        sample = lists.take(np.minimum(np.arange(width), m[:, None] - 1)
+                            + (feats * step + front.starts[nodes])[:, None])
+        v = self.X.reshape(-1).take(sample + (feats * self.X.shape[1])[:, None])
+        left, right = _child_curves(self.prefix, (self.y.take(sample),), m)
         crit = _MODE_CRITERIA["sum" if self.crit.is_random else self.crit.scan_mode](left, right)
         if picks is None:
             # padding repeats a value, so it never shows a strict rise
             crit = np.where(v[:, 1:] > v[:, :-1], crit, np.inf)
             picks = np.argmin(crit, axis=1)
-        r = np.arange(nodes.size)
-        return _Scan(crit[r, picks], midpoints(v[r, picks], v[r, picks + 1]),
-                     left[r, picks], right[r, picks], picks + 1)
+        # each row's entry at its pick, through flat offsets: v's rows are
+        # `width` apart, those of crit and right (flattened in C order)
+        # `width - 1`, and left, a view, has a row step of its own
+        rows = np.arange(nodes.size)
+        cut = rows * (width - 1) + picks
+        v, v_at = v.reshape(-1), rows * width + picks
+        left, (left_step, _) = _flat(left)
+        return _Scan(crit.reshape(-1).take(cut), midpoints(v.take(v_at), v.take(v_at + 1)),
+                     left.take(rows * left_step + picks), right.reshape(-1).take(cut),
+                     picks + 1)
+
+
+def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
+                 m: int) -> np.ndarray:
+    """(K, d) bool: row k marks the m of the d features drawn for the k-th
+    open node from its tree's stream rngs[trees[k]], 0 < m < d. Each tree's
+    nodes draw in the order they come in `trees`, through one `integers`
+    call per tree, and each gets exactly the subset that
+    `rngs[b].choice(d, m, replace=False)` would give it, leaving the stream
+    in the same state. On numpy 2.x that `choice` is Floyd's sampling
+    (Bentley and Floyd, CACM 1987): for j = d - m, ..., d - 1 a bounded
+    draw in [0, j], which becomes j if it is already taken; then a shuffle
+    of the m picks, whose draws (in [0, i] for i = m - 1, ..., 1) change
+    only their order. Above 10 000 features with m > d // 50 it is instead
+    a partial Fisher-Yates shuffle of range(d) that draws in [0, i] for
+    i = d - 1, ..., d - m and keeps the last m entries.
+    `tests/test_growth_draws.py` pins this against `choice`."""
+    tail = d > 10_000 and m > d // 50
+    if tail:
+        highs = np.arange(d, d - m, -1)
+    else:
+        highs = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
+    draws = np.empty((trees.size, highs.size), dtype=np.int64)
+    for b in np.flatnonzero(np.bincount(trees)).tolist():
+        at = np.flatnonzero(trees == b)
+        draws[at] = rngs[b].integers(0, np.tile(highs, at.size)).reshape(at.size, -1)
+    allow = np.zeros((trees.size, d), dtype=bool)
+    if tail:
+        for row, swaps in zip(allow, draws.tolist()):
+            perm = np.arange(d)
+            for i, j in zip(range(d - 1, d - m - 1, -1), swaps):
+                perm[i], perm[j] = perm[j], perm[i]
+            row[perm[d - m:]] = True
+        return allow
+    flat = allow.reshape(-1)
+    base = np.arange(0, allow.size, d)
+    for j, picked in zip(range(d - m, d), draws.T):
+        at = base + picked
+        flat[np.where(flat[at], base + j, at)] = True
+    return allow
 
 
 class _Frontier(NamedTuple):

@@ -91,14 +91,18 @@ def ssim(a, b, *, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA,
     if min(A.shape) < window:
         raise ConfigError(f"image {A.shape} smaller than the {window}x{window} window")
     w = _gaussian_window(window, sigma)
-    wa = sliding_window_view(A, (window, window))
-    wb = sliding_window_view(B, (window, window))
-    axes = ([2, 3], [0, 1])
-    mu_a = np.tensordot(wa, w, axes=axes)
-    mu_b = np.tensordot(wb, w, axes=axes)
-    e_aa = np.tensordot(wa * wa, w, axes=axes)
-    e_bb = np.tensordot(wb * wb, w, axes=axes)
-    e_ab = np.tensordot(wa * wb, w, axes=axes)
+
+    def moment(image: np.ndarray) -> np.ndarray:
+        # the Gaussian-weighted mean of each window; a product image's
+        # windows are the products of the windows, float for float
+        return np.tensordot(sliding_window_view(image, (window, window)), w,
+                            axes=([2, 3], [0, 1]))
+
+    mu_a = moment(A)
+    mu_b = moment(B)
+    e_aa = moment(A * A)
+    e_bb = moment(B * B)
+    e_ab = moment(A * B)
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

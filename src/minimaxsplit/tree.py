@@ -34,7 +34,7 @@ from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_featur
 from .errors import ConfigError, DataError
 from .growth import _REASONS, Growth
 from .rng import stream
-from .splitting import TAGS, SplitCriterion, SplitDecision
+from .splitting import TAGS, SplitCriterion, SplitDecision, _flat
 
 FORMAT_TREE = "tree-v1"
 
@@ -144,23 +144,46 @@ class TreeModel:
 
     def apply(self, X, max_depth: Optional[int] = None) -> np.ndarray:
         """Index of the partition cell each point falls into, where the
-        partition is the tree cut at `max_depth` (None = full tree)."""
+        partition is the tree cut at `max_depth` (None = full tree). x < t
+        goes left; anything else, NaN included, goes right."""
         X, single = self._as_matrix(X)
         if max_depth is not None and max_depth < 0:
             raise ConfigError("max_depth must be nonnegative")
-        idx = np.zeros(X.shape[0], dtype=np.int64)
+        stop = self.left < 0
+        if max_depth is not None:
+            stop |= self.split_level >= max_depth
+        # a feature out of range would read another row's value through the
+        # flat offsets below (the loader rejects one; a tree built in code
+        # meets this check)
+        feature = self.feature[~stop]
+        if np.any((feature < 0) | (feature >= self.n_features)):
+            raise DataError(f"split features must lie in [0, n_features = {self.n_features})")
+        # node k's children at 2k (x < t) and 2k + 1 (anything else)
+        children = np.stack([self.left, self.right], axis=1).reshape(-1)
+        cell = np.zeros(X.shape[0], dtype=np.int64)
+        if cell.size == 0:
+            return cell
+        # the rows still descending, the flat offset of each one's first
+        # feature (see `splitting._flat`) and the node each one is at
+        rows = np.arange(cell.size)
+        flat, (row_step, col_step) = _flat(X)
+        at = rows * row_step
+        node = cell.copy()
         # split levels rise along every path and stay below the tree's
         # max_depth, so a descent ends within max_depth steps
         for _ in range(self.max_depth + 1):
-            descend = self.left[idx] >= 0
-            if max_depth is not None:
-                descend &= self.split_level[idx] < max_depth
-            if not descend.any():
-                return idx[0] if single else idx
-            rows = np.nonzero(descend)[0]
-            cur = idx[rows]
-            go_left = X[rows, self.feature[cur]] < self.threshold[cur]
-            idx[rows] = np.where(go_left, self.left[cur], self.right[cur])
+            done = stop.take(node)
+            if done.any():
+                cell[rows[done]] = node[done]
+                going = np.flatnonzero(~done)
+                if going.size == 0:
+                    return cell[0] if single else cell
+                # one at a time, so at most one old array outlives its copy
+                rows = rows.take(going)
+                at = at.take(going)
+                node = node.take(going)
+            x = flat.take(at + self.feature.take(node) * col_step)
+            node = children.take(2 * node + ~(x < self.threshold.take(node)))
         raise DataError(f"a path of the tree runs deeper than its max_depth {self.max_depth}")
 
     def predict_value(self, X, max_depth: Optional[int] = None):

@@ -116,6 +116,37 @@ def naive_ssim(a, b, window: int = 11, sigma: float = 1.5,
     return float(np.mean(vals))
 
 
+def window_product_ssim(a, b, window: int = 11, sigma: float = 1.5,
+                        k1: float = 0.01, k2: float = 0.03) -> float:
+    """The vectorized SSIM as `metrics.ssim` computed it before it took the
+    window moments of product images: the second moments multiply the 4-D
+    window views (`wa * wb`). The library must match it bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    A = np.asarray(a, dtype=np.float64)
+    B = np.asarray(b, dtype=np.float64)
+    ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
+    w = np.outer(g, g)
+    w = w / w.sum()
+    wa = sliding_window_view(A, (window, window))
+    wb = sliding_window_view(B, (window, window))
+    axes = ([2, 3], [0, 1])
+    mu_a = np.tensordot(wa, w, axes=axes)
+    mu_b = np.tensordot(wb, w, axes=axes)
+    e_aa = np.tensordot(wa * wa, w, axes=axes)
+    e_bb = np.tensordot(wb * wb, w, axes=axes)
+    e_ab = np.tensordot(wa * wb, w, axes=axes)
+    var_a = e_aa - mu_a * mu_a
+    var_b = e_bb - mu_b * mu_b
+    cov = e_ab - mu_a * mu_b
+    c1 = k1 ** 2
+    c2 = k2 ** 2
+    per_window = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    return float(np.mean(per_window))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,0 +1,152 @@
+"""`TreeModel.apply` against a walker that descends one row at a time in
+plain Python: grown trees at every depth cut, hand-built trees whose right
+child is not left + 1, infinite and NaN features, input layouts that are
+not C-contiguous, a single point, zero rows, and a tree whose path runs
+deeper than its max_depth."""
+
+import math
+
+import numpy as np
+import pytest
+
+from minimaxsplit import CLASSIFICATION, REGRESSION, DataError, Dataset, GrowConfig, grow
+from minimaxsplit.tree import TreeModel, tree_from_json, tree_to_json
+
+
+def walk(tree, x, max_depth=None):
+    """The cell of one point: from the root, go left when x[feature] <
+    threshold and right otherwise, until a leaf or a node that splits at or
+    below the cut."""
+    node = 0
+    while tree.left[node] >= 0 and (max_depth is None or tree.split_level[node] < max_depth):
+        if float(x[tree.feature[node]]) < float(tree.threshold[node]):
+            node = int(tree.left[node])
+        else:
+            node = int(tree.right[node])
+    return node
+
+
+def walk_all(tree, X, max_depth=None):
+    return np.array([walk(tree, x, max_depth) for x in X], dtype=np.int64)
+
+
+def hand_tree(feature, threshold, left, right, max_depth, n_features=2):
+    """A regression tree built in code, never checked by the loader. Split
+    levels are the nodes' depths."""
+    n = len(left)
+    depth = np.zeros(n, dtype=np.int64)
+    for k in range(n):
+        if left[k] >= 0:
+            depth[[left[k], right[k]]] = depth[k] + 1
+    leaf = np.asarray(left) < 0
+    return TreeModel(
+        task=REGRESSION, n_features=n_features, criterion="minimax", max_depth=max_depth,
+        n_min=1, n_train=n, depth=depth, count=np.ones(n, dtype=np.int64),
+        risk=np.zeros(n), value=np.arange(n, dtype=np.float64), log_odds=np.full(n, math.nan),
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64), right=np.asarray(right, dtype=np.int64),
+        split_level=np.where(leaf, -1, depth), leaf_reason=["depth" if f else None for f in leaf],
+        risk_trace=[0.0] * (max_depth + 1))
+
+
+# node 0 splits on x1 < 0 into 2 (left) and 1 (right); node 2 on x0 < 1
+# into 4 and 3; node 1 on x0 < -1 into 6 and 5
+CROSSED = dict(feature=[1, 0, 0, -1, -1, -1, -1],
+               threshold=[0.0, -1.0, 1.0, math.nan, math.nan, math.nan, math.nan],
+               left=[2, 6, 4, -1, -1, -1, -1], right=[1, 5, 3, -1, -1, -1, -1])
+
+
+def points(rng, n, d):
+    """Points with ties, signed zeros, both infinities and NaN."""
+    X = rng.normal(size=(n, d))
+    X[rng.random((n, d)) < 0.2] = 0.0
+    specials = np.array([math.inf, -math.inf, math.nan, -0.0, 1.0, -1.0])
+    at = rng.random((n, d)) < 0.15
+    X[at] = rng.choice(specials, size=int(at.sum()))
+    return X
+
+
+@pytest.mark.parametrize("task, criterion", [(REGRESSION, "minimax"),
+                                             (REGRESSION, "cyclic_minimax"),
+                                             (CLASSIFICATION, "entropy_sum")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grown_trees_at_every_cut(task, criterion, seed):
+    rng = np.random.default_rng(seed)
+    d, n = 3, 300
+    features = np.round(rng.normal(size=(d, n)), 1)  # ties
+    targets = (np.where(rng.random(n) < 0.5, 1.0, -1.0) if task == CLASSIFICATION
+               else rng.normal(size=n) + features[0])
+    tree = grow(Dataset(features=features, targets=targets, task=task),
+                GrowConfig(criterion=criterion, max_depth=6))
+    X = np.vstack([features.T, points(rng, 200, d)])
+    for cut in [None] + list(range(tree.max_depth + 2)):
+        assert np.array_equal(tree.apply(X, cut), walk_all(tree, X, cut)), cut
+
+
+def test_right_child_need_not_follow_left():
+    tree = hand_tree(**CROSSED, max_depth=2)
+    loaded = tree_from_json(tree_to_json(tree))  # the loader accepts this layout
+    X = points(np.random.default_rng(4), 500, 2)
+    for model in (tree, loaded):
+        for cut in (None, 0, 1, 2):
+            assert np.array_equal(model.apply(X, cut), walk_all(model, X, cut))
+    cells = tree.apply(np.array([[0.0, -5.0], [2.0, -5.0], [-2.0, 5.0], [0.0, 5.0]]))
+    assert cells.tolist() == [4, 3, 6, 5]
+
+
+def test_infinities_and_nan_route_like_x_below_t():
+    tree = hand_tree(**CROSSED, max_depth=2)
+    X = np.array([[0.0, -math.inf], [0.0, math.inf], [0.0, math.nan], [math.nan, -1.0],
+                  [-math.inf, 1.0], [math.nan, math.nan], [math.inf, -1.0]])
+    # NaN compares false, so it goes right at every split
+    assert tree.apply(X).tolist() == [4, 5, 5, 3, 6, 5, 3]
+    assert np.array_equal(tree.apply(X), walk_all(tree, X))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "reversed", "strided",
+                                    "column_slice", "broadcast"])
+def test_input_layouts(layout):
+    tree = hand_tree(**CROSSED, max_depth=2)
+    rng = np.random.default_rng(5)
+    base = points(rng, 300, 4)
+    X = {"fortran": np.asfortranarray(base[:, :2]),
+         "transposed": np.ascontiguousarray(base[:, :2].T).T,
+         "reversed": base[::-1, 1::-1],
+         "strided": base[::3, ::2],
+         "column_slice": base[:, 2:],
+         "broadcast": np.broadcast_to(base[0, :2], (50, 2))}[layout]
+    assert np.array_equal(tree.apply(X), walk_all(tree, X))
+
+
+def test_single_point_and_zero_rows():
+    tree = hand_tree(**CROSSED, max_depth=2)
+    cell = tree.apply(np.array([2.0, -5.0]))
+    assert np.ndim(cell) == 0 and cell == 3
+    assert tree.predict(np.array([2.0, -5.0])) == 3.0
+    empty = tree.apply(np.zeros((0, 2)))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert tree.predict(np.zeros((0, 2))).shape == (0,)
+
+
+def test_path_deeper_than_max_depth_raises():
+    """Node 1 splits below node 0 in a tree that claims max_depth 1; only
+    rows that reach node 1 meet the check."""
+    tree = hand_tree(feature=[0, 0, -1, -1, -1], threshold=[0.0, -1.0] + [math.nan] * 3,
+                     left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1], max_depth=1)
+    assert tree.apply(np.array([[1.0, 0.0], [2.0, 0.0]])).tolist() == [2, 2]
+    with pytest.raises(DataError):
+        tree.apply(np.array([[1.0, 0.0], [-0.5, 0.0]]))
+    # cut at the claimed depth, the path ends in time
+    assert tree.apply(np.array([[-0.5, 0.0]]), max_depth=1).tolist() == [1]
+
+
+@pytest.mark.parametrize("feature", [-1, 2])
+def test_split_feature_out_of_range_raises(feature):
+    """A tree built in code whose split reads a column the points lack."""
+    tree = hand_tree(feature=[feature, -1, -1], threshold=[0.5, math.nan, math.nan],
+                     left=[1, -1, -1], right=[2, -1, -1], max_depth=1)
+    with pytest.raises(DataError):
+        tree.apply(np.zeros((2, 2)))
+    # cut above the split, the feature is never read
+    assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]

@@ -12,7 +12,7 @@ from minimaxsplit import (
     ssim,
 )
 
-from conftest import naive_ssim
+from conftest import naive_ssim, window_product_ssim
 
 
 class TestRegressionMetrics:
@@ -62,6 +62,19 @@ class TestSsim:
         a = rng.random((16, 16))
         b = np.clip(a + 0.2 * rng.normal(size=(16, 16)), 0.0, 1.0)
         assert ssim(a, b) == pytest.approx(naive_ssim(a, b), abs=1e-10)
+
+    @pytest.mark.parametrize("shape, window, sigma", [
+        ((64, 64), 11, 1.5), ((16, 23), 11, 1.5), ((9, 9), 5, 1.0), ((11, 11), 11, 1.5),
+        ((7, 30), 1, 0.7)])
+    def test_bitwise_equal_to_window_products(self, rng, shape, window, sigma):
+        """Window moments of product images are the floats that the
+        products of the 4-D window views gave, in the same layout."""
+        for scale in (1.0, 1e-3, 255.0):
+            a = scale * rng.random(shape)
+            b = np.clip(a + 0.2 * scale * rng.normal(size=shape), 0.0, None)
+            for x, y in ((a, b), (b, a), (a, a)):
+                got = ssim(x, y, window=window, sigma=sigma)
+                assert got == window_product_ssim(x, y, window=window, sigma=sigma)
 
     def test_symmetry(self, rng):
         a = rng.random((14, 14))

@@ -5,6 +5,10 @@
 output (`write_file`). Any other module that opened, read, wrote, removed
 or renamed a file itself would bypass the one error ladder for unreadable
 inputs and the one writer's replace-not-write-through rule.
+
+No module calls `Generator.choice`: `growth.draw_subsets` reproduces its
+per-node `m_try` draws with one bounded-integer call per tree and level, and
+a second way of drawing them would consume the streams differently.
 """
 
 import ast
@@ -53,3 +57,17 @@ def test_the_check_sees_file_calls():
         "p.mkdir()\nread_text(p)\ns.replace('a', 'b')\n"))]
     assert flagged == ["open", ".open", ".read_text", ".read_bytes", ".write_text",
                        ".write_bytes", ".unlink", ".replace", ".rename"]
+
+
+def choice_calls(tree: ast.AST):
+    """Line of each `.choice(...)` call in the module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"]
+
+
+def test_no_module_calls_choice():
+    found = [f"{path.name}:{line}" for path in sorted(SOURCE.glob("*.py"))
+             for line in choice_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    assert choice_calls(ast.parse("rng.choice(5, 2, replace=False)\nchoice(3)\n")) == [1]
