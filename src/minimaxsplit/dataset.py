@@ -39,7 +39,9 @@ class Dataset:
 
     features is column-major: ``features[j, i]`` is feature j of sample i.
     Tree growth (`growth.Growth`) sorts each tree's own sample by every
-    feature, so a dataset holds no sort order of its own.
+    feature; for a large group of trees it first ranks the dataset's
+    features (`growth.dense_ranks`) and drops the ranks once the roots are
+    sorted, so a dataset holds no sort order of its own.
     feature_names, when known (a CSV header), names feature j; models grown
     on the dataset record them so scoring files can be matched by name.
     """

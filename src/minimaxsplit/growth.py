@@ -9,7 +9,10 @@ breadth-first growth, applied across the trees of a random forest).
 tree's splits and node records are exactly those of the node-at-a-time
 grower kept as the test reference in `tests/pernode_grower.py`, run on that
 tree's sample alone: every prefix curve, argmin and node mean is computed
-from the same floats in the same order. The block scan itself (row padding,
+from the same floats in the same order. A large group sorts its roots by
+the dataset's dense ranks, once per group, instead of by float values
+(SLIQ's presort, done once for all the group's trees, not once per tree):
+16-bit rank keys take numpy's radix sort. The block scan itself (row padding,
 block grouping, the prefix kernels and the mirrored read-back of the right
 curve) lives in `splitting`, shared with `martingale`; a block gathers its
 rows through one array of flat offsets per source (`splitting._flat`), not
@@ -56,10 +59,10 @@ class Growth:
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
     positions ordered by feature j (value, then position: `root` sorts each
-    sample block once, stably, as SPRINT presorts), row d holds them in
-    position order. Those are the orders a per-node search sorts into, so
-    every prefix curve, argmin and node mean sees the same floats in the same
-    order. The frontier is tree-major, each tree's nodes in breadth-first
+    sample block once, stably, by the dataset's dense ranks or by value),
+    row d holds them in position order. Those are the orders a per-node
+    search sorts into, so every prefix curve, argmin and node mean sees the
+    same floats in the same order. The frontier is tree-major, each tree's nodes in breadth-first
     order, so each tree draws from its streams in its own breadth-first node
     order. After a level, a stable partition regroups every row by child.
     Node ids count creation across the group; `run` numbers each tree's
@@ -68,7 +71,7 @@ class Growth:
 
     def __init__(self, data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
                  features_rngs: Sequence[Optional[np.random.Generator]],
-                 splits_rngs: Sequence[Optional[np.random.Generator]]):
+                 splits_rngs: Sequence[Optional[np.random.Generator]], rank_entries: float):
         crit, d, n = config.criterion, data.n_features, data.n_samples
         m_try, fixed = config.m_try, config.fixed_features
         if crit.task() != data.task:
@@ -96,8 +99,10 @@ class Growth:
         self.d = d
         self.sizes = np.array([s.size for s in samples], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        take = np.concatenate(samples)
-        self.X, self.y = data.features.take(take, axis=1), data.targets[take]
+        # the row of `data` at each position
+        self.rows = np.concatenate(samples)
+        self.X, self.y = data.features.take(self.rows, axis=1), data.targets[self.rows]
+        self.rank_entries = rank_entries
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
@@ -115,14 +120,26 @@ class Growth:
 
     def root(self, risks: Optional[np.ndarray] = None) -> _Frontier:
         """The frontier of every tree's root, ids 0, 1, ...: each holds its
-        tree's whole sample."""
-        t = self.sizes.size
-        lists = np.empty((self.d + 1, self.y.size), dtype=np.int32)
+        tree's whole sample, sorted stably by every feature. A group whose
+        blocks hold at least `rank_entries` feature values, and at least
+        the dataset's n samples, ranks the dataset once (`dense_ranks`) and
+        sorts each block by its rows' ranks (`rank_order`); a smaller one
+        sorts each block's floats. Ties keep position order either way, so
+        both give the same order. Called once: it releases the sample rows,
+        which nothing after it reads, before the level loop."""
+        t, total = self.sizes.size, self.y.size
+        rows, self.rows = self.rows, None
+        lists = np.empty((self.d + 1, total), dtype=np.int32)
+        ranks = (dense_ranks(self.data.features) if total >= self.data.n_samples
+                 and self.d * total >= self.rank_entries else None)
         for start, size in zip(self.offsets.tolist(), self.sizes.tolist()):
             block = lists[:-1, start:start + size]
-            block[:] = np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
+            if ranks is None:
+                block[:] = np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
+            else:
+                block[:] = rank_order(ranks.take(rows[start:start + size], axis=1))
             block += start
-        lists[-1] = np.arange(self.y.size)
+        lists[-1] = np.arange(total)
         return _Frontier(np.arange(t), np.zeros(t) if risks is None else risks,
                          self.offsets, self.sizes, lists, np.arange(t))
 
@@ -478,6 +495,33 @@ def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
         at = base + picked
         flat[np.where(flat[at], base + j, at)] = True
     return allow
+
+
+def dense_ranks(features: np.ndarray) -> np.ndarray:
+    """(d, n) dense ranks of each feature row of `features`: 0 for its least
+    value, one more for each greater distinct value, so equal values (-0.0
+    and 0.0 among them, as `<` has it) share a rank. uint16 while every rank
+    fits, int32 beyond. Features are finite, so no NaN needs a rank. One
+    feature at a time, so the temporaries stay one row long."""
+    ranks = np.empty(features.shape, dtype=np.int32)
+    for x, rank in zip(features, ranks):
+        order = np.argsort(x)
+        ascending = x.take(order)
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(ascending[1:] != ascending[:-1], dtype=np.int32)
+    return ranks.astype(np.uint16) if int(ranks.max()) <= 0xFFFF else ranks
+
+
+def rank_order(ranks: np.ndarray) -> np.ndarray:
+    """np.argsort(ranks, axis=1, kind="stable"), through 16-bit keys, for
+    which numpy's stable sort is a radix sort: one pass for uint16 ranks;
+    for int32 ones an LSD radix sort of two stable passes, the low halves
+    and then the high halves (Knuth, TAOCP Vol. 3, 5.2.5)."""
+    if ranks.dtype == np.uint16:
+        return np.argsort(ranks, axis=1, kind="stable")
+    order = np.argsort((ranks & 0xFFFF).astype(np.uint16), axis=1, kind="stable")
+    high = np.take_along_axis(ranks >> 16, order, axis=1).astype(np.uint16)
+    return np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), axis=1)
 
 
 class _Frontier(NamedTuple):

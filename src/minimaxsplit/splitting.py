@@ -126,8 +126,9 @@ def node_risk(y: np.ndarray, task: str) -> float:
     if m <= 1 or y.min() == y.max():
         return 0.0
     # exactly-rounded sums: the risk is a cancellation-prone difference
-    s1 = math.fsum(y)
-    return max(0.0, math.fsum(y * y) - s1 * s1 / m)
+    # (fsum reads a list of Python floats faster than an array's scalars)
+    s1 = math.fsum(y.tolist())
+    return max(0.0, math.fsum((y * y).tolist()) - s1 * s1 / m)
 
 
 class FeatureScan(NamedTuple):

@@ -158,6 +158,12 @@ class TreeModel:
         feature = self.feature[~stop]
         if np.any((feature < 0) | (feature >= self.n_features)):
             raise DataError(f"split features must lie in [0, n_features = {self.n_features})")
+        # so would a child out of range: -1 reads the last node
+        outside = ~stop & ((np.minimum(self.left, self.right) < 0)
+                           | (np.maximum(self.left, self.right) >= self.n_nodes))
+        if outside.any():
+            raise DataError(f"split node {int(np.argmax(outside))} has a child outside "
+                            f"[0, n_nodes = {self.n_nodes})")
         # node k's children at 2k (x < t) and 2k + 1 (anything else)
         children = np.stack([self.left, self.right], axis=1).reshape(-1)
         cell = np.zeros(X.shape[0], dtype=np.int64)
@@ -225,6 +231,11 @@ class TreeModel:
 # loop: it bounds the group's index matrices and gathered samples (int32
 # positions stay far from overflow), and a tree larger than this grows alone.
 _GROUP_SAMPLES = 1 << 18
+# The feature values (features times samples) from which a group's roots
+# sort by the dataset's dense ranks instead of by float values (see
+# `growth.Growth.root`): below it, ranking the dataset costs more than the
+# float sorts it replaces.
+_RANK_ENTRIES = 1 << 13
 
 
 def grow(data: Dataset, config: GrowConfig) -> TreeModel:
@@ -268,7 +279,8 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     trees: List[TreeModel] = []
     for group in groups:
         grown = Growth(data, config, [samples[b] for b in group],
-                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group]).run()
+                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group],
+                       _RANK_ENTRIES).run()
         trees += [TreeModel(task=data.task, n_features=data.n_features,
                             criterion=config.criterion.tag, max_depth=config.max_depth,
                             n_min=config.n_min, n_train=int(nodes["count"][0]),
@@ -294,7 +306,7 @@ def best_split(node: NodeView, criterion: SplitCriterion,
     """
     growth = Growth(node.dataset,
                     GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
-                    [node.member_indices], [None], [rng])
+                    [node.member_indices], [None], [rng], _RANK_ENTRIES)
     front = growth.root()
     nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
                                        growth.spread(front))

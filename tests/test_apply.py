@@ -150,3 +150,19 @@ def test_split_feature_out_of_range_raises(feature):
         tree.apply(np.zeros((2, 2)))
     # cut above the split, the feature is never read
     assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("side, child", [("right", -1), ("right", 3), ("left", 3)])
+def test_split_child_out_of_range_raises(side, child):
+    """A tree built in code whose split node points outside its node arrays:
+    the rows sent there would read another node's value (-1, the last
+    one's) without a word."""
+    tree = hand_tree(feature=[0, -1, -1], threshold=[0.5, math.nan, math.nan],
+                     left=[1, -1, -1], right=[2, -1, -1], max_depth=1)
+    getattr(tree, side)[0] = child
+    with pytest.raises(DataError, match="split node 0 "):
+        tree.apply(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(DataError, match="split node 0 "):
+        tree.predict(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    # cut above the split, no child is read
+    assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]

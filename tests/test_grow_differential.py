@@ -6,6 +6,7 @@ per-node grower run per tree. Models are compared as canonical JSON, so
 every split, count, mean, risk, leaf reason and risk trace must agree
 exactly."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -167,13 +168,16 @@ def test_denoise_forest_matches_per_node_grower():
 @pytest.mark.parametrize("cap", [1, 576, 1200])
 def test_forest_spanning_several_groups_matches_per_tree(monkeypatch, cap):
     # 576 samples per tree: one tree per group, then exactly two, then two
-    # with room left over (the last group holds one tree)
+    # with room left over (the last group holds one tree); each group's
+    # roots sorted by the dataset's ranks (threshold 1) and by their floats
     monkeypatch.setattr(tree_module, "_GROUP_SAMPLES", cap)
     data = _denoise_phantom(24, 13)
     for config in (ForestConfig(criterion="variance", n_trees=5, max_depth=7),
                    ForestConfig(criterion="random_uniform", n_trees=5, max_depth=6, m_try=1)):
-        got = forest_to_json(train_forest(data, config, seed=4))
-        same_json(got, forest_to_json(forest_per_tree(data, config, seed=4)))
+        want = forest_to_json(forest_per_tree(data, config, seed=4))
+        for rank_entries in (1, math.inf):
+            monkeypatch.setattr(tree_module, "_RANK_ENTRIES", rank_entries)
+            same_json(forest_to_json(train_forest(data, config, seed=4)), want)
 
 
 @st.composite
@@ -240,6 +244,10 @@ def forest_cases(draw):
 @given(case=forest_cases())
 def test_random_forests_match_per_tree_grower(case):
     data, config, seed, cap = case
-    with mock.patch.object(tree_module, "_GROUP_SAMPLES", cap):
-        got = forest_to_json(train_forest(data, config, seed=seed))
-    same_json(got, forest_to_json(forest_per_tree(data, config, seed=seed)))
+    want = forest_to_json(forest_per_tree(data, config, seed=seed))
+    # these datasets are far below the rank threshold: force either presort
+    for rank_entries in (1, math.inf):
+        with mock.patch.object(tree_module, "_GROUP_SAMPLES", cap), \
+                mock.patch.object(tree_module, "_RANK_ENTRIES", rank_entries):
+            got = forest_to_json(train_forest(data, config, seed=seed))
+        same_json(got, want)
