@@ -38,7 +38,7 @@ class Dataset:
     """Immutable sample matrix.
 
     features is column-major: ``features[j, i]`` is feature j of sample i.
-    Tree growth (`growth.Growth`) sorts each tree's own sample by every
+    Tree growth (`growth.presort`) sorts each tree's own sample by every
     feature; for a large group of trees it first ranks the dataset's
     features (`growth.dense_ranks`) and drops the ranks once the roots are
     sorted, so a dataset holds no sort order of its own.

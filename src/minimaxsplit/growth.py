@@ -40,6 +40,10 @@ if TYPE_CHECKING:
 
 _REASONS = (None, "depth", "constant_target", "constant_features", "n_min", "no_valid_split")
 _DEPTH, _CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN, _NO_VALID_SPLIT = range(1, 6)
+# The feature values (features times samples) from which a group's roots
+# sort by the dataset's dense ranks instead of by float values (`presort`):
+# below it, ranking the dataset costs more than the float sorts it replaces.
+_RANK_ENTRIES = 1 << 13
 
 
 class Growth:
@@ -58,20 +62,21 @@ class Growth:
 
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
-    positions ordered by feature j (value, then position: `root` sorts each
-    sample block once, stably, by the dataset's dense ranks or by value),
-    row d holds them in position order. Those are the orders a per-node
-    search sorts into, so every prefix curve, argmin and node mean sees the
-    same floats in the same order. The frontier is tree-major, each tree's nodes in breadth-first
-    order, so each tree draws from its streams in its own breadth-first node
-    order. After a level, a stable partition regroups every row by child.
+    positions ordered by feature j (value, then position: `presort` sorts
+    each sample block once, stably, by the dataset's dense ranks or by
+    value), row d holds them in position order. Those are the orders a
+    per-node search sorts into, so every prefix curve, argmin and node mean
+    sees the same floats in the same order. The frontier is tree-major, each
+    tree's nodes in breadth-first order, so each tree draws from its streams
+    in its own breadth-first node order. After a level, a stable partition
+    regroups every row by child, in place, so a Growth grows its trees once.
     Node ids count creation across the group; `run` numbers each tree's
     nodes from 0.
     """
 
     def __init__(self, data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
                  features_rngs: Sequence[Optional[np.random.Generator]],
-                 splits_rngs: Sequence[Optional[np.random.Generator]], rank_entries: float):
+                 splits_rngs: Sequence[Optional[np.random.Generator]]):
         crit, d, n = config.criterion, data.n_features, data.n_samples
         m_try, fixed = config.m_try, config.fixed_features
         if crit.task() != data.task:
@@ -100,9 +105,9 @@ class Growth:
         self.sizes = np.array([s.size for s in samples], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         # the row of `data` at each position
-        self.rows = np.concatenate(samples)
-        self.X, self.y = data.features.take(self.rows, axis=1), data.targets[self.rows]
-        self.rank_entries = rank_entries
+        rows = np.concatenate(samples)
+        self.X, self.y = data.features.take(rows, axis=1), data.targets[rows]
+        self.lists = presort(data, self.X, rows, self.offsets, self.sizes)
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
@@ -120,28 +125,11 @@ class Growth:
 
     def root(self, risks: Optional[np.ndarray] = None) -> _Frontier:
         """The frontier of every tree's root, ids 0, 1, ...: each holds its
-        tree's whole sample, sorted stably by every feature. A group whose
-        blocks hold at least `rank_entries` feature values, and at least
-        the dataset's n samples, ranks the dataset once (`dense_ranks`) and
-        sorts each block by its rows' ranks (`rank_order`); a smaller one
-        sorts each block's floats. Ties keep position order either way, so
-        both give the same order. Called once: it releases the sample rows,
-        which nothing after it reads, before the level loop."""
-        t, total = self.sizes.size, self.y.size
-        rows, self.rows = self.rows, None
-        lists = np.empty((self.d + 1, total), dtype=np.int32)
-        ranks = (dense_ranks(self.data.features) if total >= self.data.n_samples
-                 and self.d * total >= self.rank_entries else None)
-        for start, size in zip(self.offsets.tolist(), self.sizes.tolist()):
-            block = lists[:-1, start:start + size]
-            if ranks is None:
-                block[:] = np.argsort(self.X[:, start:start + size], axis=1, kind="stable")
-            else:
-                block[:] = rank_order(ranks.take(rows[start:start + size], axis=1))
-            block += start
-        lists[-1] = np.arange(total)
+        tree's whole sample, in the constructor's `presort` order. The level
+        loop regroups these lists in place, so a Growth grows its trees once."""
+        t = self.sizes.size
         return _Frontier(np.arange(t), np.zeros(t) if risks is None else risks,
-                         self.offsets, self.sizes, lists, np.arange(t))
+                         self.offsets, self.sizes, self.lists, np.arange(t))
 
     def run(self) -> List[dict]:
         config, task = self.config, self.data.task
@@ -495,6 +483,31 @@ def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
         at = base + picked
         flat[np.where(flat[at], base + j, at)] = True
     return allow
+
+
+def presort(data: Dataset, X: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
+            sizes: np.ndarray) -> np.ndarray:
+    """The root index matrix of `Growth`: the blocks (offsets, sizes) of
+    positions into X = data.features[:, rows], each sorted stably by every
+    feature (rows 0..d-1), then position order (row d). A group whose blocks
+    hold at least `_RANK_ENTRIES` feature values, and at least the dataset's
+    n samples, ranks the dataset once (`dense_ranks`) and sorts each block
+    by its rows' ranks (`rank_order`); a smaller one sorts each block's
+    floats. Ties keep position order either way, so both give the same
+    order. The ranks are freed on return, before any level is grown."""
+    d, total = X.shape
+    lists = np.empty((d + 1, total), dtype=np.int32)
+    ranks = (dense_ranks(data.features) if total >= data.n_samples
+             and d * total >= _RANK_ENTRIES else None)
+    for start, size in zip(offsets.tolist(), sizes.tolist()):
+        block = lists[:-1, start:start + size]
+        if ranks is None:
+            block[:] = np.argsort(X[:, start:start + size], axis=1, kind="stable")
+        else:
+            block[:] = rank_order(ranks.take(rows[start:start + size], axis=1))
+        block += start
+    lists[-1] = np.arange(total)
+    return lists
 
 
 def dense_ranks(features: np.ndarray) -> np.ndarray:

@@ -231,11 +231,6 @@ class TreeModel:
 # loop: it bounds the group's index matrices and gathered samples (int32
 # positions stay far from overflow), and a tree larger than this grows alone.
 _GROUP_SAMPLES = 1 << 18
-# The feature values (features times samples) from which a group's roots
-# sort by the dataset's dense ranks instead of by float values (see
-# `growth.Growth.root`): below it, ranking the dataset costs more than the
-# float sorts it replaces.
-_RANK_ENTRIES = 1 << 13
 
 
 def grow(data: Dataset, config: GrowConfig) -> TreeModel:
@@ -279,8 +274,7 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     trees: List[TreeModel] = []
     for group in groups:
         grown = Growth(data, config, [samples[b] for b in group],
-                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group],
-                       _RANK_ENTRIES).run()
+                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group]).run()
         trees += [TreeModel(task=data.task, n_features=data.n_features,
                             criterion=config.criterion.tag, max_depth=config.max_depth,
                             n_min=config.n_min, n_train=int(nodes["count"][0]),
@@ -306,7 +300,7 @@ def best_split(node: NodeView, criterion: SplitCriterion,
     """
     growth = Growth(node.dataset,
                     GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
-                    [node.member_indices], [None], [rng], _RANK_ENTRIES)
+                    [node.member_indices], [None], [rng])
     front = growth.root()
     nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
                                        growth.spread(front))

@@ -4,8 +4,9 @@ writes, at small configs, against `tests/golden_outputs.json`.
 Every study runs at criterion 14's config, and `train`/`predict` run
 trees (minimax; random_observed with m_try) and forests (m_try,
 random_uniform, cyclic and classification), all but the first tree large
-enough that their roots take the rank-keyed presort of `growth`. The runs use relative paths inside a temporary directory, so the
-manifests' path echoes are stable; nothing is normalized away.
+enough that their roots take the rank-keyed presort of `growth`. The runs
+use relative paths inside a temporary directory, so the manifests' path
+echoes are stable; nothing is normalized away.
 
 The hashes hold for one numpy version and one manifest version stamp,
 both recorded in the JSON. Under another, the test skips and names both.

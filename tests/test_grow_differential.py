@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from minimaxsplit import (CLASSIFICATION, REGRESSION, Dataset, ForestConfig, GrowConfig,
                           forest_to_json, grow, train_forest, tree_to_json)
-from minimaxsplit import tree as tree_module
+from minimaxsplit import growth as growth_module, tree as tree_module
 from minimaxsplit.dataset import image_to_dataset, make_phantom
 from minimaxsplit.rng import stream
 from minimaxsplit.splitting import TAGS
@@ -176,7 +176,7 @@ def test_forest_spanning_several_groups_matches_per_tree(monkeypatch, cap):
                    ForestConfig(criterion="random_uniform", n_trees=5, max_depth=6, m_try=1)):
         want = forest_to_json(forest_per_tree(data, config, seed=4))
         for rank_entries in (1, math.inf):
-            monkeypatch.setattr(tree_module, "_RANK_ENTRIES", rank_entries)
+            monkeypatch.setattr(growth_module, "_RANK_ENTRIES", rank_entries)
             same_json(forest_to_json(train_forest(data, config, seed=4)), want)
 
 
@@ -248,6 +248,6 @@ def test_random_forests_match_per_tree_grower(case):
     # these datasets are far below the rank threshold: force either presort
     for rank_entries in (1, math.inf):
         with mock.patch.object(tree_module, "_GROUP_SAMPLES", cap), \
-                mock.patch.object(tree_module, "_RANK_ENTRIES", rank_entries):
+                mock.patch.object(growth_module, "_RANK_ENTRIES", rank_entries):
             got = forest_to_json(train_forest(data, config, seed=seed))
         same_json(got, want)

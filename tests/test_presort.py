@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minimaxsplit.tree as tree_module
+import minimaxsplit.growth as growth_module
 from minimaxsplit import REGRESSION, Dataset, GrowConfig, grow
 from minimaxsplit.growth import dense_ranks, rank_order
 from minimaxsplit.tree import tree_to_json
@@ -95,6 +95,6 @@ def test_grown_tree_is_the_same_on_either_presort(monkeypatch):
     config = GrowConfig("minimax", max_depth=3)
     got = []
     for threshold in (1, math.inf):
-        monkeypatch.setattr(tree_module, "_RANK_ENTRIES", threshold)
+        monkeypatch.setattr(growth_module, "_RANK_ENTRIES", threshold)
         got.append(tree_to_json(grow(data, config)))
     assert got[0] == got[1]
