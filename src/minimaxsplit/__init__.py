@@ -24,7 +24,7 @@ from .dataset import (
     root_node,
     write_pgm,
 )
-from .errors import ConfigError, DataError, UnsplittableError
+from .errors import ConfigError, DataError
 from .forest import (
     ForestConfig,
     ForestModel,
@@ -52,14 +52,7 @@ from .martingale import (
 )
 from .metrics import MetricReport, regression_metrics, ssim
 from .rng import derive_seed, stream
-from .splitting import (
-    SplitCriterion,
-    SplitDecision,
-    candidate_thresholds,
-    entropy,
-    minimax_search,
-    scan_feature,
-)
+from .splitting import SplitCriterion, SplitDecision
 from .tree import (
     GrowConfig,
     TreeModel,
@@ -77,14 +70,13 @@ __all__ = [
     "DataError", "Dataset", "DiscreteLaw", "ForestConfig", "ForestModel",
     "GrowConfig", "ImageGrid", "MetricReport", "NodeView", "PiecewiseSpec",
     "PowellSpec", "PureNoiseSpec", "REGRESSION", "RULES", "SineSpec",
-    "SplitCriterion", "SplitDecision", "TreeModel", "UnsplittableError",
-    "best_split", "build_cell_tree", "candidate_thresholds", "canonical_json",
-    "dataset_to_image", "derive_seed", "entropy", "forest_from_json",
-    "forest_to_json", "gen_synthetic", "grow", "image_to_dataset",
-    "law_from_density", "load_csv", "load_feature_matrix", "load_model",
-    "load_pgm", "make_phantom", "minimax_search", "model_to_json", "mse_curve",
+    "SplitCriterion", "SplitDecision", "TreeModel", "best_split",
+    "build_cell_tree", "canonical_json", "dataset_to_image", "derive_seed",
+    "forest_from_json", "forest_to_json", "gen_synthetic", "grow",
+    "image_to_dataset", "law_from_density", "load_csv", "load_feature_matrix",
+    "load_model", "load_pgm", "make_phantom", "model_to_json", "mse_curve",
     "powell", "power_density", "ramp_density", "random_density", "rate_bound",
-    "rate_witness", "regression_metrics", "root_node", "scan_feature",
-    "split_cell", "ssim", "stream", "train_forest", "tree_from_json",
-    "tree_to_json", "uniform_grid", "witness_increments", "write_pgm",
+    "rate_witness", "regression_metrics", "root_node", "split_cell", "ssim",
+    "stream", "train_forest", "tree_from_json", "tree_to_json", "uniform_grid",
+    "witness_increments", "write_pgm",
 ]

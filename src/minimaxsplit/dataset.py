@@ -111,6 +111,13 @@ def index_array(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
+def is_int(value) -> bool:
+    """Whether `value` is a Python or numpy integer and not a bool. A float
+    or a string would otherwise be truncated or parsed to some integer, and a
+    bool would read as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NodeView:
     """A node's-eye view of a dataset: member sample indices at some depth."""
@@ -124,8 +131,9 @@ class NodeView:
         if idx.size and idx.dtype.kind not in "iu":
             raise DataError(f"member indices must be integers, got dtype {idx.dtype}")
         object.__setattr__(self, "member_indices", idx.astype(np.int64, copy=False))
-        if self.depth < 0:
-            raise ConfigError("node depth must be >= 0")
+        if not is_int(self.depth) or self.depth < 0:
+            raise ConfigError(f"node depth must be a nonnegative int, got {self.depth!r}")
+        object.__setattr__(self, "depth", int(self.depth))
 
     @property
     def size(self) -> int:

@@ -11,7 +11,3 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Input data (CSV, PGM, arrays) violates a documented precondition."""
-
-
-class UnsplittableError(RuntimeError):
-    """Raised when a split is requested on a node/feature with no candidates."""

@@ -401,13 +401,14 @@ class Growth:
         c cuts the node's sorted segment between positions c and c + 1, so
         c + 1 samples go left; the row's result is at `picks[row]` if given,
         else at the first argmin of the criterion, which is the smallest
-        threshold among ties (and for 'max', exactly where `minimax_search`
-        lands).
+        threshold among ties (and for 'max', exactly where the bisection of
+        `tests/pernode_scan.py` lands).
 
         Rows are scanned in the padded blocks of `splitting._row_blocks`.
         Each row gets its own sequential cumsum, so its curves are those of
-        `splitting.scan_feature` and of the reference grower bit for bit; a
-        global cumsum minus segment offsets would not be."""
+        the single-node scan in `tests/pernode_scan.py` and of the reference
+        grower bit for bit; a global cumsum minus segment offsets would not
+        be."""
         out = _Scan(*(np.empty(nodes.size, dtype=np.int64 if name == "left_count" else None)
                       for name in _Scan._fields))
         for rows in _row_blocks(_padded_width(front.sizes[nodes])):

@@ -1,4 +1,4 @@
-"""Split criteria and threshold search.
+"""Split criteria and the prefix risk kernels of the level pass in `growth`.
 
 Node risks are kept unnormalized throughout (sum of squared errors for
 regression, count * entropy for classification); the global 1/N shows up only
@@ -9,26 +9,28 @@ The prefix risk curves phi_L / phi_R over candidate thresholds are computed as
 cumulative sums of per-sample Welford increments clamped at zero. The true
 increments are non-negative (risk can only grow when a sample joins a child),
 so the clamp only strips float noise — and a cumulative sum of non-negative
-floats is *exactly* non-decreasing. That exactness is what lets the bisection
-search (`minimax_search`) agree with the exhaustive scan bit-for-bit instead
-of merely within tolerance.
+floats is *exactly* non-decreasing. So max(phi_L, phi_R) is exactly
+valley-shaped, and a bisection for its minimum lands bit-for-bit where the
+exhaustive scan does, not merely within tolerance. `tests/pernode_scan.py`
+keeps that single-node scan and bisection as the reference the level pass is
+checked against.
 
-Tie rule everywhere in this module: smallest threshold. Across features the
-level pass in `growth` (and `tree.best_split`, its one-node entry) keeps the
-smallest feature index among equal criteria.
+Tie rule: among equal criteria the level pass in `growth` (and
+`tree.best_split`, its one-node entry) takes the smallest threshold within a
+feature and the smallest feature index across features.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import CLASSIFICATION, REGRESSION, NodeView
-from .errors import ConfigError, UnsplittableError
+from .dataset import CLASSIFICATION, REGRESSION
+from .errors import ConfigError
 
 TAGS = (
     "variance",
@@ -131,17 +133,6 @@ def node_risk(y: np.ndarray, task: str) -> float:
     return max(0.0, math.fsum((y * y).tolist()) - s1 * s1 / m)
 
 
-class FeatureScan(NamedTuple):
-    """Result of a single-feature threshold search."""
-
-    threshold: float
-    left_risk: float
-    right_risk: float
-    criterion_value: float
-    left_count: int
-    right_count: int
-
-
 def entropy(p: float) -> float:
     """Natural-log Shannon entropy of a Bernoulli(p), with 0*log 0 = 0."""
     if not 0.0 <= p <= 1.0:
@@ -166,17 +157,6 @@ def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         t = 0.5 * (lo + hi)
     return np.where((lo < t) & (t <= hi), t, hi)
-
-
-def candidate_thresholds(node: NodeView, feature: int) -> np.ndarray:
-    """Midpoints between consecutive distinct sorted values of the feature
-    within the node. Empty when the feature is constant on the node.
-
-    Convention throughout the package: x_j < t routes left, x_j >= t right.
-    """
-    v = np.sort(node.feature_values(feature))
-    distinct = v[1:] > v[:-1]
-    return midpoints(v[:-1], v[1:])[distinct]
 
 
 # ---------------------------------------------------------------------------
@@ -274,99 +254,3 @@ def _child_curves(prefix, rows: Tuple[np.ndarray, ...],
     at += np.arange(0, n * width, width)[:, None]
     rev = prefix(*(r.ravel().take(at) for r in rows))
     return left, rev.ravel().take(at[:, 1:])
-
-
-class _Curves(NamedTuple):
-    thresholds: np.ndarray  # ascending candidate thresholds
-    phi_left: np.ndarray  # risk of {x_j < t}, exactly non-decreasing
-    phi_right: np.ndarray  # risk of {x_j >= t}, exactly non-increasing
-    left_counts: np.ndarray
-    node_size: int
-
-
-def _risk_curves(node: NodeView, feature: int) -> _Curves:
-    v = node.feature_values(feature)
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    y = node.targets()[order]
-    m = v.size
-    prefix_fn = _prefix_entropy_risk if node.dataset.task == CLASSIFICATION else _prefix_sse
-    left, right = _child_curves(prefix_fn, (y[None],), np.array([m]))
-    valid = v[1:] > v[:-1]  # split index i in 1..m-1 sits between v[i-1], v[i]
-    thresholds = midpoints(v[:-1], v[1:])[valid]
-    left_counts = np.arange(1, m)[valid]
-    return _Curves(thresholds, left[0][valid], right[0][valid], left_counts, m)
-
-
-def _scan_from_curves(curves: _Curves, mode: str, idx: int) -> FeatureScan:
-    lc = int(curves.left_counts[idx])
-    left = float(curves.phi_left[idx])
-    right = float(curves.phi_right[idx])
-    return FeatureScan(float(curves.thresholds[idx]), left, right,
-                       float(_MODE_CRITERIA[mode](left, right)), lc, curves.node_size - lc)
-
-
-def scan_feature(node: NodeView, feature: int, mode: str = "sum") -> FeatureScan:
-    """Exhaustive left-to-right threshold scan for one feature.
-
-    mode 'sum' minimizes left+right risk, 'max' the larger child risk,
-    'left_only'/'right_only' the single indicated child risk. Ties go to the
-    smallest threshold.
-    """
-    curves = _risk_curves(node, feature)
-    if curves.thresholds.size == 0:
-        raise UnsplittableError(f"feature {feature} is constant on the node")
-    if mode not in _MODE_CRITERIA:
-        raise ConfigError(f"unknown scan mode {mode!r}")
-    crit = _MODE_CRITERIA[mode](curves.phi_left, curves.phi_right)
-    return _scan_from_curves(curves, mode, int(np.argmin(crit)))
-
-
-def minimax_search(node: NodeView, feature: int) -> FeatureScan:
-    """Bisection search for the minimax threshold.
-
-    phi_L is non-decreasing and phi_R non-increasing over candidates (exactly,
-    see module docstring), so max(phi_L, phi_R) is valley-shaped: locate the
-    first crossing index by bisection, compare the two bracketing candidates,
-    and when the left bracket wins walk its plateau to the smallest threshold
-    by a second bisection. Returns the same decision as
-    scan_feature(node, feature, "max"), exactly.
-    """
-    curves = _risk_curves(node, feature)
-    L, R = curves.phi_left, curves.phi_right
-    n_cand = L.size
-    if n_cand == 0:
-        raise UnsplittableError(f"feature {feature} is constant on the node")
-
-    lo, hi = 0, n_cand  # bisect the first index where L >= R
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if L[mid] >= R[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    cross = lo
-
-    def plateau_left(bound: int, value: float) -> int:
-        # smallest q <= bound with R[q] <= value (R is non-increasing)
-        a, b = 0, bound
-        while a < b:
-            mid = (a + b) // 2
-            if R[mid] <= value:
-                b = mid
-            else:
-                a = mid + 1
-        return a
-
-    if cross == 0:
-        pick = 0
-    elif cross == n_cand:
-        pick = plateau_left(n_cand - 1, float(R[n_cand - 1]))
-    else:
-        crit_before = max(float(L[cross - 1]), float(R[cross - 1]))
-        crit_at = max(float(L[cross]), float(R[cross]))
-        if crit_at < crit_before:
-            pick = cross
-        else:
-            pick = plateau_left(cross - 1, crit_before)
-    return _scan_from_curves(curves, "max", pick)

@@ -30,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names
+from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names, is_int
 from .errors import ConfigError, DataError
 from .growth import _REASONS, Growth
 from .rng import stream
@@ -72,7 +72,7 @@ class GrowConfig:
         if self.fixed_features is not None:
             if self.m_try is not None:
                 raise ConfigError("fixed_features and m_try are mutually exclusive")
-            if any(isinstance(j, bool) for j in self.fixed_features):
+            if not all(is_int(j) for j in self.fixed_features):
                 raise ConfigError(f"fixed_features must be ints, got {self.fixed_features!r}")
             feats = tuple(int(j) for j in self.fixed_features)
             if not feats:
@@ -80,6 +80,13 @@ class GrowConfig:
             object.__setattr__(self, "fixed_features", feats)
         if self.m_try is not None and not config_int(self.m_try, 1):
             raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
+
+
+def check_cut(max_depth: Optional[int]) -> None:
+    """ConfigError unless a prediction's cut depth is None or a nonnegative
+    int: a cut at 1.5 would act as a cut at 2, and one at True as a cut at 1."""
+    if max_depth is not None and not (is_int(max_depth) and max_depth >= 0):
+        raise ConfigError(f"max_depth must be None or a nonnegative int, got {max_depth!r}")
 
 
 def config_int(value, low: int) -> bool:
@@ -147,8 +154,7 @@ class TreeModel:
         partition is the tree cut at `max_depth` (None = full tree). x < t
         goes left; anything else, NaN included, goes right."""
         X, single = self._as_matrix(X)
-        if max_depth is not None and max_depth < 0:
-            raise ConfigError("max_depth must be nonnegative")
+        check_cut(max_depth)
         stop = self.left < 0
         if max_depth is not None:
             stop |= self.split_level >= max_depth
@@ -221,8 +227,7 @@ class TreeModel:
         leaf = self.left < 0
         if max_depth is None:
             return np.nonzero(leaf)[0]
-        if max_depth < 0:
-            raise ConfigError("max_depth must be nonnegative")
+        check_cut(max_depth)
         member = (self.depth <= max_depth) & (leaf | (self.split_level >= max_depth))
         return np.nonzero(member)[0]
 

@@ -2,7 +2,8 @@
 node, breadth-first, exactly as `tree.grow` worked before it resolved whole
 levels in array passes. `best_split` here is the per-node split search the
 library had before its `best_split` became a one-node call into that level
-pass: a loop over features, each scanned on its own stably sorted values.
+pass: a loop over features, each scanned on its own stably sorted values
+by the single-node search of `pernode_scan`.
 `forest_per_tree` is `train_forest` as it was before it grew its trees as
 one batch: one `grow_per_node` per tree, on that tree's bootstrap sample.
 All three are kept only to check that the level pass makes the same splits,
@@ -17,13 +18,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from minimaxsplit.dataset import CLASSIFICATION, Dataset, NodeView, root_node
-from minimaxsplit.errors import ConfigError, UnsplittableError
+from minimaxsplit.errors import ConfigError
 from minimaxsplit.forest import ForestConfig, ForestModel, _effective_plan
 from minimaxsplit.rng import derive_seed, stream
-from minimaxsplit.splitting import (SplitCriterion, SplitDecision, _risk_curves,
-                                    _scan_from_curves, minimax_search, node_risk,
-                                    scan_feature)
+from minimaxsplit.splitting import SplitCriterion, SplitDecision, node_risk
 from minimaxsplit.tree import GrowConfig, TreeModel
+
+from pernode_scan import (UnsplittableError, _risk_curves, _scan_from_curves, minimax_search,
+                          scan_feature)
 
 
 def _nonconstant(node: NodeView, feature: int) -> bool:

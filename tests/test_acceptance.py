@@ -22,17 +22,14 @@ from minimaxsplit import (
     Dataset,
     ForestConfig,
     GrowConfig,
-    UnsplittableError,
     forest_to_json,
     grow,
     law_from_density,
     make_phantom,
-    minimax_search,
     mse_curve,
     random_density,
     rate_witness,
     regression_metrics,
-    scan_feature,
     ssim,
     train_forest,
     uniform_grid,
@@ -47,10 +44,10 @@ from minimaxsplit.experiments import (
     run_ecp,
     run_powell,
 )
-from minimaxsplit.splitting import _risk_curves
 
 from conftest import entropy_risk, make_node, naive_ssim, two_pass_sse
 from pernode_grower import forest_per_tree
+from pernode_scan import UnsplittableError, _risk_curves, minimax_search, scan_feature
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from minimaxsplit import CLASSIFICATION, REGRESSION, DataError, Dataset, GrowConfig, grow
+from minimaxsplit import (CLASSIFICATION, REGRESSION, ConfigError, DataError, Dataset, GrowConfig,
+                         grow)
 from minimaxsplit.tree import TreeModel, tree_from_json, tree_to_json
 
 
@@ -166,3 +167,19 @@ def test_split_child_out_of_range_raises(side, child):
         tree.predict(np.array([[0.0, 0.0], [1.0, 1.0]]))
     # cut above the split, no child is read
     assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("cut", [1.5, True, "1"])
+def test_cut_depth_must_be_an_int(cut):
+    """A cut at 1.5 would act as a cut at 2 and one at True as a cut at 1.
+    Predictions and partitions take the same check; a numpy integer cut is
+    an int."""
+    tree = hand_tree(**CROSSED, max_depth=2)
+    X = points(np.random.default_rng(5), 50, 2)
+    for call in (tree.apply, tree.predict_value, tree.predict):
+        with pytest.raises(ConfigError, match="max_depth"):
+            call(X, cut)
+    with pytest.raises(ConfigError, match="max_depth"):
+        tree.partition_ids(cut)
+    assert np.array_equal(tree.apply(X, np.int64(1)), walk_all(tree, X, 1))
+    assert tree.partition_ids(np.int64(1)).tolist() == tree.partition_ids(1).tolist()

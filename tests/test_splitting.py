@@ -12,17 +12,14 @@ from minimaxsplit import (
     Dataset,
     NodeView,
     SplitCriterion,
-    UnsplittableError,
     best_split,
-    candidate_thresholds,
-    entropy,
-    minimax_search,
-    scan_feature,
 )
 from minimaxsplit.dataset import root_node
-from minimaxsplit.splitting import _risk_curves, node_risk
+from minimaxsplit.splitting import entropy, node_risk
 
 from conftest import brute_scan, entropy_risk, make_node, two_pass_sse
+from pernode_scan import (UnsplittableError, _risk_curves, candidate_thresholds, minimax_search,
+                          scan_feature)
 
 
 def node_of(x, y, task=REGRESSION):
@@ -166,6 +163,29 @@ class TestBestSplit:
             best_split(node, SplitCriterion("variance"), allowed_features=[])
         with pytest.raises(ConfigError):
             best_split(node, SplitCriterion("variance"), allowed_features=[2])
+
+    def test_allowed_features_must_be_ints(self):
+        # feature 1 separates y perfectly; 1.9 must not be read as feature 1
+        X = np.array([[0.0, 1, 2, 3], [0.0, 0, 10, 10]])
+        data = Dataset(features=X, targets=[0.0, 0, 10, 10], task=REGRESSION)
+        for allowed in ([1.9], ["1"], [True]):
+            with pytest.raises(ConfigError):
+                best_split(root_node(data), SplitCriterion("minimax"), allowed_features=allowed)
+        dec = best_split(root_node(data), SplitCriterion("minimax"),
+                         allowed_features=np.array([1]))
+        assert dec.feature == 1 and dec.criterion_value == 0.0
+
+    def test_node_depth_must_be_an_int(self):
+        # a cyclic criterion schedules feature depth % d: 1.5 cannot index
+        # it, and True would read as depth 1
+        X = np.array([[0.0, 1, 2, 3], [0.0, 0, 10, 10]])
+        data = Dataset(features=X, targets=[0.0, 0, 10, 10], task=REGRESSION)
+        for depth in (1.5, True, "1"):
+            with pytest.raises(ConfigError, match="node depth"):
+                NodeView(data, np.arange(4), depth=depth)
+        view = NodeView(data, np.arange(4), depth=np.int64(1))
+        assert type(view.depth) is int
+        assert best_split(view, SplitCriterion("cyclic_minimax")).feature == 1
 
     def test_task_mismatch(self):
         node = node_of([0.0, 1.0], [0.0, 1.0])

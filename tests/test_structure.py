@@ -9,6 +9,11 @@ inputs and the one writer's replace-not-write-through rule.
 No module calls `Generator.choice`: `growth.draw_subsets` reproduces its
 per-node `m_try` draws with one bounded-integer call per tree and level, and
 a second way of drawing them would consume the streams differently.
+
+No module keeps code that nothing reads: every top-level function, class and
+assigned name is exported in `__all__` or read somewhere in the package. A
+search or check kept only as a test reference lives under `tests/`, as
+`pernode_scan.py` and `pernode_grower.py` do.
 """
 
 import ast
@@ -71,3 +76,56 @@ def test_no_module_calls_choice():
              for line in choice_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
     assert choice_calls(ast.parse("rng.choice(5, 2, replace=False)\nchoice(3)\n")) == [1]
+
+
+def definitions(tree: ast.AST):
+    """(line, name) of each top-level function, class and assigned name of
+    the module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+def reads(tree: ast.AST):
+    """Each name the module reads: as a loaded name, as an attribute or as
+    an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unread(modules, exported):
+    """`module:line name` of each definition (see `definitions`) outside
+    `__init__` that is neither exported nor read by any of the modules."""
+    read = set(exported).union(*(reads(tree) for tree in modules.values()))
+    return [f"{module}:{line} {name}" for module, tree in modules.items()
+            if module != "__init__" for line, name in definitions(tree) if name not in read]
+
+
+def test_no_module_keeps_unread_code():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert {"__init__", "splitting", "growth"} <= set(modules)
+    assert unread(modules, minimaxsplit.__all__) == []
+
+
+def test_the_check_sees_unread_code():
+    """A planted function that nothing reads is flagged, as is an unread
+    name of a tuple assignment; a call, an import, an attribute read, a
+    read in another assignment and an export each keep a name."""
+    planted = {
+        "a": ast.parse("def used():\n    pass\n\ndef unused():\n    used()\n\n"
+                       "class C:\n    pass\n\nX, _Y = 1, 2\nZ: int = X\nW = 0\n"),
+        "b": ast.parse("from .a import C\nimport a\na.W\n"),
+        "__init__": ast.parse("def init_only():\n    pass\n"),
+    }
+    assert unread(planted, exported={"Z"}) == ["a:4 unused", "a:10 _Y"]

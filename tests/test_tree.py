@@ -125,6 +125,16 @@ class TestStoppingRules:
         with pytest.raises(ConfigError):
             GrowConfig(criterion="minimax", max_depth=2, m_try=0)
 
+    def test_fixed_features_must_be_ints(self):
+        # a float would be truncated and a string parsed to some feature index
+        for feats in ((0.7,), ("1",), (True,), (0, 1.0)):
+            with pytest.raises(ConfigError, match="fixed_features must be ints"):
+                GrowConfig(criterion="minimax", max_depth=2, fixed_features=feats)
+        for feats in ((np.int64(1), np.uint8(0)), np.array([1, 0])):
+            config = GrowConfig(criterion="minimax", max_depth=2, fixed_features=feats)
+            assert config.fixed_features == (1, 0)
+            assert all(type(j) is int for j in config.fixed_features)
+
     def test_grow_validation(self):
         data = small_regression()
         with pytest.raises(ConfigError):
