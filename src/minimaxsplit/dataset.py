@@ -140,6 +140,8 @@ class NodeView:
         return self.member_indices.shape[0]
 
     def feature_values(self, j: int) -> np.ndarray:
+        if not is_int(j):
+            raise ConfigError(f"feature index must be an int, got {j!r}")
         if not 0 <= j < self.dataset.n_features:
             raise ConfigError(f"feature index {j} out of range [0, {self.dataset.n_features})")
         return self.dataset.features[j, self.member_indices]

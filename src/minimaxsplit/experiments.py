@@ -56,7 +56,7 @@ from .martingale import (
     ramp_density,
     uniform_grid,
 )
-from .metrics import regression_metrics, ssim
+from .metrics import _reference, regression_metrics, ssim
 from .rng import derive_seed, stream
 from .splitting import SplitCriterion
 from .tree import GrowConfig, TreeModel, best_split, canonical_json, grow
@@ -644,8 +644,10 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunRes
     write_pgm(dataset_to_image(noisy, h, w), outdir / "noisy.pgm")
     files.append("noisy.pgm")
 
+    # every image is scored against the clean one: its moments once
+    reference = _reference(clean.pixels)
     noisy_report = replace(regression_metrics(clean.pixels.ravel(), noisy),
-                           ssim=ssim(clean.pixels, noisy.reshape(h, w)))
+                           ssim=ssim(reference, noisy.reshape(h, w)))
     metrics: Dict[str, dict] = {"noisy": noisy_report.as_dict()}
 
     for m in cfg.methods:
@@ -665,7 +667,7 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunRes
         write_pgm(img, outdir / name)
         files.append(name)
         rep = replace(regression_metrics(clean.pixels.ravel(), img.pixels.ravel()),
-                      ssim=ssim(clean.pixels, img.pixels))
+                      ssim=ssim(reference, img.pixels))
         metrics[m] = rep.as_dict()
 
     files.append(_write_json(outdir, "metrics.json", metrics))

@@ -3,23 +3,28 @@
 
 A `Growth` grows a group of trees through one shared level loop: each level
 resolves every frontier node of every tree at once, so a forest costs about
-the numpy calls of one tree per level, not one tree's calls per tree (SPRINT's
-breadth-first growth, applied across the trees of a random forest).
-`best_split` is the same choice step run on a frontier of one node. Each
-tree's splits and node records are exactly those of the node-at-a-time
+the numpy calls of one tree per level, not one tree's calls per tree
+(SPRINT's breadth-first growth, applied across the trees of a random
+forest). `best_split` is the same choice step run on a frontier of one node.
+Each tree's splits and node records are exactly those of the node-at-a-time
 grower kept as the test reference in `tests/pernode_grower.py`, run on that
 tree's sample alone: every prefix curve, argmin and node mean is computed
-from the same floats in the same order. A large group sorts its roots by
-the dataset's dense ranks, once per group, instead of by float values
-(SLIQ's presort, done once for all the group's trees, not once per tree):
-16-bit rank keys take numpy's radix sort. The block scan itself (row padding,
-block grouping, the prefix kernels and the mirrored read-back of the right
-curve) lives in `splitting`, shared with `martingale`; a block gathers its
-rows through one array of flat offsets per source (`splitting._flat`), not
-through 2-D fancy indexing. With m_try, a level draws every open node's
-feature subset with one bounded-integer call per tree (`draw_subsets`),
-which consumes each tree's `features` stream exactly as one
-`Generator.choice` per node, in breadth-first order, would.
+from the same floats in the same order. A large group sorts its roots by the
+dataset's dense ranks instead of by float values (SLIQ's presort, done once
+for all the group's trees, not once per tree; a forest of several groups
+ranks the dataset once for all of them): 16-bit rank keys take numpy's radix
+sort. The block scan itself (row padding, block grouping, the prefix kernels
+and the mirrored read-back of the right curve) lives in `splitting`, shared
+with `martingale`; a block gathers its rows through one array of flat
+offsets per source (`splitting._flat`), not through 2-D fancy indexing. A
+level's per-row work is kept to what its choice needs: a scan row returns
+the sorted values on either side of its cut, and only the rows `choose`
+keeps get a threshold (one `midpoints` call per level); the new nodes' means
+come from one gather of all their targets and one row-wise sum per distinct
+node size. With m_try, a level draws every open node's feature subset with
+one bounded-integer call per tree (`draw_subsets`), which consumes each
+tree's `features` stream exactly as one `Generator.choice` per node, in
+breadth-first order, would.
 """
 
 from __future__ import annotations
@@ -56,9 +61,11 @@ class Growth:
     (needed with m_try) and splits_rngs[b] (needed by the random criteria).
     The constructor is the one place that checks these arguments against
     the config and the data, for `grow`, `grow_trees` and `best_split`
-    alike. The samples are the blocks, one after another, of a shared index
-    space: `X` and `y` hold the gathered samples, and a position in them
-    names one sample of one tree.
+    alike. `ranks`, if given, are `dense_ranks(data.features)`, which a
+    caller growing several groups computes once for all of them. The samples
+    are the blocks, one after another, of a shared index space: `X` and `y`
+    hold the gathered samples, and a position in them names one sample of
+    one tree.
 
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
@@ -76,7 +83,8 @@ class Growth:
 
     def __init__(self, data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
                  features_rngs: Sequence[Optional[np.random.Generator]],
-                 splits_rngs: Sequence[Optional[np.random.Generator]]):
+                 splits_rngs: Sequence[Optional[np.random.Generator]],
+                 ranks: Optional[np.ndarray] = None):
         crit, d, n = config.criterion, data.n_features, data.n_samples
         m_try, fixed = config.m_try, config.fixed_features
         if crit.task() != data.task:
@@ -107,7 +115,7 @@ class Growth:
         # the row of `data` at each position
         rows = np.concatenate(samples)
         self.X, self.y = data.features.take(rows, axis=1), data.targets[rows]
-        self.lists = presort(data, self.X, rows, self.offsets, self.sizes)
+        self.lists = presort(data, self.X, rows, self.offsets, self.sizes, ranks)
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
@@ -197,7 +205,10 @@ class Growth:
     def _add(self, depth: int, by_index: np.ndarray, starts: np.ndarray,
              sizes: np.ndarray, risks: np.ndarray, trees: np.ndarray) -> np.ndarray:
         """Record new nodes of the given trees, one per segment of `by_index`
-        (positions in ascending order); returns their ids."""
+        (positions in ascending order); returns their ids. A regression
+        node's value is the mean of its targets in position order, the float
+        the reference grower's per-node mean gives; all nodes' targets come
+        from one gather, and each distinct size costs one row-wise sum."""
         ids = np.arange(self.n_nodes, self.n_nodes + sizes.size)
         self.n_nodes += sizes.size
         if self.data.task == CLASSIFICATION:
@@ -207,13 +218,24 @@ class Growth:
             log_odds = np.array([math.log((p + 0.5) / (m - p + 0.5))
                                  for p, m in zip(pos.tolist(), sizes.tolist())])
         else:
-            # nodes of one size are averaged as the rows of one block: a
-            # row's mean is the same pairwise sum np.mean makes of the row
+            # one gather of every node's targets, the nodes ordered by size,
+            # each in its ascending position order. The nodes of one size are
+            # then the rows of one contiguous block, and a row's sum divided
+            # by its size is the float a mean of that row alone gives: the
+            # same pairwise sum of the same floats, then one division
+            order = np.argsort(sizes, kind="stable")
+            by_size = sizes[order]
+            ends = np.cumsum(by_size)
+            at = np.repeat(starts[order] - (ends - by_size), by_size)
+            at += np.arange(at.size)
+            y = self.y.take(by_index.take(at))
             value = np.empty(sizes.size)
             log_odds = np.full(sizes.size, math.nan)
-            for sel in _row_blocks(sizes):
-                m = int(sizes[sel[0]])
-                value[sel] = np.mean(self.y[by_index[starts[sel, None] + np.arange(m)]], axis=1)
+            first = np.flatnonzero(np.diff(by_size, prepend=-1)).tolist()
+            for lo, hi in zip(first, first[1:] + [sizes.size]):
+                m = int(by_size[lo])
+                block = y[ends[lo] - m:ends[hi - 1]].reshape(hi - lo, m)
+                value[order[lo:hi]] = np.add.reduce(block, axis=1) / m
         self.created.append((trees, np.full(sizes.size, depth, dtype=np.int64), sizes,
                              np.asarray(risks, dtype=np.float64), value, log_odds))
         return ids
@@ -231,7 +253,8 @@ class Growth:
         reason = np.select(
             [constant_target, ~spread[self.screen].any(axis=0), sizes <= self.config.n_min],
             [_CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN], 0)
-        nodes, feats, scan = self.choose(level, front, np.flatnonzero(reason == 0), spread)
+        nodes, feats, scan, threshold = self.choose(level, front, np.flatnonzero(reason == 0),
+                                                    spread)
 
         split = np.zeros(ids.size, dtype=bool)
         split[nodes] = True
@@ -247,7 +270,7 @@ class Growth:
         node_row = np.zeros(ids.size, dtype=np.int64)
         node_row[nodes] = feats * self.X.shape[1]
         node_threshold = np.zeros(ids.size)
-        node_threshold[nodes] = scan.threshold
+        node_threshold[nodes] = threshold
         samples = lists[d]
         goes_right = ~(self.X.reshape(-1).take(node_row.take(seg) + samples)
                        < node_threshold[seg]) & split[seg]
@@ -266,6 +289,9 @@ class Growth:
         going_on = width > 0
         side = np.full(self.y.size, 2, dtype=np.int8)
         side[samples] = np.where(going_on[seg], goes_right, 2)
+        # free the level's per-sample arrays before the children's lists and
+        # targets are gathered (`_regroup`, `_add`): they set the fit's peak
+        del y, seg, goes_right
         new_lists = _regroup(lists, side, np.where(split, n_left, sizes)[going_on],
                              np.where(split, sizes - n_left, 0)[going_on])
 
@@ -275,7 +301,7 @@ class Growth:
         children = self._add(level + 1, new_lists[d], new_starts[child_slots],
                              new_sizes[child_slots], child_risks, child_trees)
         parents = ids[nodes]
-        self.splits.append((parents, feats, scan.threshold, children[0::2], children[1::2], level))
+        self.splits.append((parents, feats, threshold, children[0::2], children[1::2], level))
 
         new_ids = np.empty(new_sizes.size, dtype=np.int64)
         new_ids[base[carry]] = ids[carry]
@@ -306,23 +332,26 @@ class Growth:
                spread: np.ndarray):
         """The split of each open frontier node at `level`: the nodes that
         have one (a subset of `open_nodes`, in frontier order), their
-        features and their scan results. A node with no allowed non-constant
-        feature gets none."""
+        features, their scan results and their thresholds. A node with no
+        allowed non-constant feature gets none. Only the chosen rows get a
+        threshold: the midpoint of their scan's `low` and `high`, or
+        (random_uniform) the drawn one."""
         if self.crit.is_random:
             nodes, feats, picks, uniform_t = self._random_rows(front, open_nodes, spread)
             scan = self._scan(front, nodes, feats, picks)
             if uniform_t is not None:
-                scan = scan._replace(threshold=uniform_t)
-            return nodes, feats, scan
-        nodes, feats = self._allowed(level, front, open_nodes, spread)
-        scan = self._scan(front, nodes, feats)
-        # per node the least criterion, the lower feature on ties: a stable
-        # sort keeps each node's rows in feature order
-        order = np.lexsort((scan.criterion, nodes))
-        head = np.ones(order.size, dtype=bool)
-        head[1:] = nodes[order[1:]] != nodes[order[:-1]]
-        best = order[head]
-        return nodes[best], feats[best], _Scan(*(a[best] for a in scan))
+                return nodes, feats, scan, uniform_t
+        else:
+            nodes, feats = self._allowed(level, front, open_nodes, spread)
+            scan = self._scan(front, nodes, feats)
+            # per node the least criterion, the lower feature on ties: a
+            # stable sort keeps each node's rows in feature order
+            order = np.lexsort((scan.criterion, nodes))
+            head = np.ones(order.size, dtype=bool)
+            head[1:] = nodes[order[1:]] != nodes[order[:-1]]
+            best = order[head]
+            nodes, feats, scan = nodes[best], feats[best], _Scan(*(a[best] for a in scan))
+        return nodes, feats, scan, midpoints(scan.low, scan.high)
 
     def _allowed(self, level: int, front: _Frontier, open_nodes: np.ndarray,
                  spread: np.ndarray):
@@ -408,42 +437,44 @@ class Growth:
         Each row gets its own sequential cumsum, so its curves are those of
         the single-node scan in `tests/pernode_scan.py` and of the reference
         grower bit for bit; a global cumsum minus segment offsets would not
-        be."""
+        be. A row's threshold is left to `choose`, which takes the midpoint
+        for the rows it keeps only."""
         out = _Scan(*(np.empty(nodes.size, dtype=np.int64 if name == "left_count" else None)
                       for name in _Scan._fields))
+        # flat views (see `splitting._flat`), made once for every block
+        lists, (step, _) = _flat(front.lists)
+        X = self.X.reshape(-1)
         for rows in _row_blocks(_padded_width(front.sizes[nodes])):
-            block = self._scan_block(front, nodes[rows], feats[rows],
+            block = self._scan_block(front, lists, step, X, nodes[rows], feats[rows],
                                      None if picks is None else picks[rows])
             for field, values in zip(out, block):
                 field[rows] = values
         return out
 
-    def _scan_block(self, front: _Frontier, nodes: np.ndarray, feats: np.ndarray,
+    def _scan_block(self, front: _Frontier, lists: np.ndarray, step: int, X: np.ndarray,
+                    nodes: np.ndarray, feats: np.ndarray,
                     picks: Optional[np.ndarray]) -> _Scan:
         m = front.sizes[nodes]
         width = int(m.max())
-        # flat offsets (see `splitting._flat`) of each row's segment in the
-        # row of `lists` of its feature; padding repeats the row's last sample
-        lists, (step, _) = _flat(front.lists)
+        # flat offsets of each row's segment in the row of `lists` (row step
+        # `step`) of its feature; padding repeats the row's last sample
         sample = lists.take(np.minimum(np.arange(width), m[:, None] - 1)
                             + (feats * step + front.starts[nodes])[:, None])
-        v = self.X.reshape(-1).take(sample + (feats * self.X.shape[1])[:, None])
+        v = X.take(sample + (feats * self.X.shape[1])[:, None])
         left, right = _child_curves(self.prefix, (self.y.take(sample),), m)
         crit = _MODE_CRITERIA["sum" if self.crit.is_random else self.crit.scan_mode](left, right)
         if picks is None:
             # padding repeats a value, so it never shows a strict rise
             crit = np.where(v[:, 1:] > v[:, :-1], crit, np.inf)
             picks = np.argmin(crit, axis=1)
-        # each row's entry at its pick, through flat offsets: v's rows are
-        # `width` apart, those of crit and right (flattened in C order)
-        # `width - 1`, and left, a view, has a row step of its own
+        # each row's entry at its pick: through flat offsets where the array
+        # is C-contiguous (v's rows are `width` apart, those of crit and right
+        # `width - 1`); left is a view of the prefix curves
         rows = np.arange(nodes.size)
         cut = rows * (width - 1) + picks
         v, v_at = v.reshape(-1), rows * width + picks
-        left, (left_step, _) = _flat(left)
-        return _Scan(crit.reshape(-1).take(cut), midpoints(v.take(v_at), v.take(v_at + 1)),
-                     left.take(rows * left_step + picks), right.reshape(-1).take(cut),
-                     picks + 1)
+        return _Scan(crit.reshape(-1).take(cut), v.take(v_at), v.take(v_at + 1),
+                     left[rows, picks], right.reshape(-1).take(cut), picks + 1)
 
 
 def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
@@ -487,19 +518,20 @@ def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
 
 
 def presort(data: Dataset, X: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
-            sizes: np.ndarray) -> np.ndarray:
+            sizes: np.ndarray, ranks: Optional[np.ndarray] = None) -> np.ndarray:
     """The root index matrix of `Growth`: the blocks (offsets, sizes) of
     positions into X = data.features[:, rows], each sorted stably by every
-    feature (rows 0..d-1), then position order (row d). A group whose blocks
-    hold at least `_RANK_ENTRIES` feature values, and at least the dataset's
-    n samples, ranks the dataset once (`dense_ranks`) and sorts each block
-    by its rows' ranks (`rank_order`); a smaller one sorts each block's
-    floats. Ties keep position order either way, so both give the same
-    order. The ranks are freed on return, before any level is grown."""
+    feature (rows 0..d-1), then position order (row d). A group for which
+    `ranks_pay` sorts each block by its rows' dense ranks (`rank_order`),
+    those given or, if none are, the dataset's ranked here (`dense_ranks`);
+    a smaller one sorts each block's floats. Ties keep position order
+    either way, so both give the same order."""
     d, total = X.shape
     lists = np.empty((d + 1, total), dtype=np.int32)
-    ranks = (dense_ranks(data.features) if total >= data.n_samples
-             and d * total >= _RANK_ENTRIES else None)
+    if not ranks_pay(data, total):
+        ranks = None
+    elif ranks is None:
+        ranks = dense_ranks(data.features)
     for start, size in zip(offsets.tolist(), sizes.tolist()):
         block = lists[:-1, start:start + size]
         if ranks is None:
@@ -509,6 +541,14 @@ def presort(data: Dataset, X: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
         block += start
     lists[-1] = np.arange(total)
     return lists
+
+
+def ranks_pay(data: Dataset, total: int) -> bool:
+    """Whether a group of `total` samples sorts its roots by the dataset's
+    dense ranks: it holds at least `_RANK_ENTRIES` feature values and at
+    least the dataset's n samples, so ranking costs less than the float
+    sorts it replaces."""
+    return total >= data.n_samples and data.n_features * total >= _RANK_ENTRIES
 
 
 def dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -552,10 +592,15 @@ class _Frontier(NamedTuple):
 
 
 class _Scan(NamedTuple):
-    """Per-row result of `Growth._scan`."""
+    """Per-row result of `Growth._scan`: the criterion at the row's cut,
+    the sorted feature values on either side of it (`low` is the last that
+    goes left, `high` the first that goes right; `Growth.choose` turns a
+    chosen row's pair into its threshold), the two child risks and the
+    left count."""
 
     criterion: np.ndarray
-    threshold: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
     left_risk: np.ndarray
     right_risk: np.ndarray
     left_count: np.ndarray  # samples below the threshold

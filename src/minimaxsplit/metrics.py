@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +60,38 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _window_mean(image: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The w-weighted mean of each fully interior window of `image`; a
+    product image's windows are the products of the windows, float for
+    float."""
+    return np.tensordot(sliding_window_view(image, w.shape), w, axes=([2, 3], [0, 1]))
+
+
+class _Reference(NamedTuple):
+    """An image that `ssim` scores others against, with its own two window
+    moments, the mean and E[a^2], at one window and sigma: a study that
+    scores several images against one clean image computes them once
+    (`_reference`) instead of once per `ssim` call."""
+
+    pixels: np.ndarray
+    window: int
+    sigma: float
+    mu: np.ndarray
+    e_sq: np.ndarray
+
+
+def _reference(a, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> _Reference:
+    """`a` as the first argument of `ssim` at this window and sigma, its
+    moments computed once; `ssim` gives the same float with it as with `a`."""
+    A = _as_pixels(a)
+    if min(A.shape) < window:
+        raise ConfigError(f"image {A.shape} smaller than the {window}x{window} window")
+    w = _gaussian_window(window, sigma)
+    return _Reference(A, window, sigma, _window_mean(A, w), _window_mean(A * A, w))
+
+
 def _as_pixels(img) -> np.ndarray:
-    if isinstance(img, ImageGrid):
+    if isinstance(img, (ImageGrid, _Reference)):
         return img.pixels
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2:
@@ -78,7 +108,8 @@ def ssim(a, b, *, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA,
     Window moments are Gaussian-weighted (weights renormalized to sum 1);
     variances are *not* clamped, so for identical inputs the numerator and
     denominator of every window are the same float expression and the result
-    is exactly 1.0.
+    is exactly 1.0. `a` may be a `_Reference`, whose own moments are then
+    read rather than recomputed.
     """
     if not isinstance(window, int) or window < 1:
         raise ConfigError(f"window must be a positive int, got {window!r}")
@@ -91,18 +122,13 @@ def ssim(a, b, *, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA,
     if min(A.shape) < window:
         raise ConfigError(f"image {A.shape} smaller than the {window}x{window} window")
     w = _gaussian_window(window, sigma)
-
-    def moment(image: np.ndarray) -> np.ndarray:
-        # the Gaussian-weighted mean of each window; a product image's
-        # windows are the products of the windows, float for float
-        return np.tensordot(sliding_window_view(image, (window, window)), w,
-                            axes=([2, 3], [0, 1]))
-
-    mu_a = moment(A)
-    mu_b = moment(B)
-    e_aa = moment(A * A)
-    e_bb = moment(B * B)
-    e_ab = moment(A * B)
+    if isinstance(a, _Reference) and (a.window, a.sigma) == (window, sigma):
+        mu_a, e_aa = a.mu, a.e_sq
+    else:
+        mu_a, e_aa = _window_mean(A, w), _window_mean(A * A, w)
+    mu_b = _window_mean(B, w)
+    e_bb = _window_mean(B * B, w)
+    e_ab = _window_mean(A * B, w)
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b
     cov = e_ab - mu_a * mu_b

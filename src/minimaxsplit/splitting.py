@@ -170,19 +170,32 @@ def _prefix_sse(y: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     (a cumsum of clamped West increments). Works along the last axis, so each
     row of a 2-D block gets exactly the floats its 1-D call would (cumsum is
     a sequential recurrence along the axis; whatever follows a row's real
-    length does not reach it). Unit weights give the same floats as ones."""
+    length does not reach it). Unit weights give the same floats as ones.
+
+    Two buffers of y's shape carry the whole computation: the running means
+    (built in the product buffer w * y when weighted) and the increments
+    (which first hold each entry's previous mean); every step after them is
+    a ufunc with `out=`, applied to the whole array, in the order of
+    operations of the formula, so the floats are those of the plain
+    expression with its temporaries."""
     if w is None:
-        means = np.cumsum(y, axis=-1) / np.arange(1, y.shape[-1] + 1, dtype=np.float64)
+        means = np.cumsum(y, axis=-1)
+        means /= np.arange(1, y.shape[-1] + 1, dtype=np.float64)
     else:
-        means = np.cumsum(w * y, axis=-1) / np.cumsum(w, axis=-1)
-    prev = np.empty_like(means)
-    prev[..., 0] = y[..., 0]
-    prev[..., 1:] = means[..., :-1]
-    inc = y - prev if w is None else w * (y - prev)
-    inc *= y - means
+        means = np.multiply(w, y)
+        np.cumsum(means, axis=-1, out=means)
+        means /= np.cumsum(w, axis=-1)
+    # each entry's previous mean, then its increment (y - prev) w (y - mean)
+    inc = np.empty_like(means)
+    inc[..., 0] = y[..., 0]
+    inc[..., 1:] = means[..., :-1]
+    np.subtract(y, inc, out=inc)
+    if w is not None:
+        np.multiply(w, inc, out=inc)
+    inc *= np.subtract(y, means, out=means)
     np.maximum(inc, 0.0, out=inc)
     inc[..., 0] = 0.0
-    return np.cumsum(inc, axis=-1)
+    return np.cumsum(inc, axis=-1, out=inc)
 
 
 def _prefix_entropy_risk(y: np.ndarray) -> np.ndarray:

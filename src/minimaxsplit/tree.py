@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names, is_int
 from .errors import ConfigError, DataError
-from .growth import _REASONS, Growth
+from .growth import _REASONS, Growth, dense_ranks, ranks_pay
 from .rng import stream
 from .splitting import TAGS, SplitCriterion, SplitDecision, _flat
 
@@ -72,14 +72,25 @@ class GrowConfig:
         if self.fixed_features is not None:
             if self.m_try is not None:
                 raise ConfigError("fixed_features and m_try are mutually exclusive")
-            if not all(is_int(j) for j in self.fixed_features):
-                raise ConfigError(f"fixed_features must be ints, got {self.fixed_features!r}")
-            feats = tuple(int(j) for j in self.fixed_features)
-            if not feats:
-                raise ConfigError("fixed_features must be nonempty")
-            object.__setattr__(self, "fixed_features", feats)
+            object.__setattr__(self, "fixed_features",
+                               feature_ints(self.fixed_features, "fixed_features"))
         if self.m_try is not None and not config_int(self.m_try, 1):
             raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
+
+
+def feature_ints(features: Sequence[int], name: str,
+                 d: Optional[int] = None) -> Tuple[int, ...]:
+    """A nonempty list of feature indices as a tuple of Python ints, in
+    [0, d) if d is given; ConfigError naming the argument `name` for
+    anything else."""
+    if not all(is_int(j) for j in features):
+        raise ConfigError(f"{name} must be ints, got {features!r}")
+    feats = tuple(int(j) for j in features)
+    if not feats:
+        raise ConfigError(f"{name} must be nonempty")
+    if d is not None and any(not 0 <= j < d for j in feats):
+        raise ConfigError(f"{name} outside [0, {d})")
+    return feats
 
 
 def check_cut(max_depth: Optional[int]) -> None:
@@ -266,20 +277,24 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     Consecutive trees grow as one group through one shared level loop, as
     many as fit in _GROUP_SAMPLES samples together (at least one), so a
     forest pays each level's fixed numpy calls once per group, not once per
-    tree."""
+    tree. The dataset is ranked at most once (`growth.dense_ranks`), for
+    every group whose roots sort by rank."""
     groups: List[List[int]] = []
-    held = 0
+    held: List[int] = []
     for b, sample in enumerate(samples):
         size = np.size(sample)
-        if not groups or held + size > _GROUP_SAMPLES:
+        if not groups or held[-1] + size > _GROUP_SAMPLES:
             groups.append([])
-            held = 0
+            held.append(0)
         groups[-1].append(b)
-        held += size
+        held[-1] += size
+    # the groups that sort their roots by dense ranks share one ranking
+    ranks = dense_ranks(data.features) if any(ranks_pay(data, h) for h in held) else None
     trees: List[TreeModel] = []
     for group in groups:
         grown = Growth(data, config, [samples[b] for b in group],
-                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group]).run()
+                       [features_rngs[b] for b in group], [splits_rngs[b] for b in group],
+                       ranks).run()
         trees += [TreeModel(task=data.task, n_features=data.n_features,
                             criterion=config.criterion.tag, max_depth=config.max_depth,
                             n_min=config.n_min, n_train=int(nodes["count"][0]),
@@ -303,16 +318,19 @@ def best_split(node: NodeView, criterion: SplitCriterion,
     threshold from `rng`. Returns None when no allowed feature is splittable.
     `growth.Growth` checks the arguments, as it does for `grow`.
     """
+    if allowed_features is not None:
+        allowed_features = feature_ints(allowed_features, "allowed_features",
+                                        node.dataset.n_features)
     growth = Growth(node.dataset,
                     GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
                     [node.member_indices], [None], [rng])
     front = growth.root()
-    nodes, feats, scan = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
-                                       growth.spread(front))
+    nodes, feats, scan, threshold = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
+                                                  growth.spread(front))
     if nodes.size == 0:
         return None
     left = int(scan.left_count[0])
-    return SplitDecision(int(feats[0]), float(scan.threshold[0]), float(scan.left_risk[0]),
+    return SplitDecision(int(feats[0]), float(threshold[0]), float(scan.left_risk[0]),
                          float(scan.right_risk[0]), float(scan.criterion[0]), left,
                          node.size - left)
 

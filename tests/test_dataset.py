@@ -26,7 +26,7 @@ from minimaxsplit import (
     powell,
     write_pgm,
 )
-from minimaxsplit.dataset import piecewise_signal
+from minimaxsplit.dataset import NodeView, piecewise_signal
 
 
 class TestDataset:
@@ -51,6 +51,16 @@ class TestDataset:
             Dataset(features=[[1.0]], targets=[0.5], task=CLASSIFICATION)
         with pytest.raises(ConfigError):
             Dataset(features=[[1.0]], targets=[1.0], task="ranking")
+
+    def test_feature_index_must_be_an_int(self):
+        ds = Dataset.from_rows([[1.0, 2.0], [3.0, 4.0]], [0.0, 1.0])
+        node = NodeView(ds, np.arange(2))
+        for j in (1.5, True, "1"):
+            with pytest.raises(ConfigError, match="feature index must be an int"):
+                node.feature_values(j)
+        with pytest.raises(ConfigError, match="out of range"):
+            node.feature_values(2)
+        assert node.feature_values(np.int64(1)).tolist() == [2.0, 4.0]
 
     def test_subset_allows_duplicates(self):
         ds = Dataset(features=[[1.0, 2.0, 3.0]], targets=[5.0, 6, 7], task=REGRESSION)

@@ -12,6 +12,8 @@ from minimaxsplit import (
     ssim,
 )
 
+from minimaxsplit.metrics import _reference
+
 from conftest import naive_ssim, window_product_ssim
 
 
@@ -99,6 +101,20 @@ class TestSsim:
         got = ssim(a, b, window=5, sigma=1.0)
         want = naive_ssim(a, b, window=5, sigma=1.0)
         assert got == pytest.approx(want, abs=1e-10)
+
+    def test_reference_moments_give_the_same_float(self, rng):
+        """A reference computed once scores every image exactly as the
+        plain image does; at another window or sigma its own moments are
+        recomputed, not reused."""
+        clean = make_phantom()
+        ref = _reference(clean.pixels)
+        for sigma in (0.0, 0.05, 0.4):
+            noisy = clean.pixels + sigma * rng.normal(size=clean.pixels.shape)
+            assert ssim(ref, noisy) == ssim(clean.pixels, noisy)
+            assert ssim(ref, noisy, window=5, sigma=1.0) == \
+                ssim(clean.pixels, noisy, window=5, sigma=1.0)
+        with pytest.raises(ConfigError, match="smaller than"):
+            _reference(rng.random((8, 8)))
 
     def test_shape_errors(self, rng):
         with pytest.raises(ConfigError):

@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minimaxsplit.growth as growth_module
+import minimaxsplit.tree as tree_module
 from minimaxsplit import REGRESSION, Dataset, GrowConfig, grow
 from minimaxsplit.growth import dense_ranks, rank_order
-from minimaxsplit.tree import tree_to_json
+from minimaxsplit.rng import stream
+from minimaxsplit.tree import grow_trees, tree_to_json
+
+from pernode_grower import grow_per_node
 
 # signed zeros, subnormals, the smallest normal and values near the float range
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
@@ -98,3 +102,44 @@ def test_grown_tree_is_the_same_on_either_presort(monkeypatch):
         monkeypatch.setattr(growth_module, "_RANK_ENTRIES", threshold)
         got.append(tree_to_json(grow(data, config)))
     assert got[0] == got[1]
+
+
+def test_a_forest_of_several_groups_ranks_once(monkeypatch):
+    """Six bootstrap trees of 1 500 samples on 3 features, two trees per
+    group: every group sorts its roots by rank (9 000 feature values per
+    group), and the dataset is ranked once for all three groups. Each tree
+    is the one the per-node grower makes on its sample."""
+    rng = np.random.default_rng(21)
+    n = 1_500
+    X = np.array([rng.normal(size=n), np.round(rng.normal(size=n), 1), rng.integers(0, 5, n)],
+                 dtype=np.float64)
+    data = Dataset(features=X, targets=np.sin(X[0]) + X[1] + rng.normal(size=n),
+                   task=REGRESSION)
+    samples = [rng.integers(0, n, n) for _ in range(6)]
+    config = GrowConfig("minimax", max_depth=4, m_try=2)
+    monkeypatch.setattr(tree_module, "_GROUP_SAMPLES", 2 * n)
+    assert growth_module.ranks_pay(data, 2 * n)
+    calls = []
+
+    def counted(features):
+        calls.append(features.shape)
+        return dense_ranks(features)
+
+    monkeypatch.setattr(tree_module, "dense_ranks", counted)
+    monkeypatch.setattr(growth_module, "dense_ranks", counted)
+    trees = grow_trees(data, config, samples, [stream(b, "features") for b in range(6)],
+                       [None] * 6)
+    assert calls == [X.shape]
+    for b, (tree, rows) in enumerate(zip(trees, samples)):
+        want = grow_per_node(data.subset(rows), config, features_rng=stream(b, "features"))
+        assert tree_to_json(tree) == tree_to_json(want)
+
+
+def test_no_group_on_the_rank_path_ranks_nothing(monkeypatch):
+    rng = np.random.default_rng(22)
+    data = Dataset(features=rng.normal(size=(2, 200)), targets=rng.normal(size=200),
+                   task=REGRESSION)
+    monkeypatch.setattr(tree_module, "dense_ranks", None)
+    monkeypatch.setattr(growth_module, "dense_ranks", None)
+    grow_trees(data, GrowConfig("variance", max_depth=3), [np.arange(200)] * 3,
+               [None] * 3, [None] * 3)

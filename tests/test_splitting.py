@@ -175,6 +175,16 @@ class TestBestSplit:
                          allowed_features=np.array([1]))
         assert dec.feature == 1 and dec.criterion_value == 0.0
 
+    def test_allowed_features_errors_name_the_argument(self):
+        X = np.array([[0.0, 1, 2, 3], [0.0, 0, 10, 10]])
+        data = Dataset(features=X, targets=[0.0, 0, 10, 10], task=REGRESSION)
+        with pytest.raises(ConfigError, match=r"^allowed_features must be ints, got \[1\.9\]"):
+            best_split(root_node(data), SplitCriterion("minimax"), allowed_features=[1.9])
+        with pytest.raises(ConfigError, match=r"^allowed_features outside \[0, 2\)"):
+            best_split(root_node(data), SplitCriterion("minimax"), allowed_features=[2])
+        with pytest.raises(ConfigError, match="^allowed_features must be nonempty"):
+            best_split(root_node(data), SplitCriterion("minimax"), allowed_features=[])
+
     def test_node_depth_must_be_an_int(self):
         # a cyclic criterion schedules feature depth % d: 1.5 cannot index
         # it, and True would read as depth 1
