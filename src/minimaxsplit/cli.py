@@ -38,13 +38,13 @@ def _parse_config(text: Optional[str]) -> dict:
     if s.startswith("{"):
         try:
             return json.loads(s)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past int()'s digit limit
             raise ConfigError(f"bad inline config JSON: {exc}") from None
     try:
         return json.loads(read_text(text))
     except DataError as exc:
         raise ConfigError(str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{text}: bad config JSON: {exc}") from None
 
 

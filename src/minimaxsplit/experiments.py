@@ -5,7 +5,9 @@ plot-ready CSV tables plus a canonical ``manifest.json`` (config echo, seed,
 package version, file list, summary) into the output directory, and rerunning
 with the same inputs reproduces every byte. Every study runs on the calling
 thread: its replicates, methods and grid cells one after another, a forest
-fit as one batch of trees (`train_forest`).
+fit as one batch of trees (`train_forest`). Each config declares its fields'
+types and ranges in the one schema of `config`, so a runner never re-checks
+them; `config_from_dict` adds only the JSON-object and unknown-key checks.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from itertools import islice
-from typing import (Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .config import (CRITERION, FINITE_NONNEG, NONEMPTY, TYPED, at_least, between, check,
+                     each, must, one_of, spec)
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -226,65 +229,20 @@ def _finish(outdir: Path, experiment: str, cfg, seed: int, files: List[str],
                      summary=doc["summary"], warnings=tuple(warnings))
 
 
-_JSON_TYPE = {int: "integer", float: "number", bool: "boolean", str: "string",
-              type(None): "null"}
-
-
-def _fits(hint, value) -> bool:
-    """Whether a parsed JSON value has a config field's declared type. As in
-    `tree.config_int`, a bool is not an int; a float field also takes an
-    int; a tuple field takes a list whose entries fit its entry type."""
-    if get_origin(hint) is Union:
-        return any(_fits(h, value) for h in get_args(hint))
-    if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(get_args(hint)[0], v) for v in value)
-    if hint is float:
-        return type(value) in (int, float)
-    return type(value) is hint
-
-
-def _type_name(hint) -> str:
-    if get_origin(hint) is Union:
-        return " | ".join(map(_type_name, get_args(hint)))
-    if get_origin(hint) is tuple:
-        return f"list of {_type_name(get_args(hint)[0])}"
-    return _JSON_TYPE[hint]
-
-
 def config_from_dict(cls, payload: dict):
-    """Build a config dataclass from parsed JSON, rejecting unknown keys and
-    values of the wrong type, and coercing lists to the tuples the frozen
-    dataclasses expect."""
+    """Build a config dataclass from parsed JSON, rejecting unknown keys; the
+    config's own check (`config.check`) rejects values of the wrong type or
+    range."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {type(payload).__name__}")
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {unknown} (valid: {sorted(names)})")
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for name, v in payload.items():
-        if not _fits(hints[name], v):
-            raise ConfigError(f"{cls.__name__}.{name}: want {_type_name(hints[name])}, "
-                              f"got {v!r}")
-        kwargs[name] = tuple(v) if isinstance(v, list) else v
     try:
-        return cls(**kwargs)
+        return cls(**payload)
     except TypeError as exc:
         raise ConfigError(f"bad {cls.__name__}: {exc}") from None
-
-
-def _check_sigma(name: str, sigma: float) -> None:
-    # JSON's NaN and Infinity parse as floats
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {sigma!r}")
-
-
-def _check_criteria(methods: Sequence[str]) -> None:
-    if not methods:
-        raise ConfigError("method list must be nonempty")
-    for m in methods:
-        SplitCriterion(m)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +252,15 @@ def _check_criteria(methods: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class EcpConfig:
-    n: int = 500
-    replicates: int = 1000
-    noise_laws: Tuple[str, ...] = ("normal", "t3", "t1")
-    methods: Tuple[str, ...] = ("variance", "minimax", "random_uniform", "random_observed")
-    threshold: float = 0.05
+    n: int = spec(at_least(2), 500)
+    replicates: int = spec(at_least(1), 1000)
+    noise_laws: Tuple[str, ...] = spec(each(TYPED), ("normal", "t3", "t1"))
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax", "random_uniform",
+                                                      "random_observed"))
+    threshold: float = spec(between(0.0, 0.5), 0.05)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("ecp needs n >= 2")
-        if self.replicates < 1:
-            raise ConfigError("replicate count must be >= 1")
-        if not self.noise_laws:
-            raise ConfigError("noise_laws must be nonempty")
-        if not 0.0 < self.threshold < 0.5:
-            raise ConfigError("threshold must lie in (0, 0.5)")
-        _check_criteria(self.methods)
+        check(self)
         for law in self.noise_laws:
             _noise_spec(law, self.n)
 
@@ -372,25 +323,16 @@ def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp") -> RunResult:
 
 @dataclass(frozen=True)
 class LeafSizeConfig:
-    n: int = 1024
-    replicates: int = 20
-    max_depth: int = 10
-    noise_sigmas: Tuple[float, ...] = (0.01, 0.1)
-    methods: Tuple[str, ...] = ("variance", "minimax", "one_sided_min", "one_sided_max")
-    n_min: int = 1
+    n: int = spec(at_least(2), 1024)
+    replicates: int = spec(at_least(1), 20)
+    max_depth: int = spec(at_least(0), 10)
+    noise_sigmas: Tuple[float, ...] = spec(each(FINITE_NONNEG), (0.01, 0.1))
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax", "one_sided_min",
+                                                      "one_sided_max"))
+    n_min: int = spec(at_least(1), 1)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("leafsize needs n >= 2")
-        if self.replicates < 1:
-            raise ConfigError("replicate count must be >= 1")
-        if self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
-        if not self.noise_sigmas:
-            raise ConfigError("noise_sigmas must be nonempty")
-        for sigma in self.noise_sigmas:
-            _check_sigma("noise_sigmas entry", sigma)
-        _check_criteria(self.methods)
+        check(self)
 
 
 def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize") -> RunResult:
@@ -439,32 +381,26 @@ def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize") -> Ru
 # ---------------------------------------------------------------------------
 
 
+def _finite_frequency(p: int) -> Optional[str]:
+    # the angular frequency 2*pi*2^p of the signal overflows from p = 1022 on
+    return None if p <= 1021 else f"p = {p} gives no finite frequency 2*pi*2^p"
+
+
 @dataclass(frozen=True)
 class SineConfig:
-    n: int = 2048
-    p_values: Tuple[int, ...] = (1, 2, 3, 4)
-    max_depth: int = 12
-    methods: Tuple[str, ...] = ("variance", "minimax")
-    noise_sigma: float = 0.0
-    batches: int = 1
-    eval_depths: Tuple[int, ...] = ()
-    n_test: int = 4096
+    n: int = spec(at_least(2), 2048)
+    p_values: Tuple[int, ...] = spec(each(_finite_frequency), (1, 2, 3, 4))
+    max_depth: int = spec(at_least(0), 12)
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
+    noise_sigma: float = spec(FINITE_NONNEG, 0.0)
+    batches: int = spec(at_least(1), 1)
+    eval_depths: Tuple[int, ...] = spec(TYPED, ())
+    n_test: int = spec(at_least(1), 4096)
 
     def __post_init__(self):
-        if self.n < 2 or self.n_test < 1:
-            raise ConfigError("sine needs n >= 2 and n_test >= 1")
-        if self.batches < 1:
-            raise ConfigError("batches must be >= 1")
-        if not self.p_values:
-            raise ConfigError("p_values must be nonempty")
-        # the angular frequency 2*pi*2^p of the signal overflows from p = 1022 on
-        if max(self.p_values) > 1021:
-            raise ConfigError(f"p_values: p = {max(self.p_values)} gives no finite "
-                              f"frequency 2*pi*2^p")
+        check(self)
         if any(k < 0 or k > self.max_depth for k in self.eval_depths):
             raise ConfigError("eval_depths must lie in [0, max_depth]")
-        _check_sigma("noise_sigma", self.noise_sigma)
-        _check_criteria(self.methods)
 
 
 def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
@@ -520,20 +456,14 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
 
 @dataclass(frozen=True)
 class AsbpConfig:
-    n: int = 4096
-    d: int = 2
-    max_depth: int = 12
-    n_test: int = 4096
-    methods: Tuple[str, ...] = ("minimax", "cyclic_minimax")
+    n: int = spec(at_least(2), 4096)
+    d: int = spec(at_least(2), 2)
+    max_depth: int = spec(at_least(0), 12)
+    n_test: int = spec(at_least(1), 4096)
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("minimax", "cyclic_minimax"))
 
     def __post_init__(self):
-        if self.n < 2 or self.n_test < 1:
-            raise ConfigError("asbp needs n >= 2 and n_test >= 1")
-        if self.d < 2:
-            raise ConfigError("asbp needs d >= 2")
-        if self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
-        _check_criteria(self.methods)
+        check(self)
 
 
 def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp") -> RunResult:
@@ -602,24 +532,18 @@ def _parse_denoise_method(m: str) -> Tuple[str, str, Optional[int]]:
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    image: Optional[str] = None  # PGM path; None uses the builtin phantom
-    height: int = 64
-    width: int = 64
-    noise_sigma: float = 0.1
-    n_trees: int = 50
-    max_depth: int = 10
-    n_min: int = 1
-    methods: Tuple[str, ...] = ("forest:variance", "forest:minimax", "forest:minimax:m1",
-                                "tree:variance", "tree:minimax")
+    image: Optional[str] = spec(TYPED, None)  # PGM path; None uses the builtin phantom
+    height: int = spec(at_least(1), 64)
+    width: int = spec(at_least(1), 64)
+    noise_sigma: float = spec(FINITE_NONNEG, 0.1)
+    n_trees: int = spec(at_least(1), 50)
+    max_depth: int = spec(at_least(0), 10)
+    n_min: int = spec(at_least(1), 1)
+    methods: Tuple[str, ...] = spec(each(TYPED), (
+        "forest:variance", "forest:minimax", "forest:minimax:m1", "tree:variance", "tree:minimax"))
 
     def __post_init__(self):
-        _check_sigma("noise_sigma", self.noise_sigma)
-        if self.height < 1 or self.width < 1:
-            raise ConfigError(f"need height >= 1 and width >= 1, got {self.height}, {self.width}")
-        if self.n_trees < 1 or self.max_depth < 0 or self.n_min < 1:
-            raise ConfigError("need n_trees >= 1, max_depth >= 0, n_min >= 1")
-        if not self.methods:
-            raise ConfigError("method list must be nonempty")
+        check(self)
         for m in self.methods:
             _parse_denoise_method(m)
 
@@ -685,25 +609,16 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunRes
 
 @dataclass(frozen=True)
 class PowellConfig:
-    n_values: Tuple[int, ...] = (1000, 10000)
-    d_values: Tuple[int, ...] = (4,)
-    max_depth: int = 3
-    n_test: int = 10000
-    methods: Tuple[str, ...] = ("variance", "minimax")
-    noise_sigma: float = 0.0
+    n_values: Tuple[int, ...] = spec(each(at_least(2)), (1000, 10000))
+    d_values: Tuple[int, ...] = spec(each(must(lambda d: d > 0 and d % 4 == 0,
+                                               "a positive multiple of 4")), (4,))
+    max_depth: int = spec(at_least(0), 3)
+    n_test: int = spec(at_least(1), 10000)
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
+    noise_sigma: float = spec(FINITE_NONNEG, 0.0)
 
     def __post_init__(self):
-        if not self.n_values or min(self.n_values) < 2:
-            raise ConfigError("n_values must be nonempty with entries >= 2")
-        if not self.d_values:
-            raise ConfigError("d_values must be nonempty")
-        for d in self.d_values:
-            if d % 4 != 0 or d <= 0:
-                raise ConfigError(f"d must be a positive multiple of 4, got {d}")
-        if self.n_test < 1 or self.max_depth < 0:
-            raise ConfigError("need n_test >= 1 and max_depth >= 0")
-        _check_sigma("noise_sigma", self.noise_sigma)
-        _check_criteria(self.methods)
+        check(self)
 
 
 def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult:
@@ -734,24 +649,16 @@ def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult
 
 @dataclass(frozen=True)
 class TimeseriesConfig:
-    data: Optional[str] = None  # two-column CSV (time, value); None = synthetic sine
-    n_synthetic: int = 2000
-    holdout: float = 0.2
-    depths: Tuple[int, ...] = (2, 4, 6, 8, 10)
-    methods: Tuple[str, ...] = ("variance", "minimax")
-    downsample: int = 1
-    standardize: bool = True
+    data: Optional[str] = spec(TYPED, None)  # two-column CSV (time, value); None = synthetic sine
+    n_synthetic: int = spec(at_least(4), 2000)
+    holdout: float = spec(between(0.0, 1.0), 0.2)
+    depths: Tuple[int, ...] = spec(each(at_least(0)), (2, 4, 6, 8, 10))
+    methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
+    downsample: int = spec(at_least(1), 1)
+    standardize: bool = spec(TYPED, True)
 
     def __post_init__(self):
-        if not 0.0 < self.holdout < 1.0:
-            raise ConfigError("holdout fraction must lie in (0, 1)")
-        if not self.depths or min(self.depths) < 0:
-            raise ConfigError("depths must be nonempty and nonnegative")
-        if self.downsample < 1:
-            raise ConfigError("downsample must be a positive step")
-        if self.n_synthetic < 4:
-            raise ConfigError("n_synthetic must be >= 4")
-        _check_criteria(self.methods)
+        check(self)
 
 
 def synthetic_series(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -854,24 +761,14 @@ def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries") 
 
 @dataclass(frozen=True)
 class MartingaleRunConfig:
-    density: str = "uniform"  # uniform | ramp | power10 | path to an atom CSV
-    n_atoms: int = 65536
-    max_depth: int = 12
-    rules: Tuple[str, ...] = RULES
+    density: str = spec(must(lambda d: d in ("uniform", "ramp", "power10") or d.endswith(".csv"),
+                             "a density tag (uniform | ramp | power10 | *.csv)"), "uniform")
+    n_atoms: int = spec(at_least(2), 65536)
+    max_depth: int = spec(at_least(0), 12)
+    rules: Tuple[str, ...] = spec(each(one_of(*RULES)), RULES)
 
     def __post_init__(self):
-        if self.n_atoms < 2:
-            raise ConfigError("n_atoms must be >= 2")
-        if self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
-        if not self.rules:
-            raise ConfigError("rule list must be nonempty")
-        for r in self.rules:
-            if r not in RULES:
-                raise ConfigError(f"unknown rule {r!r}; valid: {RULES}")
-        if self.density not in ("uniform", "ramp", "power10") and not self.density.endswith(".csv"):
-            raise ConfigError(
-                f"unknown density tag {self.density!r} (want uniform | ramp | power10 | *.csv)")
+        check(self)
 
 
 def _law_from_atom_csv(path) -> DiscreteLaw:
@@ -925,24 +822,24 @@ def run_martingale(cfg: MartingaleRunConfig, seed: int = 0,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    data: str = ""
-    target: Union[str, int] = "y"
-    task: str = REGRESSION
-    model: str = "tree"  # tree | forest
-    criterion: str = "minimax"
-    max_depth: int = 6
-    n_min: int = 1
-    m_try: Optional[int] = None
-    n_trees: int = 50
-    bootstrap: bool = True
-    fixed_features: Optional[Tuple[int, ...]] = None
+    data: str = spec(NONEMPTY, "")
+    target: Union[str, int] = spec(TYPED, "y")
+    task: str = spec(one_of(REGRESSION, CLASSIFICATION), REGRESSION)
+    model: str = spec(one_of("tree", "forest"), "tree")
+    criterion: str = spec(CRITERION, "minimax")
+    max_depth: int = spec(at_least(0), 6)
+    n_min: int = spec(at_least(1), 1)
+    m_try: Optional[int] = spec(at_least(1), None)
+    n_trees: int = spec(at_least(1), 50)
+    bootstrap: bool = spec(TYPED, True)
+    fixed_features: Optional[Tuple[int, ...]] = spec(each(at_least(0)), None)
 
     def __post_init__(self):
-        if not self.data:
-            raise ConfigError("train config needs a 'data' CSV path")
-        if self.model not in ("tree", "forest"):
-            raise ConfigError(f"model must be 'tree' or 'forest', got {self.model!r}")
-        SplitCriterion(self.criterion)
+        check(self)
+        if self.fixed_features is not None and self.model == "forest":
+            raise ConfigError("fixed_features applies to single trees only")
+        if self.fixed_features is not None and self.m_try is not None:
+            raise ConfigError("fixed_features and m_try are mutually exclusive")
 
 
 def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
@@ -954,8 +851,6 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
                              n_min=cfg.n_min, fixed_features=cfg.fixed_features,
                              m_try=cfg.m_try, seed=seed))
     else:
-        if cfg.fixed_features is not None:
-            raise ConfigError("fixed_features applies to single trees only")
         model = train_forest(
             data, ForestConfig(criterion=cfg.criterion, n_trees=cfg.n_trees,
                                max_depth=cfg.max_depth, n_min=cfg.n_min,
@@ -975,13 +870,12 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
 
 @dataclass(frozen=True)
 class PredictConfig:
-    model: str = ""
-    data: str = ""
-    target: Optional[Union[str, int]] = None
+    model: str = spec(NONEMPTY, "")
+    data: str = spec(NONEMPTY, "")
+    target: Optional[Union[str, int]] = spec(TYPED, None)
 
     def __post_init__(self):
-        if not self.model or not self.data:
-            raise ConfigError("predict config needs 'model' and 'data' paths")
+        check(self)
 
 
 def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunResult:

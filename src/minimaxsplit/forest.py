@@ -19,13 +19,14 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from .config import CRITERION, TYPED, at_least, check, spec
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
 from .splitting import SplitCriterion
-from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, config_int,
-                   grow_trees, header_doc, header_int, int_list, parse_doc, read_header,
-                   tree_from_doc, tree_to_doc, tree_to_json)
+from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, grow_trees, header_doc,
+                   header_int, int_list, parse_doc, read_header, tree_from_doc, tree_to_doc,
+                   tree_to_json)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -36,26 +37,17 @@ class ForestConfig:
     bootstrap=False grows every tree on the full sample (only the feature
     subsampling then distinguishes the trees)."""
 
-    criterion: Union[SplitCriterion, str]
-    n_trees: int
-    max_depth: int
-    n_min: int = 1
-    m_try: Optional[int] = None
-    bootstrap: bool = True
+    criterion: Union[SplitCriterion, str] = spec(CRITERION)
+    n_trees: int = spec(at_least(1))
+    max_depth: int = spec(at_least(0))
+    n_min: int = spec(at_least(1), 1)
+    m_try: Optional[int] = spec(at_least(1), None)
+    bootstrap: bool = spec(TYPED, True)
 
     def __post_init__(self):
+        check(self)
         if isinstance(self.criterion, str):
             object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
-        if not config_int(self.n_trees, 1):
-            raise ConfigError(f"n_trees must be a positive int, got {self.n_trees!r}")
-        if not config_int(self.max_depth, 0):
-            raise ConfigError(f"max_depth must be a nonnegative int, got {self.max_depth!r}")
-        if not config_int(self.n_min, 1):
-            raise ConfigError(f"n_min must be a positive int, got {self.n_min!r}")
-        if self.m_try is not None and not config_int(self.m_try, 1):
-            raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
-        if type(self.bootstrap) is not bool:
-            raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass

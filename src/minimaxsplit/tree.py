@@ -25,11 +25,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .config import CRITERION, TYPED, at_least, check, each, spec
 from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names, is_int
 from .errors import ConfigError, DataError
 from .growth import _REASONS, Growth, dense_ranks, ranks_pay
@@ -50,32 +52,27 @@ class GrowConfig:
     split only when it holds more than n_min samples.
 
     Feature policy: by default every feature is in play at every node;
-    fixed_features restricts all nodes to one subset; m_try draws a fresh
-    random subset of that size per split attempt (the forest hook). The two
-    are mutually exclusive. The seed only matters for m_try and the random
-    baseline criteria."""
+    fixed_features (any sequence of ints, an array too) restricts all nodes
+    to one subset; m_try draws a fresh random subset of that size per split
+    attempt (the forest hook). The two are mutually exclusive. The seed only
+    matters for m_try and the random baseline criteria."""
 
-    criterion: Union[SplitCriterion, str]
-    max_depth: int
-    n_min: int = 1
-    fixed_features: Optional[Tuple[int, ...]] = None
-    m_try: Optional[int] = None
-    seed: int = 0
+    criterion: Union[SplitCriterion, str] = spec(CRITERION)
+    max_depth: int = spec(at_least(0))
+    n_min: int = spec(at_least(1), 1)
+    fixed_features: Optional[Tuple[int, ...]] = spec(each(at_least(0)), None)
+    m_try: Optional[int] = spec(at_least(1), None)
+    seed: int = spec(TYPED, 0)
 
     def __post_init__(self):
-        if isinstance(self.criterion, str):
-            object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
-        if not config_int(self.max_depth, 0):
-            raise ConfigError(f"max_depth must be a nonnegative int, got {self.max_depth!r}")
-        if not config_int(self.n_min, 1):
-            raise ConfigError(f"n_min must be a positive int, got {self.n_min!r}")
         if self.fixed_features is not None:
-            if self.m_try is not None:
-                raise ConfigError("fixed_features and m_try are mutually exclusive")
             object.__setattr__(self, "fixed_features",
                                feature_ints(self.fixed_features, "fixed_features"))
-        if self.m_try is not None and not config_int(self.m_try, 1):
-            raise ConfigError(f"m_try must be a positive int or None, got {self.m_try!r}")
+        check(self)
+        if isinstance(self.criterion, str):
+            object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
+        if self.fixed_features is not None and self.m_try is not None:
+            raise ConfigError("fixed_features and m_try are mutually exclusive")
 
 
 def feature_ints(features: Sequence[int], name: str,
@@ -83,7 +80,7 @@ def feature_ints(features: Sequence[int], name: str,
     """A nonempty list of feature indices as a tuple of Python ints, in
     [0, d) if d is given; ConfigError naming the argument `name` for
     anything else."""
-    if not all(is_int(j) for j in features):
+    if not (np.iterable(features) and all(is_int(j) for j in features)):
         raise ConfigError(f"{name} must be ints, got {features!r}")
     feats = tuple(int(j) for j in features)
     if not feats:
@@ -98,13 +95,6 @@ def check_cut(max_depth: Optional[int]) -> None:
     int: a cut at 1.5 would act as a cut at 2, and one at True as a cut at 1."""
     if max_depth is not None and not (is_int(max_depth) and max_depth >= 0):
         raise ConfigError(f"max_depth must be None or a nonnegative int, got {max_depth!r}")
-
-
-def config_int(value, low: int) -> bool:
-    """Whether a config value is an int of at least `low`. As in
-    `header_int`, a bool is not an int: `true` in a JSON config must not
-    read as 1."""
-    return type(value) is int and value >= low
 
 
 @dataclass
@@ -303,6 +293,14 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     return trees
 
 
+@lru_cache(maxsize=64)
+def _one_node_config(criterion: SplitCriterion,
+                     allowed_features: Optional[Tuple[int, ...]]) -> GrowConfig:
+    """The config of a `best_split` call, built and checked once per
+    (criterion, features): the ecp study asks for thousands of root splits."""
+    return GrowConfig(criterion, max_depth=1, fixed_features=allowed_features)
+
+
 def best_split(node: NodeView, criterion: SplitCriterion,
                allowed_features: Optional[Sequence[int]] = None,
                rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
@@ -321,8 +319,9 @@ def best_split(node: NodeView, criterion: SplitCriterion,
     if allowed_features is not None:
         allowed_features = feature_ints(allowed_features, "allowed_features",
                                         node.dataset.n_features)
-    growth = Growth(node.dataset,
-                    GrowConfig(criterion, max_depth=1, fixed_features=allowed_features),
+    if not isinstance(criterion, SplitCriterion):  # a tag, or a fault that may not hash
+        criterion = SplitCriterion(criterion)
+    growth = Growth(node.dataset, _one_node_config(criterion, allowed_features),
                     [node.member_indices], [None], [rng])
     front = growth.root()
     nodes, feats, scan, threshold = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
@@ -504,7 +503,7 @@ def parse_doc(text: str) -> dict:
     """The JSON object of a model document; DataError for anything else."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past int()'s digit limit
         raise DataError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("model document must be a JSON object")

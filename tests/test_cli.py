@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_golden import STUDIES
 
 import minimaxsplit
 from minimaxsplit.cli import build_parser, main
+from minimaxsplit.experiments import EXPERIMENTS
 
 
 def run_cli(args):
@@ -306,6 +311,25 @@ class TestTrainConfigTypes:
         assert not (tmp_path / "tr" / "model.json").exists()
 
 
+class TestTrainConfigFaultsBeforeData:
+    """A train config that cannot run is a config error (exit 2) before the
+    data file is read: each of these names a missing file, which would be a
+    data error (exit 3) if the config were checked only after loading it."""
+
+    @pytest.mark.parametrize("override,fragment", [
+        ({"max_depth": -1}, "max_depth"),
+        ({"model": "forest", "n_trees": 0}, "n_trees"),
+        ({"model": "forest", "fixed_features": [0]}, "single trees only"),
+        ({"fixed_features": [0], "m_try": 1}, "mutually exclusive"),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_returns_two(self, tmp_path, capsys, override, fragment):
+        config = {"data": str(tmp_path / "missing.csv"), **override}
+        code = run_cli(["train", "--out", tmp_path / "tr", "--config", json.dumps(config)])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
+
+
 class TestStudyConfigTypes:
     """Every study rejects an ill-typed or empty config value with exit 2,
     never a traceback or an empty table."""
@@ -349,6 +373,16 @@ class TestStudyConfigTypes:
         config = f'{{"{key}": {template.format(sigma)}}}'
         assert run_cli([command, "--out", tmp_path / "o", "--config", config]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("digits,fragment", [(400, "noise_sigma"), (5000, "config JSON")])
+    def test_huge_int_returns_two(self, tmp_path, capsys, digits, fragment):
+        """An int of 400 digits is a JSON number that no float holds; one of
+        5000 is past the digit limit of Python's int(), so json.loads itself
+        refuses it. Neither is a traceback."""
+        config = '{"noise_sigma": 1' + "0" * (digits - 1) + "}"
+        assert run_cli(["sine", "--out", tmp_path / "o", "--config", config]) == 2
+        assert fragment in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -475,3 +509,49 @@ class TestPredictChecksTheModel:
         assert "log_odds" in capsys.readouterr().err
         tree["nodes"][0]["log_odds"] = 1.5
         assert self.predict(tmp_path, forest, "a,y\n1,1\n2,1\n") == 0
+
+    def test_int_past_the_digit_limit(self, tmp_path, capsys):
+        """json.loads refuses an int of 5000 digits with a ValueError that is
+        not a JSONDecodeError; it is still a data error."""
+        model = json.dumps(self.leaf_tree(1)).replace('"n_train": 2', '"n_train": 1' + "0" * 4999)
+        (tmp_path / "model.json").write_text(model, encoding="utf-8")
+        (tmp_path / "d.csv").write_text("a,y\n1,1\n", encoding="utf-8")
+        config = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "d.csv")}
+        assert run_cli(["predict", "--out", tmp_path / "pr", "--config", json.dumps(config)]) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestOneFieldConfigFuzz:
+    """Each field of each study config, one at a time over JSON edge values,
+    on top of the small configs of `test_golden`: the CLI exits 0, 2 or 3
+    within 10 s and never lets an exception escape. Huge valid ints are left
+    out: they ask for a large run, which is a resource limit, not a fault."""
+
+    # json.dumps writes the floats as NaN, Infinity and 1e+308
+    VALUES = [0, -1, 1e308, math.nan, math.inf, "", None, [], {}]
+    SECONDS = 10
+
+    class TooSlow(BaseException):
+        """Not an OSError (as TimeoutError is), so no `except OSError` in
+        the file readers and writers can turn it into an exit code."""
+
+    @classmethod
+    def on_alarm(cls, signum, frame):
+        raise cls.TooSlow("one config run took too long")
+
+    @pytest.mark.parametrize("command,field", [
+        (command, f.name) for command in STUDIES
+        for f in dataclasses.fields(EXPERIMENTS[command][0])])
+    def test_field(self, tmp_path, capsys, command, field):
+        previous = signal.signal(signal.SIGALRM, self.on_alarm)
+        try:
+            for k, value in enumerate(self.VALUES):
+                config = json.dumps({**STUDIES[command], field: value})
+                signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
+                code = run_cli([command, "--out", tmp_path / str(k), "--config", config])
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 2, 3), config
+                assert "Traceback" not in capsys.readouterr().err
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

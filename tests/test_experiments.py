@@ -62,6 +62,47 @@ class TestConfigFromDict:
             config_from_dict(MartingaleRunConfig, {"density": "gaussian"})
 
 
+class TestDirectConstruction:
+    """Building a config in Python applies the checks that `--config` JSON
+    gets: a value of the wrong type is a ConfigError naming the field, not
+    a bare TypeError, a crash inside the runner or a silent run."""
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (EcpConfig, {"n": "5"}),
+        (EcpConfig, {"threshold": "0.1"}),
+        (LeafSizeConfig, {"noise_sigmas": ("0.1",)}),
+        (MartingaleRunConfig, {"density": 5}),
+        (EcpConfig, {"n": 20.5}),
+        (PowellConfig, {"n_values": (100.0,)}),
+        (AsbpConfig, {"d": 2.0}),
+        (MartingaleRunConfig, {"n_atoms": 64.0}),
+        (TimeseriesConfig, {"downsample": 1.5}),
+        (SineConfig, {"p_values": (1.5,)}),
+        (DenoiseConfig, {"height": 16.0}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+    def test_wrong_type_is_a_config_error(self, cls, kwargs):
+        name, = kwargs
+        with pytest.raises(ConfigError, match=f"^{cls.__name__}.{name}: want "):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("cls,name,value", [
+        (SineConfig, "noise_sigma", 10 ** 400),
+        (LeafSizeConfig, "noise_sigmas", (0.1, 10 ** 400)),
+    ], ids=["noise_sigma", "noise_sigmas"])
+    def test_int_beyond_every_float_is_a_config_error(self, cls, name, value):
+        """A float field keeps an int as given, so the range rule compares a
+        400-digit int, not a float it cannot be turned into."""
+        with pytest.raises(ConfigError, match=f"^{cls.__name__}.{name}: want a finite number"):
+            cls(**{name: value})
+
+    def test_numpy_ints_and_lists_are_normalized_json_ints_kept(self):
+        cfg = SineConfig(n=np.int64(64), p_values=[np.int32(1), 2], noise_sigma=0)
+        assert cfg.p_values == (1, 2) and cfg.noise_sigma == 0
+        assert [type(v) for v in (cfg.n, *cfg.p_values, cfg.noise_sigma)] == [int] * 4
+        assert cfg == config_from_dict(SineConfig, {"n": 64, "p_values": [1, 2],
+                                                    "noise_sigma": 0})
+
+
 class TestManifest:
     def test_manifest_lists_outputs_without_timestamps(self, tmp_path):
         res = run_martingale(MartingaleRunConfig(n_atoms=16, max_depth=3),

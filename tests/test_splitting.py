@@ -185,6 +185,22 @@ class TestBestSplit:
         with pytest.raises(ConfigError, match="^allowed_features must be nonempty"):
             best_split(root_node(data), SplitCriterion("minimax"), allowed_features=[])
 
+    def test_one_config_per_criterion_and_features(self):
+        """The ecp study calls best_split thousands of times on one criterion:
+        its one-node GrowConfig is built and checked once, not per call."""
+        from minimaxsplit.tree import _one_node_config
+        node = node_of([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
+        _one_node_config.cache_clear()
+        decisions = {best_split(node, SplitCriterion("minimax")) for _ in range(3)}
+        assert len(decisions) == 1 and _one_node_config.cache_info().misses == 1
+        best_split(node, "minimax", allowed_features=np.array([0]))
+        assert _one_node_config.cache_info().misses == 2
+
+    @pytest.mark.parametrize("criterion", ["nope", ["minimax"], {"tag": "minimax"}])
+    def test_a_bad_criterion_is_a_config_error(self, criterion):
+        with pytest.raises(ConfigError, match="unknown criterion tag"):
+            best_split(node_of([0.0, 1.0], [0.0, 1.0]), criterion)
+
     def test_node_depth_must_be_an_int(self):
         # a cyclic criterion schedules feature depth % d: 1.5 cannot index
         # it, and True would read as depth 1

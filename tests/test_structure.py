@@ -10,6 +10,10 @@ No module calls `Generator.choice`: `growth.draw_subsets` reproduces its
 per-node `m_try` draws with one bounded-integer call per tree and level, and
 a second way of drawing them would consume the streams differently.
 
+Every config declares each field's type and rule once, through
+`config.spec`, and its `__post_init__` applies them with `config.check`:
+the ten configs behind the CLI, `GrowConfig` and `ForestConfig`.
+
 No module keeps code that nothing reads: every top-level function, class and
 assigned name is exported in `__all__` or read somewhere in the package. A
 search or check kept only as a test reference lives under `tests/`, as
@@ -17,9 +21,14 @@ search or check kept only as a test reference lives under `tests/`, as
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import minimaxsplit
+from minimaxsplit import ForestConfig, GrowConfig
+from minimaxsplit.config import TYPED, spec
+from minimaxsplit.experiments import EXPERIMENTS
 
 SOURCE = Path(minimaxsplit.__file__).parent
 
@@ -129,3 +138,34 @@ def test_the_check_sees_unread_code():
         "__init__": ast.parse("def init_only():\n    pass\n"),
     }
     assert unread(planted, exported={"Z"}) == ["a:4 unused", "a:10 _Y"]
+
+
+CONFIGS = [cls for cls, _ in EXPERIMENTS.values()] + [GrowConfig, ForestConfig]
+
+
+def unchecked(classes):
+    """`Class.field` of each field without a rule in its metadata, and
+    `Class.__post_init__` of each config whose `__post_init__` does not
+    call `check(self)`."""
+    found = [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+             if not callable(f.metadata.get("rule"))]
+    return found + [f"{cls.__name__}.__post_init__" for cls in classes
+                    if "check(self)" not in inspect.getsource(cls.__post_init__)]
+
+
+def test_every_config_field_declares_its_rule():
+    assert len(CONFIGS) == 12
+    assert unchecked(CONFIGS) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _Planted:
+    ruled: int = spec(TYPED, 0)
+    bare: int = 0
+
+    def __post_init__(self):
+        pass
+
+
+def test_the_check_sees_a_field_without_a_rule():
+    assert unchecked([_Planted]) == ["_Planted.bare", "_Planted.__post_init__"]

@@ -11,9 +11,12 @@ from minimaxsplit import (
     ConfigError,
     DataError,
     Dataset,
+    ForestConfig,
     GrowConfig,
+    forest_to_json,
     grow,
     load_model,
+    train_forest,
     tree_from_json,
     tree_to_json,
 )
@@ -134,6 +137,23 @@ class TestStoppingRules:
             config = GrowConfig(criterion="minimax", max_depth=2, fixed_features=feats)
             assert config.fixed_features == (1, 0)
             assert all(type(j) is int for j in config.fixed_features)
+
+    def test_numpy_ints_are_ints(self):
+        """Every integer field takes a numpy int, as `fixed_features` does,
+        and stores a Python int, so the model bytes are the same."""
+        rng = np.random.default_rng(3)
+        data = Dataset(features=rng.normal(size=(2, 60)), targets=rng.normal(size=60),
+                       task=REGRESSION)
+        config = GrowConfig(criterion="minimax", max_depth=np.int64(3), n_min=np.int32(2))
+        assert (config.max_depth, config.n_min) == (3, 2)
+        assert type(config.max_depth) is int and type(config.n_min) is int
+        assert tree_to_json(grow(data, config)) == tree_to_json(
+            grow(data, GrowConfig(criterion="minimax", max_depth=3, n_min=2)))
+        forest = ForestConfig(criterion="minimax", n_trees=np.int64(2), max_depth=2)
+        assert type(forest.n_trees) is int
+        assert forest_to_json(train_forest(data, forest, seed=1)) == forest_to_json(
+            train_forest(data, ForestConfig(criterion="minimax", n_trees=2, max_depth=2),
+                         seed=1))
 
     def test_grow_validation(self):
         data = small_regression()
