@@ -11,7 +11,6 @@ repeats it as given; numpy ints become ints and lists tuples.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import MISSING, field, fields
 from functools import cache
 from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
@@ -47,8 +46,10 @@ def one_of(*choices) -> Rule:
 
 
 TYPED = must(lambda v: True, "")  # no rule beyond the field's type hint
-# fails JSON's NaN and Infinity (floats) and, comparing exactly, an int past every float
-FINITE_NONNEG = must(lambda v: 0 <= v <= sys.float_info.max, "a finite number >= 0")
+# a noise level: the studies square noisy targets (risks) and take their
+# fourth powers (SSIM), which overflow from about 1e77 on; fails JSON's NaN
+# and Infinity (floats) and, comparing exactly, an int past every float
+NOISE = must(lambda v: 0 <= v <= 1e50, "a finite number in [0, 1e50]")
 NONEMPTY = must(len, "a nonempty string")
 CRITERION = must(lambda v: isinstance(v, SplitCriterion) or v in TAGS,
                   f"a criterion tag ({' | '.join(TAGS)})")

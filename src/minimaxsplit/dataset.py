@@ -226,7 +226,8 @@ def load_feature_matrix(path, columns: Optional[Sequence] = None,
     columns names the columns to return, in order, each a header name or a
     0-based index; None takes every column but `target`, in file order. With
     `target` (a name or an index) set, its column is appended last, so the
-    result has k + 1 columns. Every cell of the file must be a finite number,
+    result has k + 1 columns; a target that is one of `columns` raises
+    ConfigError naming it. Every cell of the file must be a finite number,
     selected or not. The file follows the grammar of `_read_csv`.
     """
     return _read_csv(path, columns, target)[1]
@@ -252,9 +253,10 @@ def _read_csv(path, columns: Optional[Sequence] = None,
 
     The file is read a block of lines (about `_CSV_CHARS` characters) at a
     time, and one `np.loadtxt` call parses each block's data rows, so memory
-    stays near the size of the table. Errors name the 1-based line of the
-    file; to find the bad cell, only the rows numpy's message points at are
-    split again. A fault in the rows or the header is held until every line
+    stays near the size of the table. A block that holds no '#' and no empty
+    line has no line to skip, so it is parsed without a test of each line.
+    Errors name the 1-based line of the file; to find the bad cell, only
+    the rows numpy's message points at are split again. A fault in the rows or the header is held until every line
     has been decoded and checked for a run-on quote, so those faults are
     reported first wherever they are, and non-finite values only after every
     row has parsed.
@@ -274,16 +276,23 @@ def _read_csv(path, columns: Optional[Sequence] = None,
             _check_quotes(path, lines, first, ended)
         if fault is None:
             try:
-                body = [k for k, s in enumerate(lines) if s and s.lstrip()[:1] != "#"
-                        and (s[0] != '"' or not _cells(path, s)[0].lstrip().startswith("#"))]
+                if "#" in block or "" in lines:
+                    body = [k for k, s in enumerate(lines) if s and s.lstrip()[:1] != "#"
+                            and (s[0] != '"' or not _cells(path, s)[0].lstrip().startswith("#"))]
+                else:  # no comment and no empty line: every line is kept
+                    body = range(len(lines))
                 if names is None and body:
-                    names = [h.strip() for h in _cells(path, lines[body.pop(0)])]
+                    names = [h.strip() for h in _cells(path, lines[body[0]])]
+                    body = body[1:]
                     t = None if target is None else _column_index(path, names, target,
                                                                   "target column")
                     if columns is None:
                         cols = [c for c in range(len(names)) if c != t]
                     else:
                         cols = [_column_index(path, names, c, "column") for c in columns]
+                    if t in cols:  # scoring a column against itself
+                        raise ConfigError(f"{path}: the target column {names[t]!r} is one "
+                                          f"of the feature columns {[names[c] for c in cols]}")
                     wanted = cols + ([] if t is None else [t])
                     # cells are checked in this order within a row: features, target, the rest
                     order = wanted + [c for c in range(len(names)) if c not in wanted]
@@ -309,16 +318,18 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     return tuple(names[c] for c in cols), table
 
 
-def _parse_rows(path, lines: List[str], first: int, body: List[int], names: List[str],
+def _parse_rows(path, lines: List[str], first: int, body: Sequence[int], names: List[str],
                 order: List[int], before: int, separated: bool) -> np.ndarray:
     """The data rows lines[k], k in body, parsed by one `np.loadtxt` call;
     DataError for the first faulty one. `first` numbers the lines, and
-    `before` counts the data rows of earlier blocks."""
+    `before` counts the data rows of earlier blocks. A `range` body runs to
+    the block's end and is taken as one slice of the lines."""
     # numpy strips U+001C..U+001F around a number, float() does not
     odd_rows = ([k for k, i in enumerate(body) if not _SEPARATORS.isdisjoint(lines[i])]
                 if separated else [])
     try:
-        part = np.loadtxt([lines[i] for i in body], dtype=np.float64, delimiter=",",
+        rows = lines[body.start:] if isinstance(body, range) else [lines[i] for i in body]
+        part = np.loadtxt(rows, dtype=np.float64, delimiter=",",
                           quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
         # numpy counts the row it names from 0 for a bad cell and from 1 for
@@ -491,7 +502,7 @@ def _column_index(path, names: List[str], spec, what: str) -> int:
     return names.index(str(spec))
 
 
-def _first_fault(path, lines: List[str], first: int, body: List[int], names: List[str],
+def _first_fault(path, lines: List[str], first: int, body: Sequence[int], names: List[str],
                  order: List[int], rows: List[int]) -> Optional[DataError]:
     """The error for the first of the given data rows lines[body[k]] (k
     ascending; the file's line index is `first` + body[k]) with the wrong
@@ -607,8 +618,9 @@ def write_pgm(img: ImageGrid, path, maxval: int = 255, binary: bool = False) -> 
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         write_file(path, [header, quant.astype(dtype).tobytes()])
     else:
-        lines = [" ".join(str(v) for v in row) for row in quant]
-        write_file(path, [header, "\n".join(lines), "\n"])
+        h, w = quant.shape
+        raster = ((" ".join(["%d"] * w) + "\n") * h) % tuple(quant.ravel().tolist())
+        write_file(path, [header, raster])
 
 
 # ---------------------------------------------------------------------------

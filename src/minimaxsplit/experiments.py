@@ -17,12 +17,12 @@ import io
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from itertools import islice
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import (CRITERION, FINITE_NONNEG, NONEMPTY, TYPED, at_least, between, check,
+from .config import (CRITERION, NOISE, NONEMPTY, TYPED, at_least, between, check,
                      each, must, one_of, spec)
 from .dataset import (
     CLASSIFICATION,
@@ -149,43 +149,66 @@ def _texts(values) -> List[str]:
 _CSV_ROWS = 1 << 12
 
 
-def _write_csv(outdir: Path, name: str, header: Sequence[str], rows) -> str:
-    """Write a headered CSV, each line ended by '\\n': floats by repr, ints in
-    decimal, bools as true/false, None empty, anything else by str. The bytes
-    are what `csv.writer` writes for those cells. Every row has the header's
-    width. Rows may come from any iterable; they are taken, formatted a
-    column at a time and written a block of `_CSV_ROWS` rows at a time. A
-    ragged row raises ValueError and leaves no file behind."""
-    write_file(outdir / name, _csv_blocks(name, header, rows))
+def _write_csv(outdir: Path, name: str, header: Sequence[str], columns: Sequence) -> str:
+    """Write a headered CSV, each line ended by '\\n', from one column per
+    header cell, each a numpy array or a sequence of cells: floats by repr,
+    ints in decimal, bools as true/false, None empty, anything else by str.
+    The bytes are what `csv.writer` writes for those cells. A block of
+    `_CSV_ROWS` rows at a time is sliced from every column once and
+    formatted by one `%` format: '%r' for a float64 array, '%d' for an
+    integer array and '%s' of the cell texts for any other column. Columns
+    of unequal length raise ValueError and leave no file behind."""
+    if len(columns) != len(header):
+        raise ValueError(f"{name}: {len(columns)} columns for {len(header)} header cells")
+    write_file(outdir / name, _csv_blocks(name, header, columns))
     return name
 
 
-def _csv_blocks(name: str, header: Sequence[str], rows) -> Iterator[str]:
-    yield _lines([header])
-    rows = iter(rows)
-    while block := list(islice(rows, _CSV_ROWS)):
-        if set(map(len, block)) - {len(header)}:
-            raise ValueError(f"{name}: every row needs the header's "
-                             f"{len(header)} cells")
-        yield _lines(block)
+def _csv_blocks(name: str, header: Sequence[str], columns: Sequence) -> Iterator[str]:
+    yield _line(_texts(header))
+    kinds = list(map(_conversion, columns))
+    row = ",".join(kinds) + "\n"
+    for lo in range(0, max(map(len, columns), default=0), _CSV_ROWS):
+        block = [_cells(c[lo:lo + _CSV_ROWS], kind, len(columns) == 1)
+                 for c, kind in zip(columns, kinds)]
+        if len(set(map(len, block))) > 1:
+            raise ValueError(f"{name}: every column needs the same number of rows")
+        yield (row * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _lines(rows: list) -> str:
-    """The CSV lines of rows of one width, each ended by '\\n'."""
-    width = len(rows[0])
-    lines = list(map(",".join, zip(*map(_texts, zip(*rows))))) if width else [""] * len(rows)
-    if width == 1:
-        # csv.writer writes a lone empty cell as "" to tell it from no row
-        lines = [line or '""' for line in lines]
-    lines.append("")
-    return "\n".join(lines)
+def _line(texts: List[str]) -> str:
+    # csv.writer writes a lone empty cell as "" to tell it from no cell
+    return (",".join(texts) if texts != [""] else '""') + "\n"
 
 
-def _array_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length 1-D arrays, as tuples of Python scalars
-    converted a block of `_CSV_ROWS` at a time."""
-    for lo in range(0, len(columns[0]), _CSV_ROWS):
-        yield from zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
+def _conversion(column) -> str:
+    """The `%` conversion of a column's cells: '%r' for a float64 array,
+    '%d' for an integer array, '%s' (of `_texts`) for any other column."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return "%r"
+        if column.dtype.kind in "iu":
+            return "%d"
+    return "%s"
+
+
+def _cells(part, kind: str, lone: bool) -> list:
+    """What `kind` formats of a slice of a column: its Python numbers, or
+    its cell texts, an empty one as '""' when it is the only column."""
+    if isinstance(part, np.ndarray):
+        part = part.tolist()
+    if kind != "%s":
+        return part
+    texts = _texts(part)
+    return [t or '""' for t in texts] if lone else texts
+
+
+def _product(*axes: Sequence) -> List[list]:
+    """The columns of the table whose rows are `itertools.product(*axes)`:
+    the first axis varies slowest."""
+    sizes = [len(a) for a in axes]
+    return [[v for v in a for _ in range(math.prod(sizes[k + 1:]))] * math.prod(sizes[:k])
+            for k, a in enumerate(axes)]
 
 
 def _jsonable(x):
@@ -285,33 +308,35 @@ def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp") -> RunResult:
     child's share min(n_L, n_R)/n. The same replicate dataset is shared
     across methods so comparisons are paired."""
     outdir = _outdir(out)
-    rows: List[tuple] = []
-    summary_rows: List[tuple] = []
-    summary: Dict[str, dict] = {}
-    for law in cfg.noise_laws:
+    # fractions[law, replicate, method]
+    fractions = np.empty((len(cfg.noise_laws), cfg.replicates, len(cfg.methods)))
+    for i, law in enumerate(cfg.noise_laws):
         spec = _noise_spec(law, cfg.n)
         for rep in range(cfg.replicates):
             rep_seed = derive_seed(seed, f"ecp/{law}/{rep}")
             data = gen_synthetic(spec, rep_seed)
             node = root_node(data)
-            for m in cfg.methods:
+            for j, m in enumerate(cfg.methods):
                 crit = SplitCriterion(m)
                 rng = stream(rep_seed, f"split/{m}") if crit.is_random else None
                 dec = best_split(node, crit, rng=rng)
                 if dec is None:
                     raise DataError(f"replicate {rep} of law {law!r} admits no valid split")
-                rows.append((law, m, rep, min(dec.left_count, dec.right_count) / data.n_samples))
-        for m in cfg.methods:
-            vals = np.array([r[3] for r in rows if r[0] == law and r[1] == m])
-            below = float(np.mean(vals < cfg.threshold))
-            med = float(np.median(vals))
-            summary_rows.append((law, m, below, med))
-            summary[f"{law}/{m}"] = {"frac_below": below, "median_fraction": med}
+                fractions[i, rep, j] = min(dec.left_count, dec.right_count) / data.n_samples
+    # one row per (law, method): its replicates
+    runs = fractions.transpose(0, 2, 1).reshape(-1, cfg.replicates)
+    below = [float(np.mean(r < cfg.threshold)) for r in runs]
+    median = [float(np.median(r)) for r in runs]
+    laws, methods = _product(cfg.noise_laws, cfg.methods)
+    summary = {f"{law}/{m}": {"frac_below": b, "median_fraction": q}
+               for law, m, b, q in zip(laws, methods, below, median)}
+    law_col, reps, method_col = _product(cfg.noise_laws, range(cfg.replicates), cfg.methods)
     files = [
-        _write_csv(outdir, "ecp.csv",
-                   ("noise_law", "method", "replicate", "smaller_fraction"), rows),
+        _write_csv(outdir, "ecp.csv", ("noise_law", "method", "replicate", "smaller_fraction"),
+                   (law_col, method_col, reps, fractions.ravel())),
         _write_csv(outdir, "ecp_summary.csv",
-                   ("noise_law", "method", "frac_below", "median_fraction"), summary_rows),
+                   ("noise_law", "method", "frac_below", "median_fraction"),
+                   (laws, methods, below, median)),
     ]
     return _finish(outdir, "ecp", cfg, seed, files, summary)
 
@@ -326,7 +351,7 @@ class LeafSizeConfig:
     n: int = spec(at_least(2), 1024)
     replicates: int = spec(at_least(1), 20)
     max_depth: int = spec(at_least(0), 10)
-    noise_sigmas: Tuple[float, ...] = spec(each(FINITE_NONNEG), (0.01, 0.1))
+    noise_sigmas: Tuple[float, ...] = spec(each(NOISE), (0.01, 0.1))
     methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax", "one_sided_min",
                                                       "one_sided_max"))
     n_min: int = spec(at_least(1), 1)
@@ -340,38 +365,42 @@ def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize") -> Ru
     is grown once to max_depth; depth-k rows read the tree cut at level k,
     which coincides with the depth-k tree because growth is level-greedy."""
     outdir = _outdir(out)
-    detail: List[tuple] = []
-    for sigma in cfg.noise_sigmas:
+    depths = range(cfg.max_depth + 1)
+    # [sigma, method, depth, replicate]: each cell's replicates are one row
+    shape = (len(cfg.noise_sigmas), len(cfg.methods), len(depths), cfg.replicates)
+    cells = np.empty(shape, dtype=np.int64)
+    sizes, spreads = np.empty(shape), np.empty(shape)
+    for s, sigma in enumerate(cfg.noise_sigmas):
         for rep in range(cfg.replicates):
             data = gen_synthetic(PiecewiseSpec(n=cfg.n, noise_sigma=sigma),
                                  derive_seed(seed, f"leafsize/{sigma!r}/{rep}"))
-            for m in cfg.methods:
+            for j, m in enumerate(cfg.methods):
                 tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth,
                                              n_min=cfg.n_min))
-                for k in range(cfg.max_depth + 1):
+                for k in depths:
                     counts = tree.count[tree.partition_ids(k)]
-                    detail.append((sigma, m, k, rep, int(counts.size),
-                                   float(np.mean(counts)), float(np.std(counts))))
+                    cells[s, j, k, rep] = counts.size
+                    sizes[s, j, k, rep] = np.mean(counts)
+                    spreads[s, j, k, rep] = np.std(counts)
 
-    aggregate: List[tuple] = []
-    summary: Dict[str, float] = {}
-    for sigma in cfg.noise_sigmas:
-        for m in cfg.methods:
-            for k in range(cfg.max_depth + 1):
-                sel = [r for r in detail if r[0] == sigma and r[1] == m and r[2] == k]
-                mean_size = float(np.mean([r[5] for r in sel]))
-                mean_sd = float(np.mean([r[6] for r in sel]))
-                mean_cells = float(np.mean([r[4] for r in sel]))
-                aggregate.append((sigma, m, k, mean_size, mean_sd, mean_cells))
-                if k == cfg.max_depth:
-                    summary[f"sigma={sigma}/{m}"] = mean_size
+    mean_size, mean_sd, mean_cells = ([float(np.mean(r)) for r in a.reshape(-1, cfg.replicates)]
+                                      for a in (sizes, spreads, cells))
+    final = np.reshape(mean_size, shape[:3])[:, :, -1]
+    summary = {f"sigma={sigma}/{m}": float(final[s, j])
+               for s, sigma in enumerate(cfg.noise_sigmas) for j, m in enumerate(cfg.methods)}
+    sigmas, reps, methods, levels = _product(cfg.noise_sigmas, range(cfg.replicates),
+                                             cfg.methods, depths)
+    by_replicate = [a.transpose(0, 3, 1, 2).ravel() for a in (cells, sizes, spreads)]
     files = [
         _write_csv(outdir, "leafsize.csv",
                    ("noise_sigma", "method", "depth", "mean_leaf_size",
-                    "sd_leaf_size", "mean_n_cells"), aggregate),
+                    "sd_leaf_size", "mean_n_cells"),
+                   (*_product(cfg.noise_sigmas, cfg.methods, depths),
+                    mean_size, mean_sd, mean_cells)),
         _write_csv(outdir, "leafsize_replicates.csv",
                    ("noise_sigma", "method", "depth", "replicate", "n_cells",
-                    "mean_leaf_size", "sd_leaf_size"), detail),
+                    "mean_leaf_size", "sd_leaf_size"),
+                   (sigmas, methods, levels, reps, *by_replicate)),
     ]
     return _finish(outdir, "leafsize", cfg, seed, files, summary)
 
@@ -392,7 +421,7 @@ class SineConfig:
     p_values: Tuple[int, ...] = spec(each(_finite_frequency), (1, 2, 3, 4))
     max_depth: int = spec(at_least(0), 12)
     methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
-    noise_sigma: float = spec(FINITE_NONNEG, 0.0)
+    noise_sigma: float = spec(NOISE, 0.0)
     batches: int = spec(at_least(1), 1)
     eval_depths: Tuple[int, ...] = spec(TYPED, ())
     n_test: int = spec(at_least(1), 4096)
@@ -408,10 +437,11 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
     average-MSE table against the noise-free signal on a fresh design is
     emitted across batches as well."""
     outdir = _outdir(out)
-    trace_rows: List[tuple] = []
-    mse_rows: List[tuple] = []
+    risks: List[float] = []
+    # mse[p, method, depth, batch]: each cell's batches are one row
+    mse = np.empty((len(cfg.p_values), len(cfg.methods), len(cfg.eval_depths), cfg.batches))
     summary: Dict[str, dict] = {}
-    for p in cfg.p_values:
+    for i, p in enumerate(cfg.p_values):
         for b in range(cfg.batches):
             if b > 0 and not cfg.eval_depths:
                 break  # later batches only feed the eval table
@@ -421,31 +451,28 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
                 x_test = stream(derive_seed(seed, f"sine/{p}/eval/{b}"), "x").uniform(
                     0.0, 1.0, cfg.n_test)
                 truth = np.sin(2.0 * math.pi * (2.0 ** p) * x_test)
-            for m in cfg.methods:
+            for j, m in enumerate(cfg.methods):
                 tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth))
                 if b == 0:
-                    for k, risk in enumerate(tree.risk_trace):
-                        trace_rows.append((p, m, k, risk))
+                    risks.extend(tree.risk_trace)  # max_depth + 1 entries
                     summary[f"p={p}/{m}"] = {
                         "final_trace": tree.risk_trace[-1],
                         "first_ratio": (tree.risk_trace[1] / tree.risk_trace[0]
                                         if len(tree.risk_trace) > 1 and tree.risk_trace[0] > 0
                                         else None)}
-                for k in cfg.eval_depths:
+                for e, k in enumerate(cfg.eval_depths):
                     err = truth - tree.predict(x_test[:, None], max_depth=k)
-                    mse_rows.append((p, m, k, b, float(np.mean(err * err))))
+                    mse[i, j, e, b] = np.mean(err * err)
 
-    files = [_write_csv(outdir, "sine_trace.csv", ("p", "method", "depth", "risk"), trace_rows)]
+    files = [_write_csv(outdir, "sine_trace.csv", ("p", "method", "depth", "risk"),
+                        (*_product(cfg.p_values, cfg.methods, range(cfg.max_depth + 1)), risks))]
     if cfg.eval_depths:
-        agg = []
-        for p in cfg.p_values:
-            for m in cfg.methods:
-                for k in cfg.eval_depths:
-                    vals = [r[4] for r in mse_rows
-                            if r[0] == p and r[1] == m and r[2] == k]
-                    agg.append((p, m, k, float(np.mean(vals)), float(np.std(vals))))
+        runs = mse.reshape(-1, cfg.batches)
         files.append(_write_csv(outdir, "sine_mse.csv",
-                                ("p", "method", "depth", "mean_mse", "sd_mse"), agg))
+                                ("p", "method", "depth", "mean_mse", "sd_mse"),
+                                (*_product(cfg.p_values, cfg.methods, cfg.eval_depths),
+                                 [float(np.mean(r)) for r in runs],
+                                 [float(np.std(r)) for r in runs])))
     return _finish(outdir, "sine", cfg, seed, files, summary)
 
 
@@ -479,8 +506,10 @@ def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp") -> RunResult:
             f"n={cfg.n} is far below the 64^K={64 ** cfg.max_depth} sample-size guidance "
             f"for depth K={cfg.max_depth}; deep-level statistics are unreliable")
 
-    dim_rows: List[tuple] = []
-    mse_rows: List[tuple] = []
+    dim_methods: List[str] = []
+    levels: List[int] = []
+    features: List[str] = []
+    mse: List[float] = []
     summary: Dict[str, dict] = {}
     for m in cfg.methods:
         tree = grow(train, GrowConfig(criterion=m, max_depth=cfg.max_depth))
@@ -488,18 +517,21 @@ def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp") -> RunResult:
         for i in range(tree.n_nodes):
             if tree.left[i] >= 0:
                 by_level.setdefault(int(tree.split_level[i]), set()).add(int(tree.feature[i]))
-        dim_rows.extend((m, k, ";".join(str(j) for j in sorted(feats)))
-                        for k, feats in sorted(by_level.items()))
+        dim_methods.extend([m] * len(by_level))
+        levels.extend(sorted(by_level))
+        features.extend(";".join(map(str, sorted(by_level[k]))) for k in sorted(by_level))
         for k in range(cfg.max_depth + 1):
             err = test.targets - tree.predict(x_test, max_depth=k)
-            mse_rows.append((m, k, float(np.mean(err * err))))
-        summary[m] = {"final_mse": mse_rows[-1][2],
+            mse.append(float(np.mean(err * err)))
+        summary[m] = {"final_mse": mse[-1],
                       "all_levels_split_first_coordinate":
                           bool(by_level) and all(feats == {0} for feats in by_level.values())}
 
     files = [
-        _write_csv(outdir, "asbp_dims.csv", ("method", "level", "features"), dim_rows),
-        _write_csv(outdir, "asbp_mse.csv", ("method", "depth", "heldout_mse"), mse_rows),
+        _write_csv(outdir, "asbp_dims.csv", ("method", "level", "features"),
+                   (dim_methods, levels, features)),
+        _write_csv(outdir, "asbp_mse.csv", ("method", "depth", "heldout_mse"),
+                   (*_product(cfg.methods, range(cfg.max_depth + 1)), mse)),
     ]
     return _finish(outdir, "asbp", cfg, seed, files, summary, warnings)
 
@@ -535,7 +567,7 @@ class DenoiseConfig:
     image: Optional[str] = spec(TYPED, None)  # PGM path; None uses the builtin phantom
     height: int = spec(at_least(1), 64)
     width: int = spec(at_least(1), 64)
-    noise_sigma: float = spec(FINITE_NONNEG, 0.1)
+    noise_sigma: float = spec(NOISE, 0.1)
     n_trees: int = spec(at_least(1), 50)
     max_depth: int = spec(at_least(0), 10)
     n_min: int = spec(at_least(1), 1)
@@ -597,8 +629,8 @@ def run_denoise(cfg: DenoiseConfig, seed: int = 0, out="runs/denoise") -> RunRes
     files.append(_write_json(outdir, "metrics.json", metrics))
     files.append(_write_csv(outdir, "denoise.csv",
                             ("method", "mse", "rmse", "mae", "r2", "ssim"),
-                            [(m, d["mse"], d["rmse"], d["mae"], d["r2"], d["ssim"])
-                             for m, d in metrics.items()]))
+                            (list(metrics), *([d[key] for d in metrics.values()]
+                                              for key in ("mse", "rmse", "mae", "r2", "ssim")))))
     return _finish(outdir, "denoise", cfg, seed, files, metrics)
 
 
@@ -615,7 +647,7 @@ class PowellConfig:
     max_depth: int = spec(at_least(0), 3)
     n_test: int = spec(at_least(1), 10000)
     methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
-    noise_sigma: float = spec(FINITE_NONNEG, 0.0)
+    noise_sigma: float = spec(NOISE, 0.0)
 
     def __post_init__(self):
         check(self)
@@ -625,7 +657,7 @@ def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult
     """Test MSE over an (n, d) grid; the test draw of 10^4 points is shared
     across n for a given d so columns are comparable."""
     outdir = _outdir(out)
-    rows: List[tuple] = []
+    mse: List[float] = []
     for d in cfg.d_values:
         for n in cfg.n_values:
             train = gen_synthetic(PowellSpec(n=n, d=d, noise_sigma=cfg.noise_sigma),
@@ -636,9 +668,10 @@ def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult
             for m in cfg.methods:
                 tree = grow(train, GrowConfig(criterion=m, max_depth=cfg.max_depth))
                 err = test.targets - tree.predict(x_test)
-                rows.append((n, d, m, float(np.mean(err * err))))
-    summary = {f"n={n}/d={d}/{m}": mse for n, d, m, mse in rows}
-    files = [_write_csv(outdir, "powell.csv", ("n", "d", "method", "mse"), rows)]
+                mse.append(float(np.mean(err * err)))
+    ds, ns, methods = _product(cfg.d_values, cfg.n_values, cfg.methods)
+    summary = {f"n={n}/d={d}/{m}": e for n, d, m, e in zip(ns, ds, methods, mse)}
+    files = [_write_csv(outdir, "powell.csv", ("n", "d", "method", "mse"), (ns, ds, methods, mse))]
     return _finish(outdir, "powell", cfg, seed, files, summary)
 
 
@@ -729,27 +762,28 @@ def run_timeseries(cfg: TimeseriesConfig, seed: int = 0, out="runs/timeseries") 
     train = Dataset(features=t[train_idx][None, :], targets=v[train_idx], task=REGRESSION)
     t_test, v_test = t[test_idx], v[test_idx]
 
-    metric_rows: List[tuple] = []
-    pred_rows: List[tuple] = []
+    depths = sorted(set(cfg.depths))
+    reports = []
+    preds: List[np.ndarray] = []
     summary: Dict[str, dict] = {}
     for meth in cfg.methods:
         tree = grow(train, GrowConfig(criterion=meth, max_depth=max(cfg.depths)))
-        for k in sorted(set(cfg.depths)):
-            pred = tree.predict(t_test[:, None], max_depth=k)
-            rep = regression_metrics(v_test, pred)
-            metric_rows.append((meth, k, rep.rmse, rep.mae, rep.r2))
-            pred_rows.extend((meth, k, float(ti), float(vi), float(pi))
-                             for ti, vi, pi in zip(t_test, v_test, pred))
-        final = metric_rows[-1]
-        summary[meth] = {"depth": final[1], "rmse": final[2], "r2": final[4]}
+        for k in depths:
+            preds.append(tree.predict(t_test[:, None], max_depth=k))
+            reports.append(regression_metrics(v_test, preds[-1]))
+        summary[meth] = {"depth": depths[-1], "rmse": reports[-1].rmse, "r2": reports[-1].r2}
     summary["n_train"] = int(train_idx.size)
     summary["n_test"] = int(test_idx.size)
 
+    fits = len(preds)
     files = [
         _write_csv(outdir, "timeseries.csv", ("method", "depth", "rmse", "mae", "r2"),
-                   metric_rows),
+                   (*_product(cfg.methods, depths),
+                    *([getattr(r, key) for r in reports] for key in ("rmse", "mae", "r2")))),
         _write_csv(outdir, "predictions.csv",
-                   ("method", "depth", "time", "value", "prediction"), pred_rows),
+                   ("method", "depth", "time", "value", "prediction"),
+                   (*_product(cfg.methods, depths, range(t_test.size))[:2], np.tile(t_test, fits),
+                    np.tile(v_test, fits), np.concatenate(preds))),
     ]
     return _finish(outdir, "timeseries", cfg, seed, files, summary, warnings)
 
@@ -800,17 +834,15 @@ def run_martingale(cfg: MartingaleRunConfig, seed: int = 0,
         law = _law_from_atom_csv(cfg.density)
 
     curves = {r: mse_curve(law, r, cfg.max_depth) for r in cfg.rules}
-    decay_rows = [(k, *(curves[r][k] for r in cfg.rules)) for k in range(cfg.max_depth + 1)]
-    ratio_rows = [
-        (k, *((curves[r][k + 1] / curves[r][k]) if curves[r][k] > 0 else None
-              for r in cfg.rules))
-        for k in range(cfg.max_depth)
-    ]
+    ratios = {r: [c[k + 1] / c[k] if c[k] > 0 else None for k in range(cfg.max_depth)]
+              for r, c in curves.items()}
     summary = {r: {"initial": float(curves[r][0]), "final": float(curves[r][-1])}
                for r in cfg.rules}
     files = [
-        _write_csv(outdir, "decay.csv", ("depth", *cfg.rules), decay_rows),
-        _write_csv(outdir, "ratio.csv", ("depth", *cfg.rules), ratio_rows),
+        _write_csv(outdir, "decay.csv", ("depth", *cfg.rules),
+                   (range(cfg.max_depth + 1), *(curves[r] for r in cfg.rules))),
+        _write_csv(outdir, "ratio.csv", ("depth", *cfg.rules),
+                   (range(cfg.max_depth), *(ratios[r] for r in cfg.rules))),
     ]
     return _finish(outdir, "martingale", cfg, seed, files, summary)
 
@@ -900,15 +932,15 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
     if model.task == REGRESSION:
         pred = np.asarray(model.predict(X), dtype=np.float64)
         files.append(_write_csv(outdir, "predictions.csv", ("row", "prediction"),
-                                _array_rows(np.arange(n), pred)))
+                                (np.arange(n), pred)))
         scores = None if targets is None else regression_metrics(targets, pred).as_dict()
     else:
         labels = np.asarray(model.predict(X), dtype=np.float64)
         score = (model.predict_log_odds(X) if isinstance(model, TreeModel)
                  else model.predict_value(X))
         files.append(_write_csv(outdir, "predictions.csv", ("row", "label", "log_odds"),
-                                _array_rows(np.arange(n), labels.astype(np.int64),
-                                            np.asarray(score, dtype=np.float64))))
+                                (np.arange(n), labels.astype(np.int64),
+                                 np.asarray(score, dtype=np.float64))))
         scores = None if targets is None else {"error_rate": float(np.mean(labels != targets))}
     if scores is not None:
         files.append(_write_json(outdir, "metrics.json", scores))

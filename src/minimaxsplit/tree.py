@@ -97,6 +97,12 @@ def check_cut(max_depth: Optional[int]) -> None:
         raise ConfigError(f"max_depth must be None or a nonnegative int, got {max_depth!r}")
 
 
+# rows `TreeModel.apply` descends at a time: a chunk's index arrays (128 KiB
+# each) stay in cache, as QuickScorer (Lucchese et al., SIGIR 2015) blocks
+# its documents
+_APPLY_ROWS = 1 << 14
+
+
 @dataclass
 class TreeModel:
     """Flat-array tree. Leaves have left == -1; their threshold is NaN.
@@ -174,14 +180,21 @@ class TreeModel:
         # node k's children at 2k (x < t) and 2k + 1 (anything else)
         children = np.stack([self.left, self.right], axis=1).reshape(-1)
         cell = np.zeros(X.shape[0], dtype=np.int64)
-        if cell.size == 0:
-            return cell
+        flat, steps = _flat(X)
+        for lo in range(0, cell.size, _APPLY_ROWS):
+            self._descend(flat, steps, lo, stop, children, cell[lo:lo + _APPLY_ROWS])
+        return cell[0] if single else cell
+
+    def _descend(self, flat: np.ndarray, steps: Tuple[int, ...], lo: int, stop: np.ndarray,
+                 children: np.ndarray, cell: np.ndarray) -> None:
+        """Fill `cell` with the cells of the rows from `lo` of the matrix
+        `splitting._flat` gave as (flat, steps); the tree is checked."""
+        row_step, col_step = steps
         # the rows still descending, the flat offset of each one's first
-        # feature (see `splitting._flat`) and the node each one is at
+        # feature and the node each one is at
         rows = np.arange(cell.size)
-        flat, (row_step, col_step) = _flat(X)
-        at = rows * row_step
-        node = cell.copy()
+        at = (rows + lo) * row_step
+        node = np.zeros(cell.size, dtype=np.int64)
         # split levels rise along every path and stay below the tree's
         # max_depth, so a descent ends within max_depth steps
         for _ in range(self.max_depth + 1):
@@ -190,7 +203,7 @@ class TreeModel:
                 cell[rows[done]] = node[done]
                 going = np.flatnonzero(~done)
                 if going.size == 0:
-                    return cell[0] if single else cell
+                    return
                 # one at a time, so at most one old array outlives its copy
                 rows = rows.take(going)
                 at = at.take(going)

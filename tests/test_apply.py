@@ -1,8 +1,8 @@
 """`TreeModel.apply` against a walker that descends one row at a time in
 plain Python: grown trees at every depth cut, hand-built trees whose right
 child is not left + 1, infinite and NaN features, input layouts that are
-not C-contiguous, a single point, zero rows, and a tree whose path runs
-deeper than its max_depth."""
+not C-contiguous, a single point, zero rows, a tree whose path runs
+deeper than its max_depth, and a descent in chunks of a few rows."""
 
 import math
 
@@ -11,6 +11,7 @@ import pytest
 
 from minimaxsplit import (CLASSIFICATION, REGRESSION, ConfigError, DataError, Dataset, GrowConfig,
                          grow)
+from minimaxsplit import tree as tree_module
 from minimaxsplit.tree import TreeModel, tree_from_json, tree_to_json
 
 
@@ -183,3 +184,41 @@ def test_cut_depth_must_be_an_int(cut):
         tree.partition_ids(cut)
     assert np.array_equal(tree.apply(X, np.int64(1)), walk_all(tree, X, 1))
     assert tree.partition_ids(np.int64(1)).tolist() == tree.partition_ids(1).tolist()
+
+
+CHUNK = 7
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+@pytest.mark.parametrize("cut", [None, 0, 1, 3])
+def test_chunked_descent_matches_one_shot(monkeypatch, rows, cut):
+    """`apply` descends `tree._APPLY_ROWS` rows at a time; with small chunks
+    it gives the cells of one descent over all rows, for a grown tree and a
+    hand-built one, on contiguous, strided and broadcast inputs."""
+    rng = np.random.default_rng(rows)
+    features = np.round(rng.normal(size=(2, 200)), 1)
+    grown = grow(Dataset(features=features, targets=rng.normal(size=200) + features[1],
+                         task=REGRESSION), GrowConfig(criterion="minimax", max_depth=5))
+    base = points(rng, 3 * rows, 2)
+    inputs = [base[:rows], base[::3], np.broadcast_to(base[:1], (rows, 2)) if rows else base[:0]]
+    for tree in (grown, hand_tree(**CROSSED, max_depth=2)):
+        one_shot = [tree.apply(X, cut) for X in inputs]
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_APPLY_ROWS", CHUNK)
+            for X, want in zip(inputs, one_shot):
+                got = tree.apply(X, cut)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(got, walk_all(tree, X, cut))
+                assert np.array_equal(tree.predict(X, cut), tree.value[want])
+
+
+def test_too_deep_path_in_a_later_chunk_raises(monkeypatch):
+    """The max_depth check holds in every chunk, not only the first."""
+    monkeypatch.setattr(tree_module, "_APPLY_ROWS", CHUNK)
+    tree = hand_tree(feature=[0, 0, -1, -1, -1], threshold=[0.0, -1.0] + [math.nan] * 3,
+                     left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1], max_depth=1)
+    X = np.ones((3 * CHUNK + 1, 2))
+    assert tree.apply(X).tolist() == [2] * len(X)
+    X[-1, 0] = -0.5
+    with pytest.raises(DataError, match="deeper than its max_depth"):
+        tree.apply(X)

@@ -406,6 +406,35 @@ class TestStudyConfigFaults:
         assert not (tmp_path / "o").exists()
 
 
+class TestNoiseLevelBound:
+    """A finite noise level so large that the study's squares of the noisy
+    targets overflow is a config error naming the field and its value, with
+    no numpy warning, not a data error (exit 3) or a traceback."""
+
+    @pytest.mark.parametrize("sigma", ["1e308", "1e154", "1e51"])
+    @pytest.mark.parametrize("command,key,template", [
+        ("sine", "noise_sigma", "{}"),
+        ("powell", "noise_sigma", "{}"),
+        ("denoise", "noise_sigma", "{}"),
+        ("leafsize", "noise_sigmas", "[0.1, {}]"),
+    ])
+    def test_returns_two(self, tmp_path, capsys, recwarn, command, key, template, sigma):
+        config = {**STUDIES[command], key: json.loads(template.format(sigma))}
+        assert run_cli([command, "--out", tmp_path / "o", "--config", json.dumps(config)]) == 2
+        err = capsys.readouterr().err
+        assert f".{key}: " in err and repr(float(sigma)) in err, err
+        assert not recwarn.list
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("sine", "noise_sigma", 1e50), ("powell", "noise_sigma", 1e50),
+        ("denoise", "noise_sigma", 1e50), ("leafsize", "noise_sigmas", [1e50])])
+    def test_largest_level_runs_without_warnings(self, tmp_path, recwarn, command, key, value):
+        config = {**STUDIES[command], key: value}
+        assert run_cli([command, "--out", tmp_path / "o", "--config", json.dumps(config)]) == 0
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
 class TestPredictMatchesColumnsByName:
     """train records the training header; predict takes the model's columns
     from a scoring file by name, wherever they stand."""
@@ -453,6 +482,18 @@ class TestPredictMatchesColumnsByName:
         capsys.readouterr()
         assert self.predict(tmp_path, "missing", ["b", "y"], rows) == (3, None)
         assert "no column named 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,column", [("a", "a"), (0, "a"), ("b", "b"), (2, "b")])
+    def test_target_that_is_a_model_feature_returns_two(self, trained, capsys, target,
+                                                         column):
+        """Scoring a model against one of its own feature columns, named or
+        indexed, is a config error naming that column, not a run of exit 0
+        with metrics against the wrong column."""
+        tmp_path, rows = trained
+        code = self.predict(tmp_path, "self", ["a", "y", "b"], rows, target=target)
+        assert code == (2, None)
+        assert f"target column {column!r}" in capsys.readouterr().err
+        assert not (tmp_path / "self" / "metrics.json").exists()
 
     def test_model_without_names_stays_positional(self, trained):
         tmp_path, rows = trained

@@ -128,7 +128,7 @@ WRITERS = {
     "pgm-p2": lambda d: write_pgm(ImageGrid(pixels=np.full((3, 4), 0.5)), d / "model.json"),
     "pgm-p5": lambda d: write_pgm(ImageGrid(pixels=np.full((3, 4), 0.5)), d / "model.json",
                                   binary=True),
-    "csv": lambda d: _write_csv(d, "model.json", ("a", "b"), [(1, 2.5)] * 5000),
+    "csv": lambda d: _write_csv(d, "model.json", ("a", "b"), ([1] * 5000, [2.5] * 5000)),
     "json": lambda d: _write_json(d, "model.json", {"a": [1, 2, 3]}),
     "model": _train,
 }
