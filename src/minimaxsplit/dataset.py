@@ -119,42 +119,6 @@ def is_int(value) -> bool:
 
 
 @dataclass(frozen=True)
-class NodeView:
-    """A node's-eye view of a dataset: member sample indices at some depth."""
-
-    dataset: Dataset
-    member_indices: np.ndarray
-    depth: int = 0
-
-    def __post_init__(self):
-        idx = np.asarray(self.member_indices)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise DataError(f"member indices must be integers, got dtype {idx.dtype}")
-        object.__setattr__(self, "member_indices", idx.astype(np.int64, copy=False))
-        if not is_int(self.depth) or self.depth < 0:
-            raise ConfigError(f"node depth must be a nonnegative int, got {self.depth!r}")
-        object.__setattr__(self, "depth", int(self.depth))
-
-    @property
-    def size(self) -> int:
-        return self.member_indices.shape[0]
-
-    def feature_values(self, j: int) -> np.ndarray:
-        if not is_int(j):
-            raise ConfigError(f"feature index must be an int, got {j!r}")
-        if not 0 <= j < self.dataset.n_features:
-            raise ConfigError(f"feature index {j} out of range [0, {self.dataset.n_features})")
-        return self.dataset.features[j, self.member_indices]
-
-    def targets(self) -> np.ndarray:
-        return self.dataset.targets[self.member_indices]
-
-
-def root_node(data: Dataset) -> NodeView:
-    return NodeView(dataset=data, member_indices=np.arange(data.n_samples, dtype=np.int64), depth=0)
-
-
-@dataclass(frozen=True)
 class ImageGrid:
     """H x W grayscale intensities in [0, 1]."""
 
@@ -200,6 +164,18 @@ def check_labels(path, targets: np.ndarray) -> None:
     bad = ~np.isin(targets, (-1.0, 1.0))
     if bad.any():
         raise DataError(f"{path}: classification target outside {{-1,+1}}: {targets[bad][0]}")
+
+
+def check_scale(path, targets: np.ndarray) -> None:
+    """DataError naming the file unless all n regression targets lie within
+    sqrt(largest float) / 2n of zero: then every sum of n squared targets or
+    deviations, and the square of every sum of n targets, stays finite, so
+    no node risk, risk trace entry or fit metric reads inf (or NaN as 0)."""
+    limit = math.sqrt(np.finfo(np.float64).max) / (2 * targets.size)
+    largest = float(np.max(np.abs(targets)))
+    if largest > limit:
+        raise DataError(f"{path}: a target of magnitude {largest:g} is past {limit:.4g}, "
+                        f"the largest whose squared sums over {targets.size} rows stay finite")
 
 
 def load_csv(path, target_column, task: str = REGRESSION) -> Dataset:

@@ -34,6 +34,7 @@ from .dataset import (
     PureNoiseSpec,
     SineSpec,
     check_labels,
+    check_scale,
     dataset_to_image,
     gen_synthetic,
     image_to_dataset,
@@ -44,7 +45,6 @@ from .dataset import (
     make_phantom,
     read_records,
     read_text,
-    root_node,
     write_file,
     write_pgm,
 )
@@ -62,14 +62,9 @@ from .martingale import (
 from .metrics import _reference, regression_metrics, ssim
 from .rng import derive_seed, stream
 from .splitting import SplitCriterion
-from .tree import GrowConfig, TreeModel, best_split, canonical_json, grow
+from .tree import GrowConfig, TreeModel, best_splits, canonical_json, grow
 
-try:  # version stamp for manifests; absent when running from a raw checkout
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("minimaxsplit")
-except Exception:  # pragma: no cover
-    VERSION = "0.0.0"
+from . import __version__ as VERSION
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +301,38 @@ def _noise_spec(tag: str, n: int) -> PureNoiseSpec:
 def run_ecp(cfg: EcpConfig, seed: int = 0, out="runs/ecp") -> RunResult:
     """One root split per (noise law, replicate, method); records the smaller
     child's share min(n_L, n_R)/n. The same replicate dataset is shared
-    across methods so comparisons are paired."""
+    across methods so comparisons are paired. A law's replicates are the
+    sample blocks of one dataset, split by one `best_splits` call per method;
+    under a random rule each replicate draws from its own stream."""
     outdir = _outdir(out)
     # fractions[law, replicate, method]
     fractions = np.empty((len(cfg.noise_laws), cfg.replicates, len(cfg.methods)))
+    blocks = np.arange(cfg.replicates * cfg.n).reshape(cfg.replicates, cfg.n)
     for i, law in enumerate(cfg.noise_laws):
         spec = _noise_spec(law, cfg.n)
-        for rep in range(cfg.replicates):
-            rep_seed = derive_seed(seed, f"ecp/{law}/{rep}")
-            data = gen_synthetic(spec, rep_seed)
-            node = root_node(data)
-            for j, m in enumerate(cfg.methods):
-                crit = SplitCriterion(m)
-                rng = stream(rep_seed, f"split/{m}") if crit.is_random else None
-                dec = best_split(node, crit, rng=rng)
-                if dec is None:
-                    raise DataError(f"replicate {rep} of law {law!r} admits no valid split")
-                fractions[i, rep, j] = min(dec.left_count, dec.right_count) / data.n_samples
+        rep_seeds = [derive_seed(seed, f"ecp/{law}/{rep}") for rep in range(cfg.replicates)]
+        reps = [gen_synthetic(spec, rep_seed) for rep_seed in rep_seeds]
+        data = Dataset(np.concatenate([r.features for r in reps], axis=1),
+                       np.concatenate([r.targets for r in reps]), REGRESSION)
+        # failed[replicate, method]: the first failure in replicate, then
+        # method order is raised (a method's ConfigError at replicate 0)
+        failed = np.zeros((cfg.replicates, len(cfg.methods)), dtype=bool)
+        errors: Dict[int, ConfigError] = {}
+        for j, m in enumerate(cfg.methods):
+            crit = SplitCriterion(m)
+            rngs = [stream(rep_seed, f"split/{m}") if crit.is_random else None
+                    for rep_seed in rep_seeds]
+            try:
+                split = best_splits(data, crit, blocks, rngs)
+            except ConfigError as exc:
+                failed[:, j], errors[j] = True, exc
+                continue
+            failed[:, j] = split.feature < 0
+            fractions[i, :, j] = np.minimum(split.left_count, cfg.n - split.left_count) / cfg.n
+        if failed.any():
+            rep, j = np.argwhere(failed)[0].tolist()
+            raise errors.get(j) or DataError(
+                f"replicate {rep} of law {law!r} admits no valid split")
     # one row per (law, method): its replicates
     runs = fractions.transpose(0, 2, 1).reshape(-1, cfg.replicates)
     below = [float(np.mean(r < cfg.threshold)) for r in runs]
@@ -877,6 +887,8 @@ class TrainConfig:
 def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
     outdir = _outdir(out)
     data = load_csv(cfg.data, cfg.target, cfg.task)
+    if data.task == REGRESSION:
+        check_scale(cfg.data, data.targets)
     if cfg.model == "tree":
         model: Union[TreeModel, ForestModel] = grow(
             data, GrowConfig(criterion=cfg.criterion, max_depth=cfg.max_depth,
@@ -935,9 +947,15 @@ def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunRes
                                 (np.arange(n), pred)))
         scores = None if targets is None else regression_metrics(targets, pred).as_dict()
     else:
-        labels = np.asarray(model.predict(X), dtype=np.float64)
-        score = (model.predict_log_odds(X) if isinstance(model, TreeModel)
-                 else model.predict_value(X))
+        # one descent per tree: a tree's cell gives its label and log-odds,
+        # a forest's label is the sign of its mean log-odds, as in `predict`
+        if isinstance(model, TreeModel):
+            cell = model.apply(X)
+            labels = np.where(model.value[cell] >= 0.5, 1.0, -1.0)
+            score = model.log_odds[cell]
+        else:
+            score = model.predict_value(X)
+            labels = np.where(score >= 0.0, 1.0, -1.0)
         files.append(_write_csv(outdir, "predictions.csv", ("row", "label", "log_odds"),
                                 (np.arange(n), labels.astype(np.int64),
                                  np.asarray(score, dtype=np.float64))))

@@ -1,16 +1,17 @@
 """Level-synchronous tree growth: the one grower, behind `tree.grow`,
-`tree.grow_trees` (a forest's trees) and `tree.best_split`.
+`tree.grow_trees` (a forest's trees) and `tree.best_splits`.
 
 A `Growth` grows a group of trees through one shared level loop: each level
 resolves every frontier node of every tree at once, so a forest costs about
 the numpy calls of one tree per level, not one tree's calls per tree
 (SPRINT's breadth-first growth, applied across the trees of a random
-forest). `best_split` is the same choice step run on a frontier of one node.
-Each tree's splits and node records are exactly those of the node-at-a-time
-grower kept as the test reference in `tests/pernode_grower.py`, run on that
-tree's sample alone: every prefix curve, argmin and node mean is computed
-from the same floats in the same order. A large group sorts its roots by the
-dataset's dense ranks instead of by float values (SLIQ's presort, done once
+forest). `best_splits` is the same choice step run once, on a frontier of
+many roots. Each tree's splits and node records are exactly those of the
+node-at-a-time grower kept as the test reference in
+`tests/pernode_grower.py`, run on that tree's sample alone: every prefix
+curve, argmin and node mean is computed from the same floats in the same
+order. A group of large samples sorts its roots by the dataset's dense
+ranks instead of by float values (SLIQ's presort, done once
 for all the group's trees, not once per tree; a forest of several groups
 ranks the dataset once for all of them): 16-bit rank keys take numpy's radix
 sort. The block scan itself (row padding, block grouping, the prefix kernels
@@ -30,6 +31,7 @@ breadth-first order, would.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,6 +51,9 @@ _DEPTH, _CONSTANT_TARGET, _CONSTANT_FEATURES, _N_MIN, _NO_VALID_SPLIT = range(1,
 # sort by the dataset's dense ranks instead of by float values (`presort`):
 # below it, ranking the dataset costs more than the float sorts it replaces.
 _RANK_ENTRIES = 1 << 13
+# The feature values `presort` sorts in one call: equal-size blocks sort
+# together up to this many, which bounds the call's temporaries.
+_SORT_ENTRIES = 1 << 18
 
 
 class Growth:
@@ -60,7 +65,7 @@ class Growth:
     `data` (repeats allowed), and draws from its own streams features_rngs[b]
     (needed with m_try) and splits_rngs[b] (needed by the random criteria).
     The constructor is the one place that checks these arguments against
-    the config and the data, for `grow`, `grow_trees` and `best_split`
+    the config and the data, for `grow`, `grow_trees` and `best_splits`
     alike. `ranks`, if given, are `dense_ranks(data.features)`, which a
     caller growing several groups computes once for all of them. The samples
     are the blocks, one after another, of a shared index space: `X` and `y`
@@ -524,31 +529,45 @@ def presort(data: Dataset, X: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
     feature (rows 0..d-1), then position order (row d). A group for which
     `ranks_pay` sorts each block by its rows' dense ranks (`rank_order`),
     those given or, if none are, the dataset's ranked here (`dense_ranks`);
-    a smaller one sorts each block's floats. Ties keep position order
-    either way, so both give the same order."""
+    any other group sorts each block's floats. Ties keep position order
+    either way, so both give the same order. Consecutive blocks of one size
+    sort together, up to `_SORT_ENTRIES` feature values per call, so a
+    study's replicates cost a few sort calls, not one per block."""
     d, total = X.shape
     lists = np.empty((d + 1, total), dtype=np.int32)
-    if not ranks_pay(data, total):
+    if not ranks_pay(data, sizes):
         ranks = None
     elif ranks is None:
         ranks = dense_ranks(data.features)
-    for start, size in zip(offsets.tolist(), sizes.tolist()):
-        block = lists[:-1, start:start + size]
-        if ranks is None:
-            block[:] = np.argsort(X[:, start:start + size], axis=1, kind="stable")
-        else:
-            block[:] = rank_order(ranks.take(rows[start:start + size], axis=1))
-        block += start
+    # a run of consecutive blocks of one size is one slice of positions,
+    # sorted as a (d, blocks, size) array
+    starts = offsets.tolist()
+    for size, run in groupby(range(len(starts)), sizes.tolist().__getitem__):
+        run = list(run)
+        per_call = max(1, _SORT_ENTRIES // (d * size))
+        for lo in range(0, len(run), per_call):
+            start = starts[run[lo]]
+            stop = start + size * min(per_call, len(run) - lo)
+            keys = X[:, start:stop] if ranks is None else ranks.take(rows[start:stop], axis=1)
+            keys = keys.reshape(d, -1, size)
+            order = (np.argsort(keys, axis=-1, kind="stable") if ranks is None
+                     else rank_order(keys))
+            order += np.arange(start, stop, size)[:, None]
+            lists[:-1, start:stop] = order.reshape(d, -1)
     lists[-1] = np.arange(total)
     return lists
 
 
-def ranks_pay(data: Dataset, total: int) -> bool:
-    """Whether a group of `total` samples sorts its roots by the dataset's
-    dense ranks: it holds at least `_RANK_ENTRIES` feature values and at
-    least the dataset's n samples, so ranking costs less than the float
-    sorts it replaces."""
-    return total >= data.n_samples and data.n_features * total >= _RANK_ENTRIES
+def ranks_pay(data: Dataset, sizes) -> bool:
+    """Whether a group of sample blocks of these sizes (an int is one block)
+    sorts its roots by the dataset's dense ranks: it holds `_RANK_ENTRIES`
+    feature values or more, and its blocks' float sorts (s log s for s
+    samples) cost at least ranking the dataset's n samples (n log n), as
+    trees on dataset-size samples do and a study's stacked replicates not."""
+    s = np.atleast_1d(np.asarray(sizes, dtype=np.float64))
+    n = np.float64(data.n_samples)
+    return bool(data.n_features * s.sum() >= _RANK_ENTRIES
+                and np.sum(s * np.log2(np.maximum(s, 1.0))) >= n * np.log2(n))
 
 
 def dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -567,15 +586,15 @@ def dense_ranks(features: np.ndarray) -> np.ndarray:
 
 
 def rank_order(ranks: np.ndarray) -> np.ndarray:
-    """np.argsort(ranks, axis=1, kind="stable"), through 16-bit keys, for
+    """np.argsort(ranks, axis=-1, kind="stable"), through 16-bit keys, for
     which numpy's stable sort is a radix sort: one pass for uint16 ranks;
     for int32 ones an LSD radix sort of two stable passes, the low halves
     and then the high halves (Knuth, TAOCP Vol. 3, 5.2.5)."""
     if ranks.dtype == np.uint16:
-        return np.argsort(ranks, axis=1, kind="stable")
-    order = np.argsort((ranks & 0xFFFF).astype(np.uint16), axis=1, kind="stable")
-    high = np.take_along_axis(ranks >> 16, order, axis=1).astype(np.uint16)
-    return np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), axis=1)
+        return np.argsort(ranks, axis=-1, kind="stable")
+    order = np.argsort((ranks & 0xFFFF).astype(np.uint16), axis=-1, kind="stable")
+    high = np.take_along_axis(ranks >> 16, order, axis=-1).astype(np.uint16)
+    return np.take_along_axis(order, np.argsort(high, axis=-1, kind="stable"), axis=-1)
 
 
 class _Frontier(NamedTuple):

@@ -16,8 +16,8 @@ keeps that single-node scan and bisection as the reference the level pass is
 checked against.
 
 Tie rule: among equal criteria the level pass in `growth` (and
-`tree.best_split`, its one-node entry) takes the smallest threshold within a
-feature and the smallest feature index across features.
+`tree.best_splits`, its root-only entry) takes the smallest threshold within
+a feature and the smallest feature index across features.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ class SplitCriterion:
 
     def task(self) -> str:
         return CLASSIFICATION if self.is_entropy else REGRESSION
-
-
-@dataclass(frozen=True)
-class SplitDecision:
-    feature: int
-    threshold: float
-    left_risk: float
-    right_risk: float
-    criterion_value: float
-    left_count: int
-    right_count: int
 
 
 def node_risk(y: np.ndarray, task: str) -> float:

@@ -25,18 +25,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .config import CRITERION, TYPED, at_least, check, each, spec
-from .dataset import CLASSIFICATION, REGRESSION, Dataset, NodeView, check_feature_names, is_int
+from .dataset import CLASSIFICATION, REGRESSION, Dataset, check_feature_names, is_int
 from .errors import ConfigError, DataError
 from .growth import _REASONS, Growth, dense_ranks, ranks_pay
 from .rng import stream
-from .splitting import TAGS, SplitCriterion, SplitDecision, _flat
+from .splitting import TAGS, SplitCriterion, _flat
 
 FORMAT_TREE = "tree-v1"
 
@@ -283,16 +282,17 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     tree. The dataset is ranked at most once (`growth.dense_ranks`), for
     every group whose roots sort by rank."""
     groups: List[List[int]] = []
-    held: List[int] = []
+    held = 0
     for b, sample in enumerate(samples):
         size = np.size(sample)
-        if not groups or held[-1] + size > _GROUP_SAMPLES:
+        if not groups or held + size > _GROUP_SAMPLES:
             groups.append([])
-            held.append(0)
+            held = 0
         groups[-1].append(b)
-        held[-1] += size
+        held += size
     # the groups that sort their roots by dense ranks share one ranking
-    ranks = dense_ranks(data.features) if any(ranks_pay(data, h) for h in held) else None
+    ranks = dense_ranks(data.features) if any(
+        ranks_pay(data, [np.size(samples[b]) for b in group]) for group in groups) else None
     trees: List[TreeModel] = []
     for group in groups:
         grown = Growth(data, config, [samples[b] for b in group],
@@ -306,45 +306,41 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     return trees
 
 
-@lru_cache(maxsize=64)
-def _one_node_config(criterion: SplitCriterion,
-                     allowed_features: Optional[Tuple[int, ...]]) -> GrowConfig:
-    """The config of a `best_split` call, built and checked once per
-    (criterion, features): the ecp study asks for thousands of root splits."""
-    return GrowConfig(criterion, max_depth=1, fixed_features=allowed_features)
+class RootSplits(NamedTuple):
+    """Per sample block, `best_splits`' feature (-1 for no valid split, with
+    NaN, or 0 left, in the other fields), threshold, left count, child risks."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left_count: np.ndarray
+    left_risk: np.ndarray
+    right_risk: np.ndarray
 
 
-def best_split(node: NodeView, criterion: SplitCriterion,
-               allowed_features: Optional[Sequence[int]] = None,
-               rng: Optional[np.random.Generator] = None) -> Optional[SplitDecision]:
-    """Best (feature, threshold) for the node under the criterion: the
-    choice step of `grow`'s level pass, run on a frontier of this one node,
-    whose sample is the node's member indices.
-
-    allowed_features defaults to all; cyclic tags ignore it and use feature
-    (depth mod d). Deterministic tags take the least criterion, ties to the
-    smallest threshold, then the smallest feature index. Random baselines
-    draw the feature uniformly among allowed features that are non-constant
-    on the node (a constant feature offers no thresholds), then draw their
-    threshold from `rng`. Returns None when no allowed feature is splittable.
-    `growth.Growth` checks the arguments, as it does for `grow`.
-    """
-    if allowed_features is not None:
-        allowed_features = feature_ints(allowed_features, "allowed_features",
-                                        node.dataset.n_features)
-    if not isinstance(criterion, SplitCriterion):  # a tag, or a fault that may not hash
-        criterion = SplitCriterion(criterion)
-    growth = Growth(node.dataset, _one_node_config(criterion, allowed_features),
-                    [node.member_indices], [None], [rng])
+def best_splits(data: Dataset, criterion: Union[SplitCriterion, str],
+                samples: Sequence[np.ndarray],
+                splits_rngs: Sequence[Optional[np.random.Generator]]) -> RootSplits:
+    """The root split of every sample block at once: block b is the rows
+    samples[b] of `data` (a non-empty index array, repeats allowed) and, under
+    a random criterion, draws from its own stream splits_rngs[b]. This is the
+    choice step of `grow`'s first level, run over every block's root in one
+    level pass, with no leaf rule first: a block with constant targets still
+    splits if a feature varies on it. Every feature is allowed (a cyclic
+    rule's level-0 feature is feature 0); deterministic rules take the least
+    criterion, ties to the smallest threshold, then the smallest feature;
+    random rules draw the feature among the non-constant ones, then the
+    threshold. No root risk is summed and no tree is built. `growth.Growth`
+    checks the arguments, as it does for `grow`."""
+    t = len(samples)
+    growth = Growth(data, GrowConfig(criterion, max_depth=1), samples, [None] * t, splits_rngs)
     front = growth.root()
-    nodes, feats, scan, threshold = growth.choose(node.depth, front, np.zeros(1, dtype=np.int64),
-                                                  growth.spread(front))
-    if nodes.size == 0:
-        return None
-    left = int(scan.left_count[0])
-    return SplitDecision(int(feats[0]), float(threshold[0]), float(scan.left_risk[0]),
-                         float(scan.right_risk[0]), float(scan.criterion[0]), left,
-                         node.size - left)
+    nodes, feats, scan, threshold = growth.choose(0, front, np.arange(t), growth.spread(front))
+    out = RootSplits(np.full(t, -1, dtype=np.int64), np.full(t, math.nan),
+                     np.zeros(t, dtype=np.int64), np.full(t, math.nan), np.full(t, math.nan))
+    for column, values in zip(out, (feats, threshold, scan.left_count, scan.left_risk,
+                                    scan.right_risk)):
+        column[nodes] = values
+    return out
 
 
 # ---------------------------------------------------------------------------

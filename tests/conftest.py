@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset
-from minimaxsplit.dataset import NodeView, root_node
+
+from one_node import NodeView, root_node
 
 
 def make_node(rng: np.random.Generator, min_size: int = 2, max_size: int = 512,

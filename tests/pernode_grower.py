@@ -17,13 +17,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from minimaxsplit.dataset import CLASSIFICATION, Dataset, NodeView, root_node
+from minimaxsplit.dataset import CLASSIFICATION, Dataset
 from minimaxsplit.errors import ConfigError
 from minimaxsplit.forest import ForestConfig, ForestModel, _effective_plan
 from minimaxsplit.rng import derive_seed, stream
-from minimaxsplit.splitting import SplitCriterion, SplitDecision, node_risk
+from minimaxsplit.splitting import SplitCriterion, node_risk
 from minimaxsplit.tree import GrowConfig, TreeModel
 
+from one_node import NodeView, SplitDecision, root_node
 from pernode_scan import (UnsplittableError, _risk_curves, _scan_from_curves, minimax_search,
                           scan_feature)
 

@@ -18,10 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from minimaxsplit.dataset import CLASSIFICATION, NodeView
+from minimaxsplit.dataset import CLASSIFICATION
 from minimaxsplit.errors import ConfigError
 from minimaxsplit.splitting import (_MODE_CRITERIA, _child_curves, _prefix_entropy_risk,
                                     _prefix_sse, midpoints)
+
+from one_node import NodeView
 
 
 class UnsplittableError(RuntimeError):

@@ -35,7 +35,7 @@ from minimaxsplit import (
     uniform_grid,
 )
 from minimaxsplit.cli import main as cli_main
-from minimaxsplit.dataset import AdditiveTVSpec, AsbpSpec, gen_synthetic, root_node
+from minimaxsplit.dataset import AdditiveTVSpec, AsbpSpec, gen_synthetic
 from minimaxsplit.experiments import (
     DenoiseConfig,
     EcpConfig,
@@ -46,6 +46,7 @@ from minimaxsplit.experiments import (
 )
 
 from conftest import entropy_risk, make_node, naive_ssim, two_pass_sse
+from one_node import root_node
 from pernode_grower import forest_per_tree
 from pernode_scan import UnsplittableError, _risk_curves, minimax_search, scan_feature
 

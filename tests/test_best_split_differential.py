@@ -6,10 +6,11 @@ pernode_grower.py), and consume a random baseline's stream the same way."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset, NodeView, SplitCriterion, best_split
+from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset, SplitCriterion
 from minimaxsplit.splitting import TAGS
 
 import pernode_grower
+from one_node import NodeView, best_split
 
 
 @st.composite

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -560,6 +561,96 @@ class TestPredictChecksTheModel:
         config = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "d.csv")}
         assert run_cli(["predict", "--out", tmp_path / "pr", "--config", json.dumps(config)]) == 3
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestTrainTargetScale:
+    """A regression target so large that squared sums over the rows
+    overflow is a data error (exit 3) naming the file, raised before any
+    output is written, not a traceback from the model writer or a root risk
+    that reads 0; the largest target within the bound fits with finite risks
+    and no numpy warning."""
+
+    @staticmethod
+    def train(tmp_path, ys, **extra):
+        data = tmp_path / "t.csv"
+        data.write_text("a,y\n" + "".join(f"{i},{y!r}\n" for i, y in enumerate(ys)),
+                        encoding="utf-8")
+        config = {"data": str(data), "target": "y", **extra}
+        return run_cli(["train", "--out", tmp_path / "o", "--config", json.dumps(config)])
+
+    @pytest.mark.parametrize("ys,extra", [
+        ([1e160, -1e160, 2e160, 5.0], {}),
+        ([1e200, 1.0, 2.0, 3.0], {"max_depth": 2}),
+        ([1e154, 1e154, -1e154, 3.0], {}),
+        ([1e160, -1e160, 2e160, 5.0], {"model": "forest", "n_trees": 2}),
+    ])
+    def test_returns_three(self, tmp_path, capsys, ys, extra):
+        assert self.train(tmp_path, ys, **extra) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "t.csv") in err and "target" in err, err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_largest_target_fits(self, tmp_path, recwarn):
+        # four rows: the bound is sqrt(largest float) / 8
+        big = math.sqrt(sys.float_info.max) / 8
+        assert self.train(tmp_path, [big, -big, big, -0.5 * big]) == 0
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        model = json.loads((tmp_path / "o" / "model.json").read_text(encoding="utf-8"))
+        assert model["risk_trace"][0] > 0
+        assert all(math.isfinite(node["risk"]) for node in model["nodes"])
+
+
+class TestPredictDescendsOnce:
+    """Classification `predict` takes labels and log-odds from one descent
+    of each tree, and writes the labels and scores of `predict` and
+    `predict_value`/`predict_log_odds`."""
+
+    @pytest.mark.parametrize("model,trees", [("forest", 3), ("tree", 1)])
+    def test_one_apply_per_tree(self, tmp_path, monkeypatch, model, trees):
+        rows = [(i % 7 / 7, (i * 3) % 5, 1 if (i % 7) + (i * 3) % 5 > 5 else -1)
+                for i in range(60)]
+        data = tmp_path / "c.csv"
+        data.write_text("a,b,y\n" + "".join(f"{a!r},{b},{y}\n" for a, b, y in rows),
+                        encoding="utf-8")
+        config = {"data": str(data), "target": "y", "task": "classification",
+                  "criterion": "entropy_minimax", "model": model, "n_trees": trees,
+                  "max_depth": 3}
+        assert run_cli(["train", "--out", tmp_path / "m", "--config", json.dumps(config)]) == 0
+        fitted = minimaxsplit.load_model((tmp_path / "m" / "model.json").read_text())
+        calls = []
+        apply = minimaxsplit.TreeModel.apply
+
+        def counted(self, X, max_depth=None):
+            calls.append(len(X))
+            return apply(self, X, max_depth)
+
+        monkeypatch.setattr(minimaxsplit.TreeModel, "apply", counted)
+        config = {"model": str(tmp_path / "m" / "model.json"), "data": str(data)}
+        assert run_cli(["predict", "--out", tmp_path / "p", "--config", json.dumps(config)]) == 0
+        assert calls == [len(rows)] * trees
+        monkeypatch.setattr(minimaxsplit.TreeModel, "apply", apply)
+        X = [[a, b] for a, b, _ in rows]
+        score = (fitted.predict_value(X) if model == "forest"
+                 else fitted.predict_log_odds(X))
+        want = "row,label,log_odds\n" + "".join(
+            f"{i},{int(label)},{float(s)!r}\n"
+            for i, (label, s) in enumerate(zip(fitted.predict(X), score)))
+        assert (tmp_path / "p" / "predictions.csv").read_text(encoding="utf-8") == want
+
+
+def test_the_version_stamp_is_pyprojects():
+    """pyproject.toml takes the package version from `__version__`, which
+    every manifest records, so a raw checkout and an installed tree stamp
+    their manifests alike."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    from minimaxsplit.experiments import VERSION
+
+    root = Path(minimaxsplit.__file__).parents[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(root / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == minimaxsplit.__version__ == VERSION
 
 
 class TestOneFieldConfigFuzz:

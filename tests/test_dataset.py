@@ -26,7 +26,9 @@ from minimaxsplit import (
     powell,
     write_pgm,
 )
-from minimaxsplit.dataset import NodeView, piecewise_signal
+from minimaxsplit.dataset import piecewise_signal
+
+from one_node import NodeView
 
 
 class TestDataset:

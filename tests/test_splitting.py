@@ -10,14 +10,12 @@ from minimaxsplit import (
     ConfigError,
     DataError,
     Dataset,
-    NodeView,
     SplitCriterion,
-    best_split,
 )
-from minimaxsplit.dataset import root_node
 from minimaxsplit.splitting import entropy, node_risk
 
 from conftest import brute_scan, entropy_risk, make_node, two_pass_sse
+from one_node import NodeView, _one_node_config, best_split, root_node
 from pernode_scan import (UnsplittableError, _risk_curves, candidate_thresholds, minimax_search,
                           scan_feature)
 
@@ -186,9 +184,8 @@ class TestBestSplit:
             best_split(root_node(data), SplitCriterion("minimax"), allowed_features=[])
 
     def test_one_config_per_criterion_and_features(self):
-        """The ecp study calls best_split thousands of times on one criterion:
-        its one-node GrowConfig is built and checked once, not per call."""
-        from minimaxsplit.tree import _one_node_config
+        """Repeated best_split calls on one criterion build and check their
+        one-node GrowConfig once, not per call."""
         node = node_of([0.0, 1.0, 2.0], [0.0, 1.0, 5.0])
         _one_node_config.cache_clear()
         decisions = {best_split(node, SplitCriterion("minimax")) for _ in range(3)}

@@ -15,9 +15,10 @@ Every config declares each field's type and rule once, through
 the ten configs behind the CLI, `GrowConfig` and `ForestConfig`.
 
 No module keeps code that nothing reads: every top-level function, class and
-assigned name is exported in `__all__` or read somewhere in the package. A
+assigned name is exported in `__all__` or read somewhere in the package, and
+so is every private method and every method of a class outside `__all__`. A
 search or check kept only as a test reference lives under `tests/`, as
-`pernode_scan.py` and `pernode_grower.py` do.
+`pernode_scan.py`, `pernode_grower.py` and `one_node.py` do.
 """
 
 import ast
@@ -87,9 +88,11 @@ def test_no_module_calls_choice():
     assert choice_calls(ast.parse("rng.choice(5, 2, replace=False)\nchoice(3)\n")) == [1]
 
 
-def definitions(tree: ast.AST):
+def definitions(tree: ast.AST, exported=frozenset()):
     """(line, name) of each top-level function, class and assigned name of
-    the module."""
+    the module, and `Class.method` of each method (a function in a class
+    body, a property too) that is private or whose class is not in
+    `exported`. Dunder methods are Python's to call and are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
@@ -98,6 +101,12 @@ def definitions(tree: ast.AST):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield node.lineno, name.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and (item.name.startswith("_") or node.name not in exported)):
+                    yield item.lineno, f"{node.name}.{item.name}"
 
 
 def reads(tree: ast.AST):
@@ -114,10 +123,13 @@ def reads(tree: ast.AST):
 
 def unread(modules, exported):
     """`module:line name` of each definition (see `definitions`) outside
-    `__init__` that is neither exported nor read by any of the modules."""
+    `__init__` that is neither exported nor read by any of the modules; a
+    method counts as read when its name is read as an attribute or a name
+    anywhere."""
     read = set(exported).union(*(reads(tree) for tree in modules.values()))
     return [f"{module}:{line} {name}" for module, tree in modules.items()
-            if module != "__init__" for line, name in definitions(tree) if name not in read]
+            if module != "__init__" for line, name in definitions(tree, set(exported))
+            if name.rpartition(".")[2] not in read]
 
 
 def test_no_module_keeps_unread_code():
@@ -138,6 +150,32 @@ def test_the_check_sees_unread_code():
         "__init__": ast.parse("def init_only():\n    pass\n"),
     }
     assert unread(planted, exported={"Z"}) == ["a:4 unused", "a:10 _Y"]
+
+
+def test_the_check_sees_unread_methods():
+    """An unread private method is flagged, and so is an unread method or
+    property of a class outside the exports; a public method of an exported
+    class, a dunder method and a method read as an attribute are kept."""
+    planted = {
+        "a": ast.parse("class Out:\n"
+                       "    def __init__(self):\n"
+                       "        self._used()\n"
+                       "    def _used(self):\n"
+                       "        pass\n"
+                       "    def _unused(self):\n"
+                       "        pass\n"
+                       "    @property\n"
+                       "    def shown(self):\n"
+                       "        pass\n"
+                       "class In:\n"
+                       "    def public(self):\n"
+                       "        pass\n"
+                       "    def _hidden(self):\n"
+                       "        pass\n"),
+        "b": ast.parse("from .a import Out\n"),
+    }
+    assert unread(planted, exported={"In"}) == ["a:6 Out._unused", "a:9 Out.shown",
+                                                "a:14 In._hidden"]
 
 
 CONFIGS = [cls for cls, _ in EXPERIMENTS.values()] + [GrowConfig, ForestConfig]
