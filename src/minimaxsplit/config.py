@@ -1,12 +1,14 @@
-"""One schema for every config dataclass.
+"""One schema for every config dataclass, and for the two model classes.
 
 Each config field declares its rule once, in its metadata (PEP 557):
 ``n: int = spec(at_least(2), 500)``. Every config's ``__post_init__`` calls
-`check` first, so a config that exists is valid, whether it came from
-``--config`` JSON or from Python; rules that tie two fields together follow
-in the config's own ``__post_init__``. A bool is not an int, and a float
-field also takes an int, kept as an int so that a manifest's config echo
-repeats it as given; numpy ints become ints and lists tuples.
+`check` first (or is `check`), so a config that exists is valid, whether it
+came from ``--config`` JSON or from Python; rules that tie two fields
+together follow in the config's own ``__post_init__``. The two model
+classes check theirs the same way, raising DataError. A bool is not an
+int, and a float field also takes an int, kept as an int so that a
+manifest's config echo repeats it as given; numpy ints become ints and
+lists tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import MISSING, field, fields
 from functools import cache
 from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
-from .dataset import is_int
+from .dataset import CLASSIFICATION, REGRESSION, is_int
 from .errors import ConfigError
 from .splitting import TAGS, SplitCriterion
 
@@ -51,6 +53,7 @@ TYPED = must(lambda v: True, "")  # no rule beyond the field's type hint
 # and Infinity (floats) and, comparing exactly, an int past every float
 NOISE = must(lambda v: 0 <= v <= 1e50, "a finite number in [0, 1e50]")
 NONEMPTY = must(len, "a nonempty string")
+TASK = one_of(REGRESSION, CLASSIFICATION)
 CRITERION = must(lambda v: isinstance(v, SplitCriterion) or v in TAGS,
                   f"a criterion tag ({' | '.join(TAGS)})")
 
@@ -101,15 +104,16 @@ def _schema(cls) -> tuple:
     return tuple((f.name, hints[f.name], f.metadata["rule"]) for f in fields(cls))
 
 
-def check(config) -> None:
-    """ConfigError naming the field and the value unless every field has
-    its declared type and passes its rule; stores the typed values."""
+def check(config, error: type = ConfigError) -> None:
+    """`error` (ConfigError unless given) naming the field and the value
+    unless every field has its declared type and passes its rule; stores
+    the typed values."""
     cls = type(config)
     for name, hint, rule in _schema(cls):
         raw = getattr(config, name)
         value = _typed(hint, raw)
         if value is _WRONG:
-            raise ConfigError(f"{cls.__name__}.{name}: want {_want(hint)}, got {raw!r}")
+            raise error(f"{cls.__name__}.{name}: want {_want(hint)}, got {raw!r}")
         if value is not None and (fault := rule(value)):
-            raise ConfigError(f"{cls.__name__}.{name}: {fault}")
+            raise error(f"{cls.__name__}.{name}: {fault}")
         object.__setattr__(config, name, value)

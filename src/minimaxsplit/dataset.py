@@ -166,16 +166,17 @@ def check_labels(path, targets: np.ndarray) -> None:
         raise DataError(f"{path}: classification target outside {{-1,+1}}: {targets[bad][0]}")
 
 
-def check_scale(path, targets: np.ndarray) -> None:
-    """DataError naming the file unless all n regression targets lie within
-    sqrt(largest float) / 2n of zero: then every sum of n squared targets or
-    deviations, and the square of every sum of n targets, stays finite, so
-    no node risk, risk trace entry or fit metric reads inf (or NaN as 0)."""
-    limit = math.sqrt(np.finfo(np.float64).max) / (2 * targets.size)
+def check_scale(path, targets: np.ndarray, n: int) -> None:
+    """DataError naming `path` unless all regression targets lie within
+    sqrt(largest float) / 2n of zero, n the most rows one sum takes: then
+    every sum of n squared targets or deviations, and the square of every
+    sum of n targets, stays finite, so no node risk, risk trace entry or fit
+    metric reads inf (or NaN as 0)."""
+    limit = math.sqrt(np.finfo(np.float64).max) / (2 * n)
     largest = float(np.max(np.abs(targets)))
     if largest > limit:
         raise DataError(f"{path}: a target of magnitude {largest:g} is past {limit:.4g}, "
-                        f"the largest whose squared sums over {targets.size} rows stay finite")
+                        f"the largest whose squared sums over {n} rows stay finite")
 
 
 def load_csv(path, target_column, task: str = REGRESSION) -> Dataset:

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import (CRITERION, NOISE, NONEMPTY, TYPED, at_least, between, check,
+from .config import (CRITERION, NOISE, NONEMPTY, TASK, TYPED, at_least, between, check,
                      each, must, one_of, spec)
 from .dataset import (
     CLASSIFICATION,
@@ -366,8 +366,7 @@ class LeafSizeConfig:
                                                       "one_sided_max"))
     n_min: int = spec(at_least(1), 1)
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def run_leaf_size(cfg: LeafSizeConfig, seed: int = 0, out="runs/leafsize") -> RunResult:
@@ -499,8 +498,7 @@ class AsbpConfig:
     n_test: int = spec(at_least(1), 4096)
     methods: Tuple[str, ...] = spec(each(CRITERION), ("minimax", "cyclic_minimax"))
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def run_asbp(cfg: AsbpConfig, seed: int = 0, out="runs/asbp") -> RunResult:
@@ -659,8 +657,7 @@ class PowellConfig:
     methods: Tuple[str, ...] = spec(each(CRITERION), ("variance", "minimax"))
     noise_sigma: float = spec(NOISE, 0.0)
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def run_powell(cfg: PowellConfig, seed: int = 0, out="runs/powell") -> RunResult:
@@ -700,8 +697,7 @@ class TimeseriesConfig:
     downsample: int = spec(at_least(1), 1)
     standardize: bool = spec(TYPED, True)
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def synthetic_series(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -811,8 +807,7 @@ class MartingaleRunConfig:
     max_depth: int = spec(at_least(0), 12)
     rules: Tuple[str, ...] = spec(each(one_of(*RULES)), RULES)
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def _law_from_atom_csv(path) -> DiscreteLaw:
@@ -866,7 +861,7 @@ def run_martingale(cfg: MartingaleRunConfig, seed: int = 0,
 class TrainConfig:
     data: str = spec(NONEMPTY, "")
     target: Union[str, int] = spec(TYPED, "y")
-    task: str = spec(one_of(REGRESSION, CLASSIFICATION), REGRESSION)
+    task: str = spec(TASK, REGRESSION)
     model: str = spec(one_of("tree", "forest"), "tree")
     criterion: str = spec(CRITERION, "minimax")
     max_depth: int = spec(at_least(0), 6)
@@ -888,7 +883,7 @@ def run_train(cfg: TrainConfig, seed: int = 0, out="runs/train") -> RunResult:
     outdir = _outdir(out)
     data = load_csv(cfg.data, cfg.target, cfg.task)
     if data.task == REGRESSION:
-        check_scale(cfg.data, data.targets)
+        check_scale(cfg.data, data.targets, data.n_samples)
     if cfg.model == "tree":
         model: Union[TreeModel, ForestModel] = grow(
             data, GrowConfig(criterion=cfg.criterion, max_depth=cfg.max_depth,
@@ -918,8 +913,7 @@ class PredictConfig:
     data: str = spec(NONEMPTY, "")
     target: Optional[Union[str, int]] = spec(TYPED, None)
 
-    def __post_init__(self):
-        check(self)
+    __post_init__ = check
 
 
 def run_predict(cfg: PredictConfig, seed: int = 0, out="runs/predict") -> RunResult:

@@ -10,23 +10,27 @@ sequential loop would grow on its own bootstrap sample.
 Regression forests average the trees' fitted means. Classification forests
 average the trees' smoothed per-leaf log-odds and threshold the average at
 zero; the smoothing keeps single pure leaves from saturating the vote.
+
+A `ForestModel`, like its trees, is valid by construction: when built, it
+checks its fields, that it holds n_trees trees and index lists, and that
+each tree agrees with it on task, n_features, max_depth, n_min and names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .config import CRITERION, TYPED, at_least, check, spec
+from .config import CRITERION, TASK, TYPED, at_least, check, spec
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
 from .splitting import SplitCriterion
-from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, grow_trees, header_doc,
-                   header_int, int_list, parse_doc, read_header, tree_from_doc, tree_to_doc,
-                   tree_to_json)
+from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, frozen, grow_trees,
+                   header_doc, parse_doc, read_header, tree_from_doc, tree_to_doc, tree_to_json,
+                   typed_list)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -50,20 +54,37 @@ class ForestConfig:
             object.__setattr__(self, "criterion", SplitCriterion(self.criterion))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestModel:
-    task: str
-    n_features: int
-    criterion: str
-    n_trees: int
-    max_depth: int
-    n_min: int
-    m_try: Optional[int]
-    bootstrap: bool
-    seed: int
-    trees: List[TreeModel]
-    bootstrap_indices: List[np.ndarray]
-    feature_names: Optional[Tuple[str, ...]] = None
+    """Valid by construction (see above); the header fields take the rules
+    of their twins in `ForestConfig`, and each index list is `frozen`."""
+
+    task: str = spec(TASK)
+    n_features: int = spec(at_least(1))
+    criterion: str = spec(CRITERION)
+    n_trees: int = spec(at_least(1))
+    max_depth: int = spec(at_least(0))
+    n_min: int = spec(at_least(1))
+    m_try: Optional[int] = spec(at_least(1))
+    bootstrap: bool = spec(TYPED)
+    seed: int = spec(TYPED)
+    trees: Tuple[TreeModel, ...] = spec(TYPED)
+    bootstrap_indices: Tuple[np.ndarray, ...] = spec(TYPED)
+    feature_names: Optional[Tuple[str, ...]] = spec(TYPED, None)
+
+    def __post_init__(self):
+        # the names must equal each (checked) tree's, so they are checked too
+        check(self, DataError)
+        if not self.n_trees == len(self.trees) == len(self.bootstrap_indices):
+            raise DataError(f"n_trees is {self.n_trees} but the forest holds {len(self.trees)} "
+                            f"trees and {len(self.bootstrap_indices)} bootstrap index lists")
+        for b, tree in enumerate(self.trees):
+            for key in ("task", "n_features", "max_depth", "n_min", "feature_names"):
+                if getattr(tree, key) != getattr(self, key):
+                    raise DataError(f"tree {b} has {key} {getattr(tree, key)!r}, "
+                                    f"the forest {getattr(self, key)!r}")
+        object.__setattr__(self, "bootstrap_indices", tuple(
+            frozen(idx, True, "bootstrap indices") for idx in self.bootstrap_indices))
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Mean over trees of the per-tree fitted value (regression) or
@@ -121,20 +142,11 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestMo
     trees = grow_trees(data, grow_cfg, indices,
                        [stream(s, "features") for s in tree_seeds],
                        [stream(s, "splits") for s in tree_seeds])
-    return ForestModel(
-        task=data.task,
-        n_features=data.n_features,
-        criterion=config.criterion.tag,
-        n_trees=config.n_trees,
-        max_depth=config.max_depth,
-        n_min=config.n_min,
-        m_try=config.m_try,
-        bootstrap=config.bootstrap,
-        seed=int(seed),
-        trees=trees,
-        bootstrap_indices=indices,
-        feature_names=data.feature_names,
-    )
+    return ForestModel(task=data.task, n_features=data.n_features,
+                       criterion=config.criterion.tag, n_trees=config.n_trees,
+                       max_depth=config.max_depth, n_min=config.n_min, m_try=config.m_try,
+                       bootstrap=config.bootstrap, seed=int(seed), trees=trees,
+                       bootstrap_indices=indices, feature_names=data.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -145,41 +157,23 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestMo
 def forest_to_doc(forest: ForestModel) -> dict:
     return {**header_doc(forest, FORMAT_FOREST), "n_trees": forest.n_trees,
             "m_try": forest.m_try, "bootstrap": forest.bootstrap, "seed": forest.seed,
-            "bootstrap_indices": [np.asarray(idx, dtype=np.int64).tolist()
-                                  for idx in forest.bootstrap_indices],
+            "bootstrap_indices": [idx.tolist() for idx in forest.bootstrap_indices],
             "trees": [tree_to_doc(t) for t in forest.trees]}
 
 
 def forest_from_doc(doc: dict) -> ForestModel:
-    """Load a forest document. Its header must agree with its trees: as many
-    trees as `n_trees` and as many bootstrap index lists, and every tree of
-    the header's task, `n_features`, `max_depth`, `n_min` and feature names."""
+    """Parse a forest-v1 document: the header as it is, each tree through
+    `tree_from_doc`, each index list through `typed_list`; the ForestModel
+    built from them checks the values and that the trees agree with it."""
     header = read_header(doc, FORMAT_FOREST)
     try:
-        forest = ForestModel(
-            **header,
-            n_trees=header_int(doc, "n_trees", 1),
-            m_try=None if doc["m_try"] is None else header_int(doc, "m_try"),
-            bootstrap=doc["bootstrap"],
-            seed=header_int(doc, "seed"),
-            trees=[tree_from_doc(t) for t in doc["trees"]],
-            bootstrap_indices=[int_list(i, "bootstrap indices")
-                               for i in doc["bootstrap_indices"]],
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fields = {**{key: doc[key] for key in ("n_trees", "m_try", "bootstrap", "seed")},
+                  "trees": [tree_from_doc(t) for t in doc["trees"]],
+                  "bootstrap_indices": [typed_list(i, True, "bootstrap indices")
+                                        for i in doc["bootstrap_indices"]]}
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {FORMAT_FOREST} document: {exc}") from exc
-    if type(forest.bootstrap) is not bool:
-        raise DataError(f"'bootstrap' must be true or false, got {forest.bootstrap!r}")
-    if not forest.n_trees == len(forest.trees) == len(forest.bootstrap_indices):
-        raise DataError(f"n_trees is {forest.n_trees} but the document holds "
-                        f"{len(forest.trees)} trees and {len(forest.bootstrap_indices)} "
-                        f"bootstrap index lists")
-    for b, tree in enumerate(forest.trees):
-        for key in ("task", "n_features", "max_depth", "n_min", "feature_names"):
-            if getattr(tree, key) != getattr(forest, key):
-                raise DataError(f"tree {b} has {key} {getattr(tree, key)!r}, "
-                                f"the forest {getattr(forest, key)!r}")
-    return forest
+    return ForestModel(**header, **fields)
 
 
 def forest_to_json(forest: ForestModel) -> str:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, Dataset, index_array
+from .dataset import CLASSIFICATION, Dataset, check_scale, index_array
 from .errors import ConfigError
 from .splitting import (_MODE_CRITERIA, _child_curves, _flat, _padded_width,
                         _prefix_entropy_risk, _prefix_sse, _row_blocks, midpoints,
@@ -66,11 +66,12 @@ class Growth:
     (needed with m_try) and splits_rngs[b] (needed by the random criteria).
     The constructor is the one place that checks these arguments against
     the config and the data, for `grow`, `grow_trees` and `best_splits`
-    alike. `ranks`, if given, are `dense_ranks(data.features)`, which a
-    caller growing several groups computes once for all of them. The samples
-    are the blocks, one after another, of a shared index space: `X` and `y`
-    hold the gathered samples, and a position in them names one sample of
-    one tree.
+    alike, regression targets included (`dataset.check_scale`: a sum runs
+    over one sample at most). `ranks`, if given, are
+    `dense_ranks(data.features)`, which a caller growing several groups
+    computes once for all of them. The samples are the blocks, one after
+    another, of a shared index space: `X` and `y` hold the gathered
+    samples, and a position in them names one sample of one tree.
 
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
@@ -120,6 +121,8 @@ class Growth:
         # the row of `data` at each position
         rows = np.concatenate(samples)
         self.X, self.y = data.features.take(rows, axis=1), data.targets[rows]
+        if data.task != CLASSIFICATION:
+            check_scale("the samples' targets", self.y, int(self.sizes.max()))
         self.lists = presort(data, self.X, rows, self.offsets, self.sizes, ranks)
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)

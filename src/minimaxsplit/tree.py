@@ -12,30 +12,35 @@ risk_trace[k] is the mean unnormalized risk (per training sample) of the
 partition obtained by cutting the tree at depth k; it has max_depth + 1
 entries and is exactly non-increasing.
 
+A `TreeModel` is valid by construction: grown, loaded or built in code, it
+checks its fields' rules (`config.check`) and its structure once, when
+built, raising DataError for any fault, and prediction walks it unchecked.
+
 A saved tree is a tree-v1 JSON document, a header and one object per node.
 The table NODE_FIELDS names each numeric node field, whether it holds
 integers and where a document writes null for it; `tree_to_doc`,
-`tree_from_doc` and `_check_structure` all work from it. `header_doc`,
-`read_header` and `parse_doc` serve forest-v1 documents too, so a new
-layout, such as one array per field, changes only these.
+`tree_from_doc` (which only parses) and `_check_structure` all work from
+it. `header_doc`, `read_header` and `parse_doc` serve forest-v1 documents
+too, so a new layout, such as one array per field, changes only these.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import CRITERION, TYPED, at_least, check, each, spec
-from .dataset import CLASSIFICATION, REGRESSION, Dataset, check_feature_names, is_int
+from .config import CRITERION, TASK, TYPED, at_least, check, each, spec
+from .dataset import CLASSIFICATION, Dataset, check_feature_names, is_int
 from .errors import ConfigError, DataError
 from .growth import _REASONS, Growth, dense_ranks, ranks_pay
 from .rng import stream
-from .splitting import TAGS, SplitCriterion, _flat
+from .splitting import SplitCriterion, _flat
 
 FORMAT_TREE = "tree-v1"
 
@@ -102,7 +107,7 @@ def check_cut(max_depth: Optional[int]) -> None:
 _APPLY_ROWS = 1 << 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeModel:
     """Flat-array tree. Leaves have left == -1; their threshold is NaN.
 
@@ -113,27 +118,37 @@ class TreeModel:
     cyclic criterion persisted past a constant scheduled feature.
     `feature_names` are the training columns' names when the training data
     had them (a CSV header); prediction from a CSV then matches by name.
+    Valid by construction (see above): the header fields take the rules of
+    their twins in `GrowConfig`, and the node arrays are `frozen`.
     """
 
-    task: str
-    n_features: int
-    criterion: str
-    max_depth: int
-    n_min: int
-    n_train: int
-    depth: np.ndarray
-    count: np.ndarray
-    risk: np.ndarray
-    value: np.ndarray
-    log_odds: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    split_level: np.ndarray
-    leaf_reason: List[Optional[str]]
-    risk_trace: List[float] = field(default_factory=list)
-    feature_names: Optional[Tuple[str, ...]] = None
+    task: str = spec(TASK)
+    n_features: int = spec(at_least(1))
+    criterion: str = spec(CRITERION)
+    max_depth: int = spec(at_least(0))
+    n_min: int = spec(at_least(1))
+    n_train: int = spec(at_least(1))
+    # `_check_structure` types these: `check` types a tuple entry by entry
+    depth: np.ndarray = spec(TYPED)
+    count: np.ndarray = spec(TYPED)
+    risk: np.ndarray = spec(TYPED)
+    value: np.ndarray = spec(TYPED)
+    log_odds: np.ndarray = spec(TYPED)
+    feature: np.ndarray = spec(TYPED)
+    threshold: np.ndarray = spec(TYPED)
+    left: np.ndarray = spec(TYPED)
+    right: np.ndarray = spec(TYPED)
+    split_level: np.ndarray = spec(TYPED)
+    leaf_reason: list = spec(TYPED)
+    risk_trace: list = spec(TYPED)
+    feature_names: Optional[Tuple[str, ...]] = spec(TYPED, None)
+
+    def __post_init__(self):
+        if self.feature_names is not None:
+            object.__setattr__(self, "feature_names",
+                               check_feature_names(self.feature_names, self.n_features))
+        check(self, DataError)
+        _check_structure(self)
 
     @property
     def n_nodes(self) -> int:
@@ -164,18 +179,6 @@ class TreeModel:
         stop = self.left < 0
         if max_depth is not None:
             stop |= self.split_level >= max_depth
-        # a feature out of range would read another row's value through the
-        # flat offsets below (the loader rejects one; a tree built in code
-        # meets this check)
-        feature = self.feature[~stop]
-        if np.any((feature < 0) | (feature >= self.n_features)):
-            raise DataError(f"split features must lie in [0, n_features = {self.n_features})")
-        # so would a child out of range: -1 reads the last node
-        outside = ~stop & ((np.minimum(self.left, self.right) < 0)
-                           | (np.maximum(self.left, self.right) >= self.n_nodes))
-        if outside.any():
-            raise DataError(f"split node {int(np.argmax(outside))} has a child outside "
-                            f"[0, n_nodes = {self.n_nodes})")
         # node k's children at 2k (x < t) and 2k + 1 (anything else)
         children = np.stack([self.left, self.right], axis=1).reshape(-1)
         cell = np.zeros(X.shape[0], dtype=np.int64)
@@ -187,15 +190,15 @@ class TreeModel:
     def _descend(self, flat: np.ndarray, steps: Tuple[int, ...], lo: int, stop: np.ndarray,
                  children: np.ndarray, cell: np.ndarray) -> None:
         """Fill `cell` with the cells of the rows from `lo` of the matrix
-        `splitting._flat` gave as (flat, steps); the tree is checked."""
+        `splitting._flat` gave as (flat, steps). Split levels rise along
+        every path and stay below max_depth (`_check_structure`), so every
+        row stops within max_depth + 1 steps."""
         row_step, col_step = steps
         # the rows still descending, the flat offset of each one's first
         # feature and the node each one is at
         rows = np.arange(cell.size)
         at = (rows + lo) * row_step
         node = np.zeros(cell.size, dtype=np.int64)
-        # split levels rise along every path and stay below the tree's
-        # max_depth, so a descent ends within max_depth steps
         for _ in range(self.max_depth + 1):
             done = stop.take(node)
             if done.any():
@@ -209,7 +212,6 @@ class TreeModel:
                 node = node.take(going)
             x = flat.take(at + self.feature.take(node) * col_step)
             node = children.take(2 * node + ~(x < self.threshold.take(node)))
-        raise DataError(f"a path of the tree runs deeper than its max_depth {self.max_depth}")
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Fitted node value (mean / positive fraction) at each point."""
@@ -388,23 +390,35 @@ def tree_to_doc(tree: TreeModel) -> dict:
             "nodes": [dict(zip(keys, node)) for node in zip(*columns)]}
 
 
+_LEAF_REASONS = frozenset(_REASONS[1:])
+
+
 def _check_structure(tree: TreeModel) -> None:
-    """Reject a loaded tree that prediction could not walk, or would walk
-    to a wrong cell. Every node field holds one number per node; each split
-    node's two children lie after it and before the end; every node but the
-    root has exactly one parent; split levels lie in [0, max_depth) and rise
-    from parent to child, so every descent ends within max_depth steps; split
-    features lie in [0, n_features), split thresholds are finite, and so are
-    a classification tree's log-odds; a leaf_reason is null on split nodes
+    """Reject a tree that prediction could not walk, or would walk to a
+    wrong cell; store its node arrays `frozen`. Every node field holds one
+    number per node, finite or NaN where null (`NODE_FIELDS`), and the risk
+    trace max_depth + 1 finite ones; each split node's two children lie
+    after it and before the end; every node but the root has exactly one
+    parent; split levels lie in [0, max_depth) and rise from parent to
+    child, so every descent ends within max_depth steps; split features lie
+    in [0, n_features), split thresholds are finite, and so are a
+    classification tree's log-odds; a leaf_reason is null on split nodes
     and one of growth's reason names on leaves."""
-    if len(tree.risk_trace) != tree.max_depth + 1:
-        raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} entries, "
-                        f"got {len(tree.risk_trace)}")
+    trace = typed_list(tree.risk_trace, False, "risk_trace")
+    if trace.size != tree.max_depth + 1 or not np.all(np.isfinite(trace)):
+        raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} finite entries")
+    object.__setattr__(tree, "risk_trace", trace.tolist())
     n = len(tree.leaf_reason)
     if n == 0:
         raise DataError("tree has no nodes")
-    if any(np.shape(getattr(tree, f.name)) != (n,) for f in NODE_FIELDS):
-        raise DataError(f"every node field must hold one number per node ({n})")
+    for f in NODE_FIELDS:
+        values = frozen(getattr(tree, f.name), f.integer, f"node {f.name} values")
+        if values.size != n:
+            raise DataError(f"every node field must hold one number per node ({n})")
+        # NaN is null's stand-in, so only the infinities are out where null is in
+        if not f.integer and np.any(np.isinf(values) if f.null else ~np.isfinite(values)):
+            raise DataError(f"node {f.name} values must be finite")
+        object.__setattr__(tree, f.name, values)
     ids = np.arange(n)
     left, right = tree.left, tree.right
     split = left >= 0
@@ -412,8 +426,12 @@ def _check_structure(tree: TreeModel) -> None:
     split_ok = (left > ids) & (left < n) & (right > ids) & (right < n)
     if not np.all(np.where(split, split_ok, leaf_ok)):
         raise DataError("each split node's children must lie in (node, n_nodes)")
-    if not all(r is None if s else r in _REASONS[1:]
-               for r, s in zip(tree.leaf_reason, split.tolist())):
+    # two passes at C speed: null exactly on split nodes, a name elsewhere
+    try:
+        named = set(tree.leaf_reason) - {None} <= _LEAF_REASONS
+    except TypeError:  # an unhashable entry
+        named = False
+    if not named or list(map(is_, tree.leaf_reason, repeat(None))) != split.tolist():
         raise DataError(f"leaf_reason must be null on split nodes and one of "
                         f"{list(_REASONS[1:])} on leaves")
     parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
@@ -435,48 +453,40 @@ def _check_structure(tree: TreeModel) -> None:
         raise DataError("a classification tree's log_odds must be finite")
 
 
-def int_list(values: list, what: str) -> np.ndarray:
-    """An integer field; a float or bool would otherwise turn silently into
-    another node or feature."""
-    if not set(map(type, values)) <= {int}:
-        raise DataError(f"{what} must be integers")
-    return np.asarray(values, dtype=np.int64)
+def frozen(values: np.ndarray, integer: bool, what: str) -> np.ndarray:
+    """A read-only int64 (`integer`) or float64 copy of a 1-D array, which no
+    caller can edit; DataError for floats or bools where integers are due
+    (never cast), or for bools or objects where numbers are."""
+    kinds, dtype = ("iu", np.int64) if integer else ("iuf", np.float64)
+    if values.ndim != 1 or values.dtype.kind not in kinds or not np.can_cast(values.dtype, dtype):
+        raise DataError(f"{what} must be a 1-D array of {'integers' if integer else 'numbers'}")
+    copy = np.array(values, dtype=dtype)
+    copy.setflags(write=False)
+    return copy
+
+
+def typed_list(values: list, integer: bool, what: str) -> np.ndarray:
+    """A JSON list as int64 (`integer`: ints only, since a float or bool
+    would turn silently into another node, feature or row) or float64
+    (numbers, not bools or strings); DataError past either range."""
+    if not set(map(type, values)) <= ({int} if integer else {int, float}):
+        raise DataError(f"{what} must be {'integers' if integer else 'numbers'}")
+    try:
+        return np.asarray(values, dtype=np.int64 if integer else np.float64)
+    except OverflowError:
+        raise DataError(f"{what} must lie within the range of a 64-bit number") from None
 
 
 def _node_column(nodes: list, f: NodeField) -> np.ndarray:
-    """Field f of every node: integers through `int_list`, other fields
-    finite JSON numbers (not bools or strings), or null where f allows."""
+    """Field f of every node through `typed_list`; null, where f allows it,
+    reads as -1 or NaN."""
     get = itemgetter(f.name)
-    if f.null:  # null reads as -1 or NaN
+    if f.null:
         fill = -1 if f.integer else math.nan
         column = [fill if v is None else v for v in map(get, nodes)]
     else:
         column = list(map(get, nodes))
-    if f.integer:
-        return int_list(column, f"node {f.name} values")
-    # NaN is null's stand-in, so only the infinities are out where null is in
-    return _float_list(column, f"node {f.name} values", nan=bool(f.null))
-
-
-def _float_list(values: list, what: str, nan: bool = False) -> np.ndarray:
-    """A float field: finite JSON numbers, not bools or strings (NaN too if
-    `nan`)."""
-    if not set(map(type, values)) <= {int, float}:
-        raise DataError(f"{what} must be numbers")
-    array = np.asarray(values, dtype=np.float64)
-    if np.any(np.isinf(array) if nan else ~np.isfinite(array)):
-        raise DataError(f"{what} must be finite")
-    return array
-
-
-def header_int(doc: dict, key: str, low: Optional[int] = None) -> int:
-    """An integer header field of a model document, at least `low` if given;
-    a float such as 1e400 or 3.5 is rejected rather than truncated."""
-    value = doc.get(key)
-    if type(value) is not int or (low is not None and value < low):
-        at_least = "" if low is None else f" >= {low}"
-        raise DataError(f"{key!r} must be an integer{at_least}, got {value!r}")
-    return value
+    return typed_list(column, f.integer, f"node {f.name} values")
 
 
 _HEADER = ("task", "n_features", "criterion", "max_depth", "n_min")
@@ -491,21 +501,13 @@ def header_doc(model, fmt: str) -> dict:
 
 
 def read_header(doc: dict, fmt: str) -> dict:
-    """The header that tree and forest documents share, checked: the format
-    tag `fmt`, a known task and criterion, n_features >= 1, max_depth >= 0,
-    an integer n_min and the optional feature names. Returns the fields as
-    keywords of TreeModel and ForestModel alike."""
+    """The header fields that tree and forest documents share, as keywords
+    of TreeModel and ForestModel alike (None where missing); DataError
+    unless `doc` is a JSON object tagged `fmt`. The model built from them
+    checks their values."""
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise DataError(f"not a {fmt} document")
-    task, criterion = doc.get("task"), doc.get("criterion")
-    if task not in (REGRESSION, CLASSIFICATION):
-        raise DataError(f"unknown task {task!r}")
-    if criterion not in TAGS:
-        raise DataError(f"unknown criterion {criterion!r}")
-    n_features, names = header_int(doc, "n_features", 1), doc.get("feature_names")
-    return {"task": task, "n_features": n_features, "criterion": criterion,
-            "max_depth": header_int(doc, "max_depth", 0), "n_min": header_int(doc, "n_min"),
-            "feature_names": None if names is None else check_feature_names(names, n_features)}
+    return {key: doc.get(key) for key in _HEADER + ("feature_names",)}
 
 
 def parse_doc(text: str) -> dict:
@@ -520,17 +522,18 @@ def parse_doc(text: str) -> dict:
 
 
 def tree_from_doc(doc: dict) -> TreeModel:
+    """Parse a tree-v1 document: the header and the risk trace as they are,
+    each node field typed through `NODE_FIELDS`. The tree built from them
+    checks every value."""
     header = read_header(doc, FORMAT_TREE)
     try:
         nodes = doc["nodes"]
-        tree = TreeModel(**header, n_train=header_int(doc, "n_train"),
-                         **{f.name: _node_column(nodes, f) for f in NODE_FIELDS},
-                         leaf_reason=[node["leaf_reason"] for node in nodes],
-                         risk_trace=_float_list(doc["risk_trace"], "risk_trace").tolist())
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fields = {"n_train": doc["n_train"], "risk_trace": doc["risk_trace"],
+                  **{f.name: _node_column(nodes, f) for f in NODE_FIELDS},
+                  "leaf_reason": [node["leaf_reason"] for node in nodes]}
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc
-    _check_structure(tree)
-    return tree
+    return TreeModel(**header, **fields)
 
 
 def tree_to_json(tree: TreeModel) -> str:

@@ -5,12 +5,15 @@ The oracles here recompute quantities with deliberately different arithmetic
 the library is meaningful rather than tautological.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset
+from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset, ForestModel, TreeModel
+from minimaxsplit.cli import main
+from minimaxsplit.tree import NODE_FIELDS
 
 from one_node import NodeView, root_node
 
@@ -90,6 +93,57 @@ def same_json(got: str, want: str) -> None:
     lo, hi = max(0, at - 40), at + 40
     pytest.fail(f"JSON differs at offset {at} (lengths {len(got)} and {len(want)}):\n"
                 f"  got  ...{got[lo:hi]!r}\n  want ...{want[lo:hi]!r}")
+
+
+def as_built(values: list) -> np.ndarray:
+    """A document's list as the array a caller in code would pass: int64
+    when every entry is an int, float64 when every one is a number, and an
+    object array otherwise, so that a stray bool, string, list, null or
+    int past int64 stays visible rather than being cast."""
+    kinds = set(map(type, values))
+    try:
+        if kinds <= {int}:
+            return np.array(values, dtype=np.int64)
+        if kinds <= {int, float}:
+            return np.array(values, dtype=np.float64)
+    except OverflowError:
+        pass
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def build_model(doc: dict):
+    """The model a tree-v1 or forest-v1 document describes, built by calling
+    TreeModel(...) or ForestModel(...) directly, with no loader: the header
+    values go in as they are and each node column and bootstrap index list
+    through `as_built`; a null node entry reads as the loader reads it (-1
+    or NaN)."""
+    header = {key: value for key, value in doc.items() if key not in ("format", "nodes")}
+    if doc["format"] == "forest-v1":
+        return ForestModel(**{**header, "trees": [build_model(t) for t in doc["trees"]],
+                              "bootstrap_indices": [as_built(i)
+                                                    for i in doc["bootstrap_indices"]]})
+    nodes = doc["nodes"]
+    columns = {}
+    for f in NODE_FIELDS:
+        fill = -1 if f.integer else math.nan
+        columns[f.name] = as_built([fill if f.null and node[f.name] is None else node[f.name]
+                                    for node in nodes])
+    return TreeModel(**header, **columns,
+                     leaf_reason=[node["leaf_reason"] for node in nodes])
+
+
+def predict_exit(tmp_path, doc: dict, n_features: int) -> int:
+    """The CLI exit code of `predict` with the model document `doc` on a
+    two-row CSV of `n_features` feature columns, written under `tmp_path`."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    (tmp_path / "model.json").write_text(json.dumps(doc).replace("Infinity", "1e400"),
+                                         encoding="utf-8")
+    columns = [f"x{j}" for j in range(n_features)]
+    (tmp_path / "d.csv").write_text(",".join(columns) + "\n" + "0.5," * (n_features - 1)
+                                    + "0.5\n" + "1," * (n_features - 1) + "1\n",
+                                    encoding="utf-8")
+    config = {"model": str(tmp_path / "model.json"), "data": str(tmp_path / "d.csv")}
+    return main(["predict", "--out", str(tmp_path / "out"), "--config", json.dumps(config)])
 
 
 def naive_ssim(a, b, window: int = 11, sigma: float = 1.5,

@@ -1,9 +1,12 @@
 """`TreeModel.apply` against a walker that descends one row at a time in
 plain Python: grown trees at every depth cut, hand-built trees whose right
 child is not left + 1, infinite and NaN features, input layouts that are
-not C-contiguous, a single point, zero rows, a tree whose path runs
-deeper than its max_depth, and a descent in chunks of a few rows."""
+not C-contiguous, a single point, zero rows and a descent in chunks of a
+few rows. `apply` itself checks only its arguments: a tree that it could
+not walk (a path deeper than max_depth, a split feature or child out of
+range) is rejected when it is built."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,8 +36,8 @@ def walk_all(tree, X, max_depth=None):
 
 
 def hand_tree(feature, threshold, left, right, max_depth, n_features=2):
-    """A regression tree built in code, never checked by the loader. Split
-    levels are the nodes' depths."""
+    """A regression tree built in code, which checks itself as a loaded one
+    does. Split levels are the nodes' depths."""
     n = len(left)
     depth = np.zeros(n, dtype=np.int64)
     for k in range(n):
@@ -131,43 +134,44 @@ def test_single_point_and_zero_rows():
     assert tree.predict(np.zeros((0, 2))).shape == (0,)
 
 
+# node 0 splits into 1 and 2, node 1 into 3 and 4: a path of two splits
+DEEP = dict(feature=[0, 0, -1, -1, -1], threshold=[0.0, -1.0] + [math.nan] * 3,
+            left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1])
+
+
 def test_path_deeper_than_max_depth_raises():
-    """Node 1 splits below node 0 in a tree that claims max_depth 1; only
-    rows that reach node 1 meet the check."""
-    tree = hand_tree(feature=[0, 0, -1, -1, -1], threshold=[0.0, -1.0] + [math.nan] * 3,
-                     left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1], max_depth=1)
-    assert tree.apply(np.array([[1.0, 0.0], [2.0, 0.0]])).tolist() == [2, 2]
-    with pytest.raises(DataError):
-        tree.apply(np.array([[1.0, 0.0], [-0.5, 0.0]]))
-    # cut at the claimed depth, the path ends in time
-    assert tree.apply(np.array([[-0.5, 0.0]]), max_depth=1).tolist() == [1]
+    """Node 1 splits below node 0 in a tree that claims max_depth 1: the
+    tree is rejected when built, not when a row reaches node 1."""
+    with pytest.raises(DataError, match="split levels"):
+        hand_tree(**DEEP, max_depth=1)
+    tree = hand_tree(**DEEP, max_depth=2)
+    X = np.array([[1.0, 0.0], [-0.5, 0.0], [-2.0, 0.0]])
+    assert tree.apply(X).tolist() == [2, 4, 3]
+    assert tree.apply(X, max_depth=1).tolist() == [2, 1, 1]
 
 
 @pytest.mark.parametrize("feature", [-1, 2])
 def test_split_feature_out_of_range_raises(feature):
-    """A tree built in code whose split reads a column the points lack."""
-    tree = hand_tree(feature=[feature, -1, -1], threshold=[0.5, math.nan, math.nan],
-                     left=[1, -1, -1], right=[2, -1, -1], max_depth=1)
-    with pytest.raises(DataError):
-        tree.apply(np.zeros((2, 2)))
-    # cut above the split, the feature is never read
-    assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]
+    """A tree built in code whose split reads a column the points lack is
+    rejected when built; prediction never meets it."""
+    with pytest.raises(DataError, match="split features"):
+        hand_tree(feature=[feature, -1, -1], threshold=[0.5, math.nan, math.nan],
+                  left=[1, -1, -1], right=[2, -1, -1], max_depth=1)
 
 
 @pytest.mark.parametrize("side, child", [("right", -1), ("right", 3), ("left", 3)])
 def test_split_child_out_of_range_raises(side, child):
-    """A tree built in code whose split node points outside its node arrays:
-    the rows sent there would read another node's value (-1, the last
-    one's) without a word."""
+    """A split node pointing outside the node arrays would send rows to
+    another node's value (-1, the last one's) without a word: built in code
+    it is rejected, and a built tree's arrays cannot be edited into it."""
     tree = hand_tree(feature=[0, -1, -1], threshold=[0.5, math.nan, math.nan],
                      left=[1, -1, -1], right=[2, -1, -1], max_depth=1)
-    getattr(tree, side)[0] = child
-    with pytest.raises(DataError, match="split node 0 "):
-        tree.apply(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(DataError, match="split node 0 "):
-        tree.predict(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    # cut above the split, no child is read
-    assert tree.apply(np.zeros((2, 2)), max_depth=0).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(tree, side)[0] = child
+    children = getattr(tree, side).copy()
+    children[0] = child
+    with pytest.raises(DataError, match="children"):
+        dataclasses.replace(tree, **{side: children})
 
 
 @pytest.mark.parametrize("cut", [1.5, True, "1"])
@@ -213,12 +217,18 @@ def test_chunked_descent_matches_one_shot(monkeypatch, rows, cut):
 
 
 def test_too_deep_path_in_a_later_chunk_raises(monkeypatch):
-    """The max_depth check holds in every chunk, not only the first."""
+    """A path deeper than max_depth is rejected when the tree is built, so
+    no chunk meets one; a tree of the right depth gives the deep rows their
+    cells in a later chunk as in the first."""
     monkeypatch.setattr(tree_module, "_APPLY_ROWS", CHUNK)
-    tree = hand_tree(feature=[0, 0, -1, -1, -1], threshold=[0.0, -1.0] + [math.nan] * 3,
-                     left=[1, 3, -1, -1, -1], right=[2, 4, -1, -1, -1], max_depth=1)
+    with pytest.raises(DataError, match="split levels"):
+        hand_tree(**DEEP, max_depth=1)
+    tree = hand_tree(**DEEP, max_depth=2)
     X = np.ones((3 * CHUNK + 1, 2))
     assert tree.apply(X).tolist() == [2] * len(X)
     X[-1, 0] = -0.5
-    with pytest.raises(DataError, match="deeper than its max_depth"):
-        tree.apply(X)
+    X[CHUNK, 0] = -2.0
+    want = [2] * len(X)
+    want[-1], want[CHUNK] = 4, 3
+    assert tree.apply(X).tolist() == want
+    assert np.array_equal(tree.apply(X), walk_all(tree, X))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,7 @@ from minimaxsplit import (
     tree_to_json,
 )
 
-from conftest import same_json
+from conftest import build_model, predict_exit, same_json
 
 
 def toy_regression(seed=0, n=200, d=3):
@@ -216,6 +217,10 @@ CRAFTED_FORESTS = {
 
 
 class TestCraftedForests:
+    """Each crafted fault is rejected with DataError wherever the forest is
+    built: by the loader, by a direct ForestModel(...) call and by
+    `predict` (exit 3)."""
+
     @pytest.fixture
     def doc(self):
         forest = train_forest(toy_regression(seed=5, n=80, d=8),
@@ -223,6 +228,8 @@ class TestCraftedForests:
                               seed=7)
         doc = json.loads(forest_to_json(forest))
         same_json(forest_to_json(forest_from_json(json.dumps(doc))), forest_to_json(forest))
+        same_json(forest_to_json(build_model(json.loads(json.dumps(doc)))),
+                  forest_to_json(forest))
         return doc
 
     @pytest.mark.parametrize("name", sorted(CRAFTED_FORESTS))
@@ -232,6 +239,18 @@ class TestCraftedForests:
         with pytest.raises(DataError):
             load_model(text)
 
+    @pytest.mark.parametrize("name", sorted(CRAFTED_FORESTS))
+    def test_rejected_when_built(self, doc, name):
+        CRAFTED_FORESTS[name](doc)
+        with pytest.raises(DataError):
+            build_model(doc)
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_FORESTS))
+    def test_predict_exits_three(self, doc, tmp_path, name):
+        assert predict_exit(tmp_path / "good", doc, 8) == 0
+        CRAFTED_FORESTS[name](doc)
+        assert predict_exit(tmp_path, doc, 8) == 3
+
     def test_feature_names_round_trip(self, doc):
         names = [f"x{j}" for j in range(8)]
         doc["feature_names"] = names
@@ -240,6 +259,29 @@ class TestCraftedForests:
         forest = load_model(json.dumps(doc))
         assert forest.feature_names == tuple(names)
         assert json.loads(model_to_json(forest)) == doc
+
+
+def test_forest_of_disagreeing_trees_is_rejected_when_built():
+    """Trees grown on data of another width cannot join a forest: such a
+    forest would save a model.json that no loader takes."""
+    forest = train_forest(toy_regression(seed=1, n=60, d=3),
+                          ForestConfig(criterion="variance", n_trees=2, max_depth=2))
+    other = grow(toy_regression(seed=2, n=60, d=2), GrowConfig(criterion="variance",
+                                                                max_depth=2))
+    with pytest.raises(DataError, match="n_features"):
+        dataclasses.replace(forest, trees=(forest.trees[0], other))
+
+
+def test_built_forest_is_frozen():
+    forest = train_forest(toy_regression(seed=1, n=60),
+                          ForestConfig(criterion="variance", n_trees=2, max_depth=2))
+    assert isinstance(forest.trees, tuple) and isinstance(forest.bootstrap_indices, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        forest.n_trees = 3
+    with pytest.raises(ValueError, match="read-only"):
+        forest.bootstrap_indices[0][0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        forest.trees[0].left[0] = 0
 
 
 @pytest.mark.parametrize("nulls", ["one_leaf", "every_node"])

@@ -11,8 +11,10 @@ per-node `m_try` draws with one bounded-integer call per tree and level, and
 a second way of drawing them would consume the streams differently.
 
 Every config declares each field's type and rule once, through
-`config.spec`, and its `__post_init__` applies them with `config.check`:
-the ten configs behind the CLI, `GrowConfig` and `ForestConfig`.
+`config.spec`, and its `__post_init__` applies them with `config.check` (or
+is `config.check`): the ten configs behind the CLI, `GrowConfig` and
+`ForestConfig`, and the two model classes `TreeModel` and `ForestModel`,
+which pass DataError as the error to raise.
 
 No module keeps code that nothing reads: every top-level function, class and
 assigned name is exported in `__all__` or read somewhere in the package, and
@@ -24,11 +26,12 @@ search or check kept only as a test reference lives under `tests/`, as
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import minimaxsplit
-from minimaxsplit import ForestConfig, GrowConfig
-from minimaxsplit.config import TYPED, spec
+from minimaxsplit import ForestConfig, ForestModel, GrowConfig, TreeModel
+from minimaxsplit.config import TYPED, check, spec
 from minimaxsplit.experiments import EXPERIMENTS
 
 SOURCE = Path(minimaxsplit.__file__).parent
@@ -178,21 +181,23 @@ def test_the_check_sees_unread_methods():
                                                 "a:14 In._hidden"]
 
 
-CONFIGS = [cls for cls, _ in EXPERIMENTS.values()] + [GrowConfig, ForestConfig]
+CONFIGS = [cls for cls, _ in EXPERIMENTS.values()] + [GrowConfig, ForestConfig, TreeModel,
+                                                     ForestModel]
 
 
 def unchecked(classes):
     """`Class.field` of each field without a rule in its metadata, and
-    `Class.__post_init__` of each config whose `__post_init__` does not
-    call `check(self)`."""
+    `Class.__post_init__` of each config whose `__post_init__` neither is
+    `check` nor calls `check(self)` or `check(self, <error>)`."""
     found = [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
              if not callable(f.metadata.get("rule"))]
     return found + [f"{cls.__name__}.__post_init__" for cls in classes
-                    if "check(self)" not in inspect.getsource(cls.__post_init__)]
+                    if cls.__post_init__ is not check
+                    and not re.search(r"\bcheck\(self[,)]", inspect.getsource(cls.__post_init__))]
 
 
 def test_every_config_field_declares_its_rule():
-    assert len(CONFIGS) == 12
+    assert len(CONFIGS) == 14
     assert unchecked(CONFIGS) == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from minimaxsplit import (
     Dataset,
     ForestConfig,
     GrowConfig,
+    best_splits,
     forest_to_json,
     grow,
     load_model,
@@ -21,7 +23,9 @@ from minimaxsplit import (
     tree_to_json,
 )
 from minimaxsplit.rng import stream
-from minimaxsplit.tree import grow_trees, tree_from_doc, tree_to_doc
+from minimaxsplit.tree import NODE_FIELDS, grow_trees, tree_from_doc, tree_to_doc
+
+from conftest import build_model, predict_exit
 
 
 def small_regression():
@@ -203,6 +207,41 @@ class TestGrowTreesChecks:
             self.grow([np.array(sample)])
 
 
+class TestHugeTargets:
+    """Regression targets whose squared sums overflow would give a root
+    risk of 0 and a flat risk trace without a word; every way into growth
+    rejects them with DataError (`dataset.check_scale`). A sum never runs
+    over more rows than one tree's sample, so the bound takes n from the
+    largest sample block, not from the blocks stacked."""
+
+    data = Dataset(features=[[0.0, 1, 2, 3]], targets=[1e200, 1, 2, 3], task=REGRESSION)
+
+    def test_every_entry_rejects(self):
+        config = GrowConfig(criterion="minimax", max_depth=1)
+        with pytest.raises(DataError, match="target"):
+            grow(self.data, config)
+        with pytest.raises(DataError, match="target"):
+            grow_trees(self.data, config, [np.arange(4)], [None], [None])
+        with pytest.raises(DataError, match="target"):
+            best_splits(self.data, "minimax", [np.arange(4)], [None])
+        with pytest.raises(DataError, match="target"):
+            train_forest(self.data, ForestConfig(criterion="minimax", n_trees=2, max_depth=1))
+
+    def test_bound_takes_the_largest_block(self):
+        # past the bound for 4 rows, sqrt(largest float) / 8, within the
+        # one for 2 rows
+        big = math.sqrt(np.finfo(np.float64).max) / 5
+        data = Dataset(features=[[0.0, 1, 2, 3]], targets=[big, -big, 2, 3], task=REGRESSION)
+        with pytest.raises(DataError, match="over 4 rows"):
+            best_splits(data, "minimax", [np.arange(4)], [None])
+        split = best_splits(data, "minimax", [np.arange(2), np.arange(2, 4)], [None, None])
+        assert split.feature.tolist() == [0, 0]
+        assert np.all(np.isfinite(split.left_risk)) and np.all(np.isfinite(split.right_risk))
+        trees = grow_trees(data, GrowConfig(criterion="minimax", max_depth=1),
+                           [np.arange(2), np.arange(2, 4)], [None, None], [None, None])
+        assert trees[0].risk_trace[0] > 0 and all(np.isfinite(t.risk).all() for t in trees)
+
+
 def test_full_feature_subset_draws_nothing():
     """m_try = d allows every feature, so growth reads no features stream and
     grows the trees that m_try = None grows."""
@@ -362,6 +401,10 @@ CRAFTED = {
 
 
 class TestCraftedModels:
+    """Each crafted fault is rejected with DataError wherever the tree is
+    built: by the loader, by a direct TreeModel(...) call and by `predict`
+    (exit 3)."""
+
     @pytest.fixture
     def doc(self):
         rng = np.random.default_rng(3)
@@ -370,6 +413,7 @@ class TestCraftedModels:
         doc = tree_to_doc(grow(data, GrowConfig(criterion="variance", max_depth=3)))
         assert [doc["nodes"][i]["left"] for i in (0, 1, 3)] == [1, 3, None]
         assert tree_from_doc(json.loads(json.dumps(doc))) is not None
+        assert tree_to_doc(build_model(json.loads(json.dumps(doc)))) == doc
         return doc
 
     @pytest.mark.parametrize("name", sorted(CRAFTED))
@@ -380,15 +424,71 @@ class TestCraftedModels:
         with pytest.raises(DataError):
             load_model(json.dumps(doc))
 
-    def test_descent_is_capped(self, doc):
-        """A tree built in code, so never checked, whose root is its own
-        child: apply stops after max_depth steps instead of looping."""
-        tree = tree_from_doc(doc)
-        tree.left[0] = 0
-        X = np.zeros((4, 2))
-        X[:, tree.feature[0]] = tree.threshold[0] - 1.0  # every point goes left
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_rejected_when_built(self, doc, name):
+        CRAFTED[name](doc)
         with pytest.raises(DataError):
-            tree.apply(X)
+            build_model(doc)
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_predict_exits_three(self, doc, tmp_path, name):
+        assert predict_exit(tmp_path / "good", doc, 2) == 0
+        CRAFTED[name](doc)
+        assert predict_exit(tmp_path, doc, 2) == 3
+
+    def test_descent_is_capped(self, doc):
+        """A tree whose root is its own child would send `apply` round a
+        loop: built in code it is rejected, and a built tree's node arrays
+        cannot be edited into it."""
+        tree = tree_from_doc(doc)
+        with pytest.raises(ValueError, match="read-only"):
+            tree.left[0] = 0
+        left = tree.left.copy()
+        left[0] = 0
+        with pytest.raises(DataError, match="children"):
+            dataclasses.replace(tree, left=left)
+
+
+def test_nan_threshold_tree_is_rejected_when_built():
+    """A split at a NaN threshold would send every row right without a
+    word, and the tree could not be saved."""
+    tree = grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1))
+    threshold = tree.threshold.copy()
+    threshold[0] = math.nan
+    with pytest.raises(DataError, match="thresholds"):
+        dataclasses.replace(tree, threshold=threshold)
+
+
+def test_built_tree_is_frozen():
+    tree = grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.max_depth = 5
+    for f in NODE_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, f.name)[0] = 0
+    # a caller's own arrays are copied, not frozen or shared
+    left = np.array(tree.left)
+    again = dataclasses.replace(tree, left=left)
+    left[0] = 0
+    assert left.flags.writeable and again.left[0] == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", np.zeros(3)),                       # floats in an integer field
+    ("left", np.array([True, False, False])),     # bools in an integer field
+    ("value", np.array([True, False, False])),    # bools in a float field
+    ("count", np.array([4, 1, 3], dtype=np.uint64)),
+    ("risk", np.zeros((3, 1))),
+    ("risk", [1.25, 0.0, 0.5]),                   # a list, not an array
+    ("leaf_reason", (None, "depth", "depth")),    # a tuple, not a list
+    ("risk_trace", [10.25, True]),
+    ("n_train", 4.0),
+    ("criterion", "gini"),
+])
+def test_ill_typed_fields_are_rejected_when_built(field, value):
+    tree = grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1))
+    with pytest.raises(DataError):
+        dataclasses.replace(tree, **{field: value})
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,6 +554,8 @@ def test_bad_feature_names_rejected_on_load(names):
         tree_from_doc(doc)
     with pytest.raises(DataError):
         load_model(json.dumps(doc))
+    with pytest.raises(DataError, match="feature names"):
+        build_model(doc)
 
 
 def test_header_fields_must_be_integers():
@@ -467,3 +569,5 @@ def test_header_fields_must_be_integers():
         bad = dict(doc, **{key: value})
         with pytest.raises(DataError):
             tree_from_doc(bad)
+        with pytest.raises(DataError):
+            build_model(bad)
