@@ -446,7 +446,7 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
     average-MSE table against the noise-free signal on a fresh design is
     emitted across batches as well."""
     outdir = _outdir(out)
-    risks: List[float] = []
+    traces: List[np.ndarray] = []
     # mse[p, method, depth, batch]: each cell's batches are one row
     mse = np.empty((len(cfg.p_values), len(cfg.methods), len(cfg.eval_depths), cfg.batches))
     summary: Dict[str, dict] = {}
@@ -463,7 +463,7 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
             for j, m in enumerate(cfg.methods):
                 tree = grow(data, GrowConfig(criterion=m, max_depth=cfg.max_depth))
                 if b == 0:
-                    risks.extend(tree.risk_trace)  # max_depth + 1 entries
+                    traces.append(tree.risk_trace)  # max_depth + 1 entries
                     summary[f"p={p}/{m}"] = {
                         "final_trace": tree.risk_trace[-1],
                         "first_ratio": (tree.risk_trace[1] / tree.risk_trace[0]
@@ -474,7 +474,8 @@ def run_sine(cfg: SineConfig, seed: int = 0, out="runs/sine") -> RunResult:
                     mse[i, j, e, b] = np.mean(err * err)
 
     files = [_write_csv(outdir, "sine_trace.csv", ("p", "method", "depth", "risk"),
-                        (*_product(cfg.p_values, cfg.methods, range(cfg.max_depth + 1)), risks))]
+                        (*_product(cfg.p_values, cfg.methods, range(cfg.max_depth + 1)),
+                         np.concatenate(traces)))]
     if cfg.eval_depths:
         runs = mse.reshape(-1, cfg.batches)
         files.append(_write_csv(outdir, "sine_mse.csv",

@@ -12,8 +12,11 @@ average the trees' smoothed per-leaf log-odds and threshold the average at
 zero; the smoothing keeps single pure leaves from saturating the vote.
 
 A `ForestModel`, like its trees, is valid by construction: when built, it
-checks its fields, that it holds n_trees trees and index lists, and that
-each tree agrees with it on task, n_features, max_depth, n_min and names.
+checks its fields, that its criterion is one of its task, that m_try is at
+most n_features, that it holds n_trees trees and index lists, that each tree
+agrees with it on task, n_features, max_depth, n_min and names, and that
+index list b holds trees[b].n_train rows in [0, n_train), in order without
+bootstrap.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ class ForestModel:
     def __post_init__(self):
         # the names must equal each (checked) tree's, so they are checked too
         check(self, DataError)
+        if SplitCriterion(self.criterion).task() != self.task:
+            raise DataError(f"criterion {self.criterion!r} is not one of a {self.task} model")
+        if self.m_try is not None and self.m_try > self.n_features:
+            raise DataError(f"m_try {self.m_try} exceeds n_features = {self.n_features}")
         if not self.n_trees == len(self.trees) == len(self.bootstrap_indices):
             raise DataError(f"n_trees is {self.n_trees} but the forest holds {len(self.trees)} "
                             f"trees and {len(self.bootstrap_indices)} bootstrap index lists")
@@ -83,8 +90,14 @@ class ForestModel:
                 if getattr(tree, key) != getattr(self, key):
                     raise DataError(f"tree {b} has {key} {getattr(tree, key)!r}, "
                                     f"the forest {getattr(self, key)!r}")
-        object.__setattr__(self, "bootstrap_indices", tuple(
-            frozen(idx, True, "bootstrap indices") for idx in self.bootstrap_indices))
+        indices = tuple(frozen(idx, True, "bootstrap indices") for idx in self.bootstrap_indices)
+        for b, (tree, idx) in enumerate(zip(self.trees, indices)):
+            n = tree.n_train
+            if not (idx.size == n and np.all((idx >= 0) & (idx < n)) if self.bootstrap
+                    else np.array_equal(idx, np.arange(n))):
+                raise DataError(f"bootstrap index list {b} must hold tree {b}'s n_train = {n} "
+                                f"rows in [0, {n})" + ("" if self.bootstrap else ", in order"))
+        object.__setattr__(self, "bootstrap_indices", indices)
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Mean over trees of the per-tree fitted value (regression) or

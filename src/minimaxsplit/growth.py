@@ -58,8 +58,8 @@ _SORT_ENTRIES = 1 << 18
 
 class Growth:
     """Level-synchronous growth of a group of trees (the attribute lists of
-    SLIQ and SPRINT). `run` returns, per tree, the node arrays and risk trace
-    of a TreeModel.
+    SLIQ and SPRINT). `run` returns, per tree, the node arrays (leaf reasons
+    as codes into `_REASONS`) and risk trace of a TreeModel.
 
     Tree b grows on samples[b], a non-empty array of sample indices into
     `data` (repeats allowed), and draws from its own streams features_rngs[b]
@@ -205,8 +205,8 @@ class Growth:
                 "left": left[at],
                 "right": right[at],
                 "split_level": split_level[at],
-                "leaf_reason": [_REASONS[r] for r in reason[at].tolist()],
-                "risk_trace": trace,
+                "leaf_reason": reason[at],
+                "risk_trace": np.array(trace),
             })
         return out
 

@@ -13,12 +13,12 @@ partition obtained by cutting the tree at depth k; it has max_depth + 1
 entries and is exactly non-increasing.
 
 A `TreeModel` is valid by construction: grown, loaded or built in code, it
-checks its fields' rules (`config.check`) and its structure once, when
-built, raising DataError for any fault, and prediction walks it unchecked.
+checks its fields' rules (`config.check`) and that growth could build it
+once, when built, raising DataError for any fault; prediction trusts it.
 
 A saved tree is a tree-v1 JSON document, a header and one object per node.
-The table NODE_FIELDS names each numeric node field, whether it holds
-integers and where a document writes null for it; `tree_to_doc`,
+The table NODE_FIELDS names each node field, whether it holds integers and
+how a document writes it (null, or a code's name); `tree_to_doc`,
 `tree_from_doc` (which only parses) and `_check_structure` all work from
 it. `header_doc`, `read_header` and `parse_doc` serve forest-v1 documents
 too, so a new layout, such as one array per field, changes only these.
@@ -29,8 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -116,10 +115,13 @@ class TreeModel:
     node so that depth-truncated prediction works. `split_level` records the
     level a node split at, which exceeds its creation depth only for nodes a
     cyclic criterion persisted past a constant scheduled feature.
+    `leaf_reason` is 0 on split nodes and on a leaf the index in
+    `growth._REASONS` of the rule that stopped it (a document writes names).
     `feature_names` are the training columns' names when the training data
     had them (a CSV header); prediction from a CSV then matches by name.
     Valid by construction (see above): the header fields take the rules of
-    their twins in `GrowConfig`, and the node arrays are `frozen`.
+    their twins in `GrowConfig`, the criterion is of the model's task, and
+    the node arrays and risk trace are `frozen`.
     """
 
     task: str = spec(TASK)
@@ -139,8 +141,8 @@ class TreeModel:
     left: np.ndarray = spec(TYPED)
     right: np.ndarray = spec(TYPED)
     split_level: np.ndarray = spec(TYPED)
-    leaf_reason: list = spec(TYPED)
-    risk_trace: list = spec(TYPED)
+    leaf_reason: np.ndarray = spec(TYPED)
+    risk_trace: np.ndarray = spec(TYPED)
     feature_names: Optional[Tuple[str, ...]] = spec(TYPED, None)
 
     def __post_init__(self):
@@ -148,6 +150,8 @@ class TreeModel:
             object.__setattr__(self, "feature_names",
                                check_feature_names(self.feature_names, self.n_features))
         check(self, DataError)
+        if SplitCriterion(self.criterion).task() != self.task:
+            raise DataError(f"criterion {self.criterion!r} is not one of a {self.task} model")
         _check_structure(self)
 
     @property
@@ -352,11 +356,13 @@ def best_splits(data: Dataset, criterion: Union[SplitCriterion, str],
 
 class NodeField(NamedTuple):
     """A TreeModel array and tree-v1 node key. A document writes null for it
-    on leaf nodes (null "leaf", held as -1 or NaN) or for NaN (null "nan")."""
+    on leaf nodes (null "leaf", held as -1 or NaN) or for NaN (null "nan"),
+    or writes each integer code k as names[k]."""
 
     name: str
     integer: bool
     null: Optional[str] = None
+    names: Tuple[Optional[str], ...] = ()
 
 
 NODE_FIELDS = (
@@ -370,11 +376,14 @@ NODE_FIELDS = (
     NodeField("left", True, "leaf"),
     NodeField("right", True, "leaf"),
     NodeField("split_level", True, "leaf"),
+    NodeField("leaf_reason", True, names=_REASONS),
 )
 
 
 def _doc_column(tree: TreeModel, f: NodeField) -> list:
-    values = np.asarray(getattr(tree, f.name), dtype=np.int64 if f.integer else np.float64)
+    values = getattr(tree, f.name)
+    if f.names:
+        return np.array(f.names, dtype=object)[values].tolist()
     if f.null is None:
         return values.tolist()
     column = values.astype(object)
@@ -383,32 +392,31 @@ def _doc_column(tree: TreeModel, f: NodeField) -> list:
 
 
 def tree_to_doc(tree: TreeModel) -> dict:
-    keys = [f.name for f in NODE_FIELDS] + ["leaf_reason"]
-    columns = [_doc_column(tree, f) for f in NODE_FIELDS] + [tree.leaf_reason]
+    columns = {f.name: _doc_column(tree, f) for f in NODE_FIELDS}
     return {**header_doc(tree, FORMAT_TREE), "n_train": tree.n_train,
-            "risk_trace": [float(u) for u in tree.risk_trace],
-            "nodes": [dict(zip(keys, node)) for node in zip(*columns)]}
-
-
-_LEAF_REASONS = frozenset(_REASONS[1:])
+            "risk_trace": tree.risk_trace.tolist(),
+            "nodes": [dict(zip(columns, node)) for node in zip(*columns.values())]}
 
 
 def _check_structure(tree: TreeModel) -> None:
-    """Reject a tree that prediction could not walk, or would walk to a
-    wrong cell; store its node arrays `frozen`. Every node field holds one
-    number per node, finite or NaN where null (`NODE_FIELDS`), and the risk
-    trace max_depth + 1 finite ones; each split node's two children lie
-    after it and before the end; every node but the root has exactly one
-    parent; split levels lie in [0, max_depth) and rise from parent to
-    child, so every descent ends within max_depth steps; split features lie
-    in [0, n_features), split thresholds are finite, and so are a
-    classification tree's log-odds; a leaf_reason is null on split nodes
-    and one of growth's reason names on leaves."""
-    trace = typed_list(tree.risk_trace, False, "risk_trace")
+    """Reject a tree that growth could not have built, so that prediction
+    could not walk it or would walk it to a wrong cell; store its arrays
+    `frozen`. Every node field holds one number per node, finite or NaN
+    where null (`NODE_FIELDS`), and the risk trace max_depth + 1 finite
+    ones; each split node's two children lie after it and before the end;
+    every node but the root has exactly one parent; a leaf reason is 0 on
+    split nodes and one of growth's reason codes on leaves; split levels lie
+    in [0, max_depth) and rise from parent to child, so every descent ends
+    within max_depth steps; the root's depth is 0 and each child's is its
+    parent's split level + 1; every count is at least 1, the root's is
+    n_train and a split node's is the sum of its children's; split features
+    lie in [0, n_features), split thresholds are finite, and so are a
+    classification tree's log-odds."""
+    trace = frozen(tree.risk_trace, False, "risk_trace")
     if trace.size != tree.max_depth + 1 or not np.all(np.isfinite(trace)):
         raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} finite entries")
-    object.__setattr__(tree, "risk_trace", trace.tolist())
-    n = len(tree.leaf_reason)
+    object.__setattr__(tree, "risk_trace", trace)
+    n = tree.depth.size
     if n == 0:
         raise DataError("tree has no nodes")
     for f in NODE_FIELDS:
@@ -426,24 +434,29 @@ def _check_structure(tree: TreeModel) -> None:
     split_ok = (left > ids) & (left < n) & (right > ids) & (right < n)
     if not np.all(np.where(split, split_ok, leaf_ok)):
         raise DataError("each split node's children must lie in (node, n_nodes)")
-    # two passes at C speed: null exactly on split nodes, a name elsewhere
-    try:
-        named = set(tree.leaf_reason) - {None} <= _LEAF_REASONS
-    except TypeError:  # an unhashable entry
-        named = False
-    if not named or list(map(is_, tree.leaf_reason, repeat(None))) != split.tolist():
-        raise DataError(f"leaf_reason must be null on split nodes and one of "
-                        f"{list(_REASONS[1:])} on leaves")
-    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    reason = tree.leaf_reason
+    if not np.all(np.where(split, reason == 0, (reason >= 1) & (reason < len(_REASONS)))):
+        raise DataError(f"leaf_reason must be 0 on split nodes and in [1, {len(_REASONS)}) "
+                        f"on leaves")
+    children = (left[split], right[split])
+    parents = np.bincount(np.concatenate(children), minlength=n)
     if np.any(parents[1:] != 1):
         raise DataError("every node but the root must have exactly one parent")
     level = tree.split_level[split]
     if np.any((level < 0) | (level >= tree.max_depth)):
         raise DataError(f"split levels must lie in [0, max_depth = {tree.max_depth})")
-    for child in (left[split], right[split]):
+    for child in children:
         inner = split[child]
         if np.any(tree.split_level[child[inner]] <= level[inner]):
             raise DataError("a child must split at a later level than its parent")
+    depth, count = tree.depth, tree.count
+    if depth[0] != 0 or any(np.any(depth[child] != level + 1) for child in children):
+        raise DataError("the root's depth must be 0 and each child's its parent's "
+                        "split level + 1")
+    if (np.any(count < 1) or count[0] != tree.n_train
+            or np.any(count[children[0]] + count[children[1]] != count[split])):
+        raise DataError(f"counts must be at least 1, the root's n_train = {tree.n_train} "
+                        f"and each split node's the sum of its children's")
     feature = tree.feature[split]
     if np.any((feature < 0) | (feature >= tree.n_features)):
         raise DataError(f"split features must lie in [0, n_features = {tree.n_features})")
@@ -479,14 +492,17 @@ def typed_list(values: list, integer: bool, what: str) -> np.ndarray:
 
 def _node_column(nodes: list, f: NodeField) -> np.ndarray:
     """Field f of every node through `typed_list`; null, where f allows it,
-    reads as -1 or NaN."""
-    get = itemgetter(f.name)
-    if f.null:
+    reads as -1 or NaN, and a name of f.names as its code."""
+    column = map(itemgetter(f.name), nodes)
+    if f.names:
+        try:  # a missing, unknown or unhashable name
+            column = list(map({name: k for k, name in enumerate(f.names)}.__getitem__, column))
+        except (KeyError, TypeError):
+            raise DataError(f"node {f.name} values must be one of {list(f.names)}") from None
+    elif f.null:
         fill = -1 if f.integer else math.nan
-        column = [fill if v is None else v for v in map(get, nodes)]
-    else:
-        column = list(map(get, nodes))
-    return typed_list(column, f.integer, f"node {f.name} values")
+        column = [fill if v is None else v for v in column]
+    return typed_list(list(column), f.integer, f"node {f.name} values")
 
 
 _HEADER = ("task", "n_features", "criterion", "max_depth", "n_min")
@@ -522,15 +538,15 @@ def parse_doc(text: str) -> dict:
 
 
 def tree_from_doc(doc: dict) -> TreeModel:
-    """Parse a tree-v1 document: the header and the risk trace as they are,
-    each node field typed through `NODE_FIELDS`. The tree built from them
-    checks every value."""
+    """Parse a tree-v1 document: the header as it is, the risk trace through
+    `typed_list` and each node field through `NODE_FIELDS`. The tree built
+    from them checks every value."""
     header = read_header(doc, FORMAT_TREE)
     try:
         nodes = doc["nodes"]
-        fields = {"n_train": doc["n_train"], "risk_trace": doc["risk_trace"],
-                  **{f.name: _node_column(nodes, f) for f in NODE_FIELDS},
-                  "leaf_reason": [node["leaf_reason"] for node in nodes]}
+        fields = {"n_train": doc["n_train"],
+                  "risk_trace": typed_list(doc["risk_trace"], False, "risk_trace"),
+                  **{f.name: _node_column(nodes, f) for f in NODE_FIELDS}}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {FORMAT_TREE} document: {exc}") from exc
     return TreeModel(**header, **fields)

@@ -114,10 +114,12 @@ def as_built(values: list) -> np.ndarray:
 def build_model(doc: dict):
     """The model a tree-v1 or forest-v1 document describes, built by calling
     TreeModel(...) or ForestModel(...) directly, with no loader: the header
-    values go in as they are and each node column and bootstrap index list
-    through `as_built`; a null node entry reads as the loader reads it (-1
-    or NaN)."""
-    header = {key: value for key, value in doc.items() if key not in ("format", "nodes")}
+    values go in as they are, and the risk trace, each node column and each
+    bootstrap index list through `as_built`; a null node entry reads as the
+    loader reads it (-1 or NaN), and a leaf reason name as its code (-1 for
+    an unknown one, which the model rejects)."""
+    header = {key: value for key, value in doc.items()
+              if key not in ("format", "nodes", "risk_trace")}
     if doc["format"] == "forest-v1":
         return ForestModel(**{**header, "trees": [build_model(t) for t in doc["trees"]],
                               "bootstrap_indices": [as_built(i)
@@ -125,11 +127,14 @@ def build_model(doc: dict):
     nodes = doc["nodes"]
     columns = {}
     for f in NODE_FIELDS:
-        fill = -1 if f.integer else math.nan
-        columns[f.name] = as_built([fill if f.null and node[f.name] is None else node[f.name]
-                                    for node in nodes])
-    return TreeModel(**header, **columns,
-                     leaf_reason=[node["leaf_reason"] for node in nodes])
+        column = [node[f.name] for node in nodes]
+        if f.names:
+            column = [f.names.index(v) if v in f.names else -1 for v in column]
+        elif f.null:
+            fill = -1 if f.integer else math.nan
+            column = [fill if v is None else v for v in column]
+        columns[f.name] = as_built(column)
+    return TreeModel(**header, **columns, risk_trace=as_built(doc["risk_trace"]))
 
 
 def predict_exit(tmp_path, doc: dict, n_features: int) -> int:

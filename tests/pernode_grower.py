@@ -20,6 +20,7 @@ import numpy as np
 from minimaxsplit.dataset import CLASSIFICATION, Dataset
 from minimaxsplit.errors import ConfigError
 from minimaxsplit.forest import ForestConfig, ForestModel, _effective_plan
+from minimaxsplit.growth import _REASONS
 from minimaxsplit.rng import derive_seed, stream
 from minimaxsplit.splitting import SplitCriterion, node_risk
 from minimaxsplit.tree import GrowConfig, TreeModel
@@ -247,8 +248,8 @@ def grow_per_node(data: Dataset, config: GrowConfig, *,
         left=np.asarray(builder.left, dtype=np.int64),
         right=np.asarray(builder.right, dtype=np.int64),
         split_level=np.asarray(builder.split_level, dtype=np.int64),
-        leaf_reason=builder.leaf_reason,
-        risk_trace=trace,
+        leaf_reason=np.array([_REASONS.index(r) for r in builder.leaf_reason]),
+        risk_trace=np.array(trace),
         feature_names=data.feature_names,
     )
 

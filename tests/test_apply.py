@@ -37,22 +37,27 @@ def walk_all(tree, X, max_depth=None):
 
 def hand_tree(feature, threshold, left, right, max_depth, n_features=2):
     """A regression tree built in code, which checks itself as a loaded one
-    does. Split levels are the nodes' depths."""
+    does. Split levels are the nodes' depths, each leaf holds one sample and
+    each split node the samples of its children."""
     n = len(left)
     depth = np.zeros(n, dtype=np.int64)
     for k in range(n):
         if left[k] >= 0:
             depth[[left[k], right[k]]] = depth[k] + 1
+    count = np.ones(n, dtype=np.int64)
+    for k in reversed(range(n)):  # children come after their parent
+        if left[k] >= 0:
+            count[k] = count[left[k]] + count[right[k]]
     leaf = np.asarray(left) < 0
     return TreeModel(
         task=REGRESSION, n_features=n_features, criterion="minimax", max_depth=max_depth,
-        n_min=1, n_train=n, depth=depth, count=np.ones(n, dtype=np.int64),
+        n_min=1, n_train=int(count[0]), depth=depth, count=count,
         risk=np.zeros(n), value=np.arange(n, dtype=np.float64), log_odds=np.full(n, math.nan),
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64), right=np.asarray(right, dtype=np.int64),
-        split_level=np.where(leaf, -1, depth), leaf_reason=["depth" if f else None for f in leaf],
-        risk_trace=[0.0] * (max_depth + 1))
+        split_level=np.where(leaf, -1, depth), leaf_reason=leaf.astype(np.int64),
+        risk_trace=np.zeros(max_depth + 1))
 
 
 # node 0 splits on x1 < 0 into 2 (left) and 1 (right); node 2 on x0 < 1

@@ -213,6 +213,14 @@ CRAFTED_FORESTS = {
     "names_too_few": _forest_set("feature_names", ["a", "b"]),
     "names_repeat": _forest_set("feature_names", ["a"] * 8),
     "names_on_one_tree_only": _each_tree("feature_names", [f"x{j}" for j in range(8)]),
+    "criterion_of_the_other_task": _forest_set("criterion", "entropy_minimax"),
+    "m_try_above_n_features": _forest_set("m_try", 99),
+    "bootstrap_index_negative": lambda doc: doc["bootstrap_indices"][1].__setitem__(0, -5),
+    "bootstrap_index_past_n_train": lambda doc: doc["bootstrap_indices"][1].__setitem__(
+        0, 10 ** 6),
+    "bootstrap_list_one_short": lambda doc: doc["bootstrap_indices"][1].pop(),
+    "resampled_without_bootstrap": _forest_set("bootstrap", False),
+    "tree_n_train_below_its_root": _each_tree("n_train", 7),
 }
 
 

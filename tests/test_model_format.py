@@ -33,7 +33,7 @@ TREE = TreeModel(
                   value=[1.25, 0.5, 1.5], log_odds=[NAN] * 3, feature=[1, -1, -1],
                   threshold=[0.5, NAN, NAN], left=[1, -1, -1], right=[2, -1, -1],
                   split_level=[0, -1, -1]),
-    leaf_reason=[None, "depth", "depth"], risk_trace=[0.3125, 0.125],
+    leaf_reason=np.array([0, 1, 1]), risk_trace=np.array([0.3125, 0.125]),
     feature_names=("p", "q"))
 
 TREE_JSON = (
@@ -62,8 +62,7 @@ FOREST = ForestModel(
                       log_odds=[0.0, 1.6094379124341003, -1.6094379124341003],
                       feature=[0, -1, -1], threshold=[1.5, NAN, NAN], left=[1, -1, -1],
                       right=[2, -1, -1], split_level=[0, -1, -1]),
-        leaf_reason=[None, "constant_target", "constant_target"],
-        risk_trace=[0.6931471805599453, 0.0])],
+        leaf_reason=np.array([0, 2, 2]), risk_trace=np.array([0.6931471805599453, 0.0]))],
     bootstrap_indices=[np.arange(4, dtype=np.int64)])
 
 FOREST_JSON = (

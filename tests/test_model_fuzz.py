@@ -5,10 +5,13 @@ feature names. Each case takes one of them, walks from its root to a
 random key or list entry and mutates what it finds there: drops it,
 swaps its type (bool, string, null, list, object), moves an integer by
 one, puts NaN, an infinity or 1e400 in place of a number, or swaps a
-split node's children with each other or with another node's. Every
-mutated document must either be rejected by `load_model` with DataError,
-or load, save and load again to the same bytes and predict on points that
-include NaN and both infinities without raising. Each case has 5 s.
+split node's children with each other or with another node's; or it
+nudges a random node's value or risk. Every mutated document must either
+be rejected by `load_model` with DataError, or load, save and load again
+to the same bytes and predict on points that include NaN and both
+infinities without raising. A node's count and depth follow from its
+parent's, so moving either by one is always rejected; a nudged value or
+risk always loads. Each case has 5 s.
 """
 
 import json
@@ -74,7 +77,11 @@ def nodes_of(doc):
 
 def mutate(doc, rng) -> str:
     """Apply one seeded mutation to `doc` in place; returns its name."""
-    kind = rng.integers(6)
+    kind = rng.integers(7)
+    if kind == 6:  # a finite value or risk may be any finite float
+        nodes = [node for nodes in nodes_of(doc) for node in nodes]
+        nodes[rng.integers(len(nodes))][("value", "risk")[rng.integers(2)]] += 0.25
+        return "nudge"
     if kind == 5:  # swap children
         splits = [(nodes, i) for nodes in nodes_of(doc) for i, node in enumerate(nodes)
                   if node["left"] is not None]
@@ -147,9 +154,25 @@ def test_mutated_documents(base):
         text = json.dumps(doc).replace(f'"{BIG}"', "1e400")
         with time_limit(SECONDS_PER_CASE):
             try:
-                seen[outcome(text)] += 1
+                got = outcome(text)
             except Exception as exc:
                 raise AssertionError(f"{base} case {case} ({how}): {exc!r}") from exc
+        assert how != "nudge" or got == "loaded", f"{base} case {case} was {got}"
+        seen[got] += 1
     # both outcomes occur, so neither check is vacuous
     assert seen["rejected"] >= CASES_PER_BASE // 20, seen
     assert seen["loaded"] >= CASES_PER_BASE // 20, seen
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_count_and_depth_moves_are_rejected(base):
+    """Every node's count and depth, moved by one either way, in every tree
+    of the document."""
+    for t, nodes in enumerate(nodes_of(BASES[base])):
+        for i in range(len(nodes)):
+            for key in ("count", "depth"):
+                for step in (1, -1):
+                    doc = json.loads(json.dumps(BASES[base]))
+                    nodes_of(doc)[t][i][key] += step
+                    with pytest.raises(DataError):
+                        load_model(json.dumps(doc))

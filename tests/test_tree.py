@@ -22,10 +22,16 @@ from minimaxsplit import (
     tree_from_json,
     tree_to_json,
 )
+from minimaxsplit.growth import _REASONS
 from minimaxsplit.rng import stream
 from minimaxsplit.tree import NODE_FIELDS, grow_trees, tree_from_doc, tree_to_doc
 
 from conftest import build_model, predict_exit
+
+
+def reason_names(tree):
+    """The leaf reason of each node by name, None on split nodes."""
+    return [_REASONS[k] for k in tree.leaf_reason]
 
 
 def small_regression():
@@ -54,12 +60,12 @@ class TestStumpExample:
     def test_risk_trace(self):
         t = self.grown()
         # root SSE 41 over 4 points, then two children of SSE 8 each
-        assert t.risk_trace == [10.25, 4.0]
+        assert t.risk_trace.tolist() == [10.25, 4.0]
 
     def test_leaf_reasons(self):
         t = self.grown()
-        assert t.leaf_reason[0] is None
-        assert t.leaf_reason[1] == "depth" and t.leaf_reason[2] == "depth"
+        assert t.leaf_reason.tolist() == [0, 1, 1]
+        assert reason_names(t) == [None, "depth", "depth"]
 
     def test_partition_report(self):
         t = self.grown()
@@ -96,17 +102,17 @@ class TestStoppingRules:
     def test_constant_target(self):
         data = Dataset(features=[[0.0, 1, 2]], targets=[5.0, 5, 5], task=REGRESSION)
         t = grow(data, GrowConfig(criterion="minimax", max_depth=4))
-        assert t.n_nodes == 1 and t.leaf_reason[0] == "constant_target"
+        assert reason_names(t) == ["constant_target"]
 
     def test_constant_features(self):
         data = Dataset(features=[[2.0, 2, 2]], targets=[0.0, 1, 2], task=REGRESSION)
         t = grow(data, GrowConfig(criterion="minimax", max_depth=4))
-        assert t.n_nodes == 1 and t.leaf_reason[0] == "constant_features"
+        assert reason_names(t) == ["constant_features"]
 
     def test_n_min_is_strict(self):
         data = small_regression()
         blocked = grow(data, GrowConfig(criterion="minimax", max_depth=3, n_min=4))
-        assert blocked.n_nodes == 1 and blocked.leaf_reason[0] == "n_min"
+        assert reason_names(blocked) == ["n_min"]
         open_ = grow(data, GrowConfig(criterion="minimax", max_depth=1, n_min=3))
         assert open_.n_nodes == 3
 
@@ -118,7 +124,7 @@ class TestStoppingRules:
         for seed in range(16):
             t = grow(data, GrowConfig(criterion="variance", max_depth=3,
                                       m_try=1, seed=seed))
-            reasons.update(r for r in t.leaf_reason if r is not None)
+            reasons.update(reason_names(t))
         assert "no_valid_split" in reasons
 
     def test_config_validation(self):
@@ -272,6 +278,9 @@ class TestCyclicPersistence:
     def test_root_waits_one_level(self):
         t = grow(self.data(), GrowConfig(criterion="cyclic_minimax", max_depth=2))
         assert t.split_level[0] == 1 and t.depth[0] == 0
+        # its children sit one level below the level it split at
+        assert t.depth.tolist() == [0, 2, 2]
+        assert load_model(tree_to_json(t)).depth.tolist() == [0, 2, 2]
         assert t.feature[0] == 1 and t.threshold[0] == 1.5
         np.testing.assert_array_equal(
             t.predict([[0.0, 0.5], [0.0, 2.5]]), [0.0, 10.0])
@@ -288,7 +297,7 @@ class TestCyclicPersistence:
         data = Dataset(features=[[1.0, 1], [2.0, 2]], targets=[0.0, 1],
                        task=REGRESSION)
         t = grow(data, GrowConfig(criterion="cyclic_minimax", max_depth=3))
-        assert t.n_nodes == 1 and t.leaf_reason[0] == "constant_features"
+        assert reason_names(t) == ["constant_features"]
 
 
 class TestClassification:
@@ -335,8 +344,8 @@ class TestSerialization:
         back = tree_from_json(tree_to_json(t))
         X = rng.normal(size=(50, 3))
         np.testing.assert_array_equal(t.predict(X), back.predict(X))
-        assert back.risk_trace == t.risk_trace
-        assert back.leaf_reason == t.leaf_reason
+        np.testing.assert_array_equal(back.risk_trace, t.risk_trace, strict=True)
+        np.testing.assert_array_equal(back.leaf_reason, t.leaf_reason, strict=True)
 
     def test_classification_round_trip(self):
         rng = np.random.default_rng(11)
@@ -394,9 +403,17 @@ CRAFTED = {
     "leaf_reason_missing_on_leaf": _set(3, "leaf_reason", None),
     "leaf_reason_unknown": _set(3, "leaf_reason", "tired"),
     "leaf_reason_an_object": _set(3, "leaf_reason", {"x": [1]}),
+    "leaf_reason_a_code": _set(3, "leaf_reason", 1),
     "risk_trace_too_short": lambda doc: doc["risk_trace"].pop(),
     "no_nodes": lambda doc: doc["nodes"].clear(),
     "unknown_task": lambda doc: doc.update(task="ranking"),
+    "criterion_of_the_other_task": lambda doc: doc.update(criterion="entropy_minimax"),
+    "leaf_count_negative": _set(3, "count", -7),
+    "leaf_depth_off": _set(3, "depth", 5),
+    "root_depth_one": _set(0, "depth", 1),
+    "child_counts_do_not_sum": lambda doc: doc["nodes"][3].update(
+        count=doc["nodes"][3]["count"] + 1),
+    "n_train_not_the_root_count": lambda doc: doc.update(n_train=7),
 }
 
 
@@ -466,6 +483,8 @@ def test_built_tree_is_frozen():
     for f in NODE_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(tree, f.name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        tree.risk_trace[0] = 99.0
     # a caller's own arrays are copied, not frozen or shared
     left = np.array(tree.left)
     again = dataclasses.replace(tree, left=left)
@@ -480,15 +499,31 @@ def test_built_tree_is_frozen():
     ("count", np.array([4, 1, 3], dtype=np.uint64)),
     ("risk", np.zeros((3, 1))),
     ("risk", [1.25, 0.0, 0.5]),                   # a list, not an array
-    ("leaf_reason", (None, "depth", "depth")),    # a tuple, not a list
-    ("risk_trace", [10.25, True]),
+    ("leaf_reason", [0, 1, 1]),                   # a list, not an array
+    ("risk_trace", np.array([10.25, True], dtype=object)),
     ("n_train", 4.0),
     ("criterion", "gini"),
+    ("leaf_reason", np.array([None, "depth", "depth"], dtype=object)),  # names, not codes
+    ("leaf_reason", np.array([0, 1, 6])),         # no such reason
+    ("risk_trace", [10.25, 4.0]),                 # a list, not an array
 ])
 def test_ill_typed_fields_are_rejected_when_built(field, value):
     tree = grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1))
     with pytest.raises(DataError):
         dataclasses.replace(tree, **{field: value})
+
+
+def test_cells_are_what_growth_built():
+    """A node's depth and count follow from its parent's: a stump whose
+    second leaf claims depth 5 and count -7 would drop that leaf from the
+    depth-1 partition without a word."""
+    doc = tree_to_doc(grow(small_regression(), GrowConfig(criterion="minimax", max_depth=1)))
+    assert tree_from_doc(doc).partition_ids(1).tolist() == [1, 2]
+    doc["nodes"][2].update(count=-7, depth=5)
+    with pytest.raises(DataError, match="depth"):
+        load_model(json.dumps(doc))
+    with pytest.raises(DataError, match="depth"):
+        build_model(doc)
 
 
 @settings(max_examples=60, deadline=None)
