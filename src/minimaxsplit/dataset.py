@@ -40,8 +40,9 @@ class Dataset:
     features is column-major: ``features[j, i]`` is feature j of sample i.
     Tree growth (`growth.presort`) sorts each tree's own sample by every
     feature; for a large group of trees it first ranks the dataset's
-    features (`growth.dense_ranks`) and drops the ranks once the roots are
-    sorted, so a dataset holds no sort order of its own.
+    features (`growth.dense_ranks`) and grows on those ranks as keys,
+    dropping them once its trees are grown, so a dataset holds no sort order
+    of its own.
     feature_names, when known (a CSV header), names feature j; models grown
     on the dataset record them so scoring files can be matched by name.
     """
@@ -211,7 +212,7 @@ def load_feature_matrix(path, columns: Optional[Sequence] = None,
 
 
 # characters read per block; each block's data rows are one `np.loadtxt` call
-_CSV_CHARS = 1 << 20
+_CSV_CHARS = 1 << 18
 
 
 def _read_csv(path, columns: Optional[Sequence] = None,
@@ -229,18 +230,24 @@ def _read_csv(path, columns: Optional[Sequence] = None,
     digits are not numbers.
 
     The file is read a block of lines (about `_CSV_CHARS` characters) at a
-    time, and one `np.loadtxt` call parses each block's data rows, so memory
-    stays near the size of the table. A block that holds no '#' and no empty
-    line has no line to skip, so it is parsed without a test of each line.
+    time, and one `np.loadtxt` call parses each block's data rows into the
+    one table the reader returns: it is allocated once, when the header is
+    read, with as many rows as the rest of the file could hold (`_measure`
+    counts its lines), and the returned matrix is its leading rows, so
+    memory holds the table once plus one block. A block that holds no '#'
+    and no empty line has no line to skip, so it is parsed without a test
+    of each line.
     Errors name the 1-based line of the file; to find the bad cell, only
-    the rows numpy's message points at are split again. A fault in the rows or the header is held until every line
-    has been decoded and checked for a run-on quote, so those faults are
-    reported first wherever they are, and non-finite values only after every
-    row has parsed.
+    the rows numpy's message points at are split again. A fault in the rows
+    or the header is held until every line has been decoded and checked for
+    a run-on quote, so those faults are reported first wherever they are,
+    and non-finite values only after every row has parsed.
     """
     path = Path(path)
+    size, lines_in_file = _measure(path)
     names: Optional[List[str]] = None
-    parts: List[np.ndarray] = []
+    table: Optional[np.ndarray] = None
+    rows = 0  # data rows parsed into the table
     finite = True
     fault: Optional[DataError] = None
     first = 0  # 0-based index of the block's first line in the file
@@ -260,6 +267,7 @@ def _read_csv(path, columns: Optional[Sequence] = None,
                     body = range(len(lines))
                 if names is None and body:
                     names = [h.strip() for h in _cells(path, lines[body[0]])]
+                    after_header = lines_in_file - (first + body[0] + 1)
                     body = body[1:]
                     t = None if target is None else _column_index(path, names, target,
                                                                   "target column")
@@ -274,25 +282,50 @@ def _read_csv(path, columns: Optional[Sequence] = None,
                     # cells are checked in this order within a row: features, target, the rest
                     order = wanted + [c for c in range(len(names)) if c not in wanted]
                     select = slice(None) if wanted == list(range(len(names))) else wanted
+                    # a row of k cells takes at least 2k bytes with its line
+                    # break (k non-empty cells, k - 1 commas), so a file of
+                    # empty or comment lines cannot make the table outgrow it
+                    table = np.empty((min(after_header, (size + 1) // (2 * len(names))),
+                                      len(wanted)))
                 if body:
-                    part = _parse_rows(path, lines, first, body, names, order,
-                                       sum(map(len, parts)),
+                    part = _parse_rows(path, lines, first, body, names, order, rows,
                                        any(c in block for c in _SEPARATORS))
                     finite = finite and bool(np.isfinite(part).all())
-                    parts.append(part[:, select])
+                    table[rows:rows + part.shape[0]] = part[:, select]
+                    rows += part.shape[0]
+                    del part
             except DataError as exc:
-                fault, parts = exc, []
+                fault, table = exc, None
         first += len(lines)
     if fault is not None:
         raise fault
     if names is None:
         raise DataError(f"{path}: empty file")
-    if not parts:
+    if not rows:
         raise DataError(f"{path}: no data rows")
     if not finite:
         raise DataError(f"{path}: non-finite value encountered")
-    table = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return tuple(names[c] for c in cols), table
+    return tuple(names[c] for c in cols), table[:rows]
+
+
+def _measure(path: Path) -> Tuple[int, int]:
+    """The file's size in bytes and its number of lines, in one binary pass
+    of `_CSV_CHARS` bytes at a time: a line ends at '\\n', '\\r\\n' or a
+    lone '\\r', as `_blocks` reads them, and a last line needs no break.
+    DataError (`_unreadable`) if the file cannot be read."""
+    size = breaks = 0
+    last = b""
+    try:
+        with path.open("rb") as fh:
+            while chunk := fh.read(_CSV_CHARS):
+                # a '\r\n' split across two chunks is one break
+                breaks += (chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+                           - (last == b"\r" and chunk[:1] == b"\n"))
+                size += len(chunk)
+                last = chunk[-1:]
+    except (OSError, ValueError) as exc:
+        raise _unreadable(path, exc) from None
+    return size, breaks + (last not in (b"", b"\n", b"\r"))
 
 
 def _parse_rows(path, lines: List[str], first: int, body: Sequence[int], names: List[str],

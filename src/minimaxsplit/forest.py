@@ -31,9 +31,9 @@ from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError, DataError
 from .rng import derive_seed, stream
 from .splitting import SplitCriterion
-from .tree import (FORMAT_TREE, GrowConfig, TreeModel, canonical_json, frozen, grow_trees,
-                   header_doc, parse_doc, read_header, tree_from_doc, tree_to_doc, tree_to_json,
-                   typed_list)
+from .tree import (_APPLY_ROWS, FORMAT_TREE, GrowConfig, TreeModel, canonical_json, check_cut,
+                   frozen, grow_trees, header_doc, parse_doc, read_header, tree_from_doc,
+                   tree_to_json, typed_list)
 
 FORMAT_FOREST = "forest-v1"
 
@@ -101,12 +101,30 @@ class ForestModel:
 
     def predict_value(self, X, max_depth: Optional[int] = None):
         """Mean over trees of the per-tree fitted value (regression) or
-        smoothed log-odds (classification)."""
-        if self.task == CLASSIFICATION:
-            per_tree = [t.predict_log_odds(X, max_depth) for t in self.trees]
-        else:
-            per_tree = [t.predict_value(X, max_depth) for t in self.trees]
-        return np.mean(np.asarray(per_tree), axis=0)
+        smoothed log-odds (classification).
+
+        The rows are taken `tree._APPLY_ROWS` at a time: each chunk's
+        per-tree predictions fill one (n_trees, chunk) buffer, and its mean
+        over axis 0 gives the chunk's values, so memory holds one chunk per
+        tree, not every row for every tree. numpy sums a (T, m) array's
+        axis 0 tree by tree when m >= 2 but pairwise when m == 1, so no
+        chunk holds a single row unless n does: each point gets the float
+        the mean over a (T, n) stack of all rows would give."""
+        X, single = self.trees[0]._as_matrix(X)
+        check_cut(max_depth)
+        n = X.shape[0]
+        bounds = list(range(0, n, _APPLY_ROWS)) + [n]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            bounds[-2] -= 1
+        out = np.empty(n)
+        per_tree = np.empty((self.n_trees, min(n, _APPLY_ROWS)))
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = per_tree[:, :hi - lo]
+            for row, t in zip(block, self.trees):
+                cell = t.apply(X[lo:hi], max_depth)
+                (t.log_odds if self.task == CLASSIFICATION else t.value).take(cell, out=row)
+            np.mean(block, axis=0, out=out[lo:hi])
+        return out[0] if single else out
 
     def predict(self, X, max_depth: Optional[int] = None):
         vals = self.predict_value(X, max_depth)
@@ -167,13 +185,6 @@ def train_forest(data: Dataset, config: ForestConfig, seed: int = 0) -> ForestMo
 # ---------------------------------------------------------------------------
 
 
-def forest_to_doc(forest: ForestModel) -> dict:
-    return {**header_doc(forest, FORMAT_FOREST), "n_trees": forest.n_trees,
-            "m_try": forest.m_try, "bootstrap": forest.bootstrap, "seed": forest.seed,
-            "bootstrap_indices": [idx.tolist() for idx in forest.bootstrap_indices],
-            "trees": [tree_to_doc(t) for t in forest.trees]}
-
-
 def forest_from_doc(doc: dict) -> ForestModel:
     """Parse a forest-v1 document: the header as it is, each tree through
     `tree_from_doc`, each index list through `typed_list`; the ForestModel
@@ -190,8 +201,32 @@ def forest_from_doc(doc: dict) -> ForestModel:
 
 
 def forest_to_json(forest: ForestModel) -> str:
-    """Canonical (byte-stable) JSON for a forest."""
-    return canonical_json(forest_to_doc(forest))
+    """Canonical (byte-stable) JSON for a forest: the bytes `canonical_json`
+    gives the whole forest-v1 document, written key by key and one index
+    list or tree document at a time, so the whole forest is never held as
+    Python objects; the text's pieces and the text itself are what the
+    writer holds at its peak."""
+    fields = {**header_doc(forest, FORMAT_FOREST), "n_trees": forest.n_trees,
+              "m_try": forest.m_try, "bootstrap": forest.bootstrap, "seed": forest.seed}
+    lists = {"bootstrap_indices": (canonical_json(idx.tolist())
+                                   for idx in forest.bootstrap_indices),
+             "trees": map(tree_to_json, forest.trees)}
+
+    def pieces():
+        for k, key in enumerate(sorted([*fields, *lists])):
+            yield ("{" if k == 0 else ",") + canonical_json(key) + ":"
+            if key in fields:
+                yield canonical_json(fields[key])
+                continue
+            yield "["
+            for i, text in enumerate(lists[key]):
+                if i:
+                    yield ","
+                yield text
+            yield "]"
+        yield "}"
+
+    return "".join(pieces())
 
 
 def forest_from_json(text: str) -> ForestModel:

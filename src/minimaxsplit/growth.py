@@ -10,11 +10,26 @@ many roots. Each tree's splits and node records are exactly those of the
 node-at-a-time grower kept as the test reference in
 `tests/pernode_grower.py`, run on that tree's sample alone: every prefix
 curve, argmin and node mean is computed from the same floats in the same
-order. A group of large samples sorts its roots by the dataset's dense
-ranks instead of by float values (SLIQ's presort, done once
-for all the group's trees, not once per tree; a forest of several groups
-ranks the dataset once for all of them): 16-bit rank keys take numpy's radix
-sort. The block scan itself (row padding, block grouping, the prefix kernels
+order.
+
+Growth reads keys, not floats. A group of large samples (`ranks_pay`) keys
+its samples by the dataset's dense ranks (`dense_ranks`; SLIQ's presort,
+done once for all the group's trees, not once per tree; a forest of several
+groups ranks the dataset once for all of them): 16-bit rank keys take
+numpy's radix sort and take a quarter of a float's memory. Any other group
+keys them by their float values. A group whose one sample is the whole
+dataset in order reads its keys in place, with no gather. The presort, the
+non-constant screen, the scan's candidate cuts and the routing of samples
+to children all compare keys, and a rank rises exactly where its value
+does, so both kinds of key make the same trees. The floats a split needs,
+the values on either side of a chosen cut and the random_uniform draw's
+range, are read from `data.features` through the dataset rows of the cut
+positions, so every threshold is the same float either way. Besides the
+keys, a group's per-sample state is its index matrix (SPRINT's attribute
+lists), its gathered targets and its positions' dataset rows; a fit's
+peak memory stays near its data.
+
+The block scan itself (row padding, block grouping, the prefix kernels
 and the mirrored read-back of the right curve) lives in `splitting`, shared
 with `martingale`; a block gathers its rows through one array of flat
 offsets per source (`splitting._flat`), not through 2-D fancy indexing. A
@@ -70,15 +85,18 @@ class Growth:
     over one sample at most). `ranks`, if given, are
     `dense_ranks(data.features)`, which a caller growing several groups
     computes once for all of them. The samples are the blocks, one after
-    another, of a shared index space: `X` and `y` hold the gathered
-    samples, and a position in them names one sample of one tree.
+    another, of a shared index space: a position names one sample of one
+    tree, `rows` holds each position's dataset row, `y` its target and the
+    (d, N) `X` its keys: dense ranks where `ranks_pay`, float values
+    otherwise (the dataset's own arrays, not gathered, when the one sample
+    is the whole dataset in order).
 
     The frontier, the nodes still to resolve, is a run of contiguous segments
     in `lists`, a (d + 1, N) matrix of positions: row j < d holds each node's
-    positions ordered by feature j (value, then position: `presort` sorts
-    each sample block once, stably, by the dataset's dense ranks or by
-    value), row d holds them in position order. Those are the orders a
-    per-node search sorts into, so every prefix curve, argmin and node mean
+    positions ordered by feature j (key, then position: `presort` sorts
+    each sample block once, stably), row d holds them in position order.
+    Those are the orders a per-node search sorts into, so every prefix
+    curve, argmin and node mean
     sees the same floats in the same order. The frontier is tree-major, each
     tree's nodes in breadth-first order, so each tree draws from its streams
     in its own breadth-first node order. After a level, a stable partition
@@ -119,11 +137,18 @@ class Growth:
         self.sizes = np.array([s.size for s in samples], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         # the row of `data` at each position
-        rows = np.concatenate(samples)
-        self.X, self.y = data.features.take(rows, axis=1), data.targets[rows]
+        self.rows = np.concatenate(samples)
+        if ranks_pay(data, self.sizes):
+            keys = dense_ranks(data.features) if ranks is None else ranks
+        else:
+            keys = data.features
+        if len(samples) == 1 and n == self.rows.size and np.array_equal(self.rows, np.arange(n)):
+            self.X, self.y = keys, data.targets
+        else:
+            self.X, self.y = keys.take(self.rows, axis=1), data.targets.take(self.rows)
         if data.task != CLASSIFICATION:
             check_scale("the samples' targets", self.y, int(self.sizes.max()))
-        self.lists = presort(data, self.X, rows, self.offsets, self.sizes, ranks)
+        self.lists = presort(self.X, self.offsets, self.sizes)
         self.prefix = (_prefix_entropy_risk if data.task == CLASSIFICATION
                        else _prefix_sse)
         # the unsplittable screen looks at the features a node could ever
@@ -271,17 +296,19 @@ class Growth:
         reason[stuck & ~carry] = _NO_VALID_SPLIT
         self.leaves.append((ids, reason))
 
-        # route each sample of a splitting node; x < t goes left
+        # route each sample of a splitting node: it goes right iff its key
+        # exceeds the key at its node's cut (`_Scan.low`). No value of the
+        # node lies strictly between the cut's low and high, so that is the
+        # side x < t gives. Each sample's flat offset in X is its node's
+        # feature row plus its own column
         seg = np.repeat(np.arange(ids.size), sizes)
-        # each sample's flat offset in X is its node's feature row plus its
-        # own column
+        X = self.X.reshape(-1)
         node_row = np.zeros(ids.size, dtype=np.int64)
         node_row[nodes] = feats * self.X.shape[1]
-        node_threshold = np.zeros(ids.size)
-        node_threshold[nodes] = threshold
+        cut_key = np.zeros(ids.size, dtype=X.dtype)
+        cut_key[nodes] = X.take(node_row[nodes] + scan.low)
         samples = lists[d]
-        goes_right = ~(self.X.reshape(-1).take(node_row.take(seg) + samples)
-                       < node_threshold[seg]) & split[seg]
+        goes_right = (X.take(node_row.take(seg) + samples) > cut_key.take(seg)) & split[seg]
         n_left = np.zeros(ids.size, dtype=np.int64)
         n_left[nodes] = scan.left_count
 
@@ -330,7 +357,8 @@ class Growth:
 
     def spread(self, front: _Frontier) -> np.ndarray:
         """(d, K): whether each feature is non-constant on each frontier
-        node, that is, whether its sorted segment ends above where it starts."""
+        node, that is, whether its sorted segment's key ends above where it
+        starts."""
         rows = np.arange(self.d)[:, None]
         first = self.X[rows, front.lists[:-1, front.starts]]
         last = self.X[rows, front.lists[:-1, front.starts + front.sizes - 1]]
@@ -342,8 +370,8 @@ class Growth:
         have one (a subset of `open_nodes`, in frontier order), their
         features, their scan results and their thresholds. A node with no
         allowed non-constant feature gets none. Only the chosen rows get a
-        threshold: the midpoint of their scan's `low` and `high`, or
-        (random_uniform) the drawn one."""
+        threshold: the midpoint of the feature values at their scan's `low`
+        and `high` (`floats`), or (random_uniform) the drawn one."""
         if self.crit.is_random:
             nodes, feats, picks, uniform_t = self._random_rows(front, open_nodes, spread)
             scan = self._scan(front, nodes, feats, picks)
@@ -359,7 +387,14 @@ class Growth:
             head[1:] = nodes[order[1:]] != nodes[order[:-1]]
             best = order[head]
             nodes, feats, scan = nodes[best], feats[best], _Scan(*(a[best] for a in scan))
-        return nodes, feats, scan, midpoints(scan.low, scan.high)
+        return nodes, feats, scan, midpoints(self.floats(feats, scan.low),
+                                             self.floats(feats, scan.high))
+
+    def floats(self, feats, positions: np.ndarray) -> np.ndarray:
+        """The float values of features `feats` (an array, or one index) at
+        `positions`, read from `data.features` through each position's
+        dataset row."""
+        return self.data.features[feats, self.rows.take(positions)]
 
     def _allowed(self, level: int, front: _Frontier, open_nodes: np.ndarray,
                  spread: np.ndarray):
@@ -391,7 +426,8 @@ class Growth:
         they are the `features` stream's draws, which the node loop does
         not touch, so no stream sees another order. Returns the rows to
         scan, each row's candidate, and (random_uniform) the drawn
-        thresholds."""
+        thresholds. random_observed needs only the segment's keys; the
+        uniform draw reads the segment's floats (`floats`)."""
         config, X = self.config, self.X
         starts, sizes, lists, trees = front.starts, front.sizes, front.lists, front.trees
         uniform = self.crit.tag == "random_uniform"
@@ -409,7 +445,8 @@ class Growth:
             if not eligible:
                 continue
             j = int(eligible[int(rng.integers(len(eligible)))])
-            v = X[j, lists[j, starts[k]:starts[k] + sizes[k]]]
+            segment = lists[j, starts[k]:starts[k] + sizes[k]]
+            v = self.floats(j, segment) if uniform else X[j, segment]
             gaps = np.flatnonzero(v[1:] > v[:-1])  # candidate c cuts between v[c], v[c+1]
             if uniform:
                 vmin, vmax = float(v[0]), float(v[-1])
@@ -439,16 +476,17 @@ class Growth:
         c + 1 samples go left; the row's result is at `picks[row]` if given,
         else at the first argmin of the criterion, which is the smallest
         threshold among ties (and for 'max', exactly where the bisection of
-        `tests/pernode_scan.py` lands).
+        `tests/pernode_scan.py` lands). A candidate cuts only where the key
+        rises strictly, and keys rise exactly where the floats do.
 
         Rows are scanned in the padded blocks of `splitting._row_blocks`.
         Each row gets its own sequential cumsum, so its curves are those of
         the single-node scan in `tests/pernode_scan.py` and of the reference
         grower bit for bit; a global cumsum minus segment offsets would not
-        be. A row's threshold is left to `choose`, which takes the midpoint
-        for the rows it keeps only."""
-        out = _Scan(*(np.empty(nodes.size, dtype=np.int64 if name == "left_count" else None)
-                      for name in _Scan._fields))
+        be. A row's threshold is left to `choose`, which reads the floats at
+        the cut and takes their midpoint for the rows it keeps only."""
+        out = _Scan(*(np.empty(nodes.size, dtype=np.int64 if name in ("low", "high", "left_count")
+                               else None) for name in _Scan._fields))
         # flat views (see `splitting._flat`), made once for every block
         lists, (step, _) = _flat(front.lists)
         X = self.X.reshape(-1)
@@ -468,20 +506,20 @@ class Growth:
         # `step`) of its feature; padding repeats the row's last sample
         sample = lists.take(np.minimum(np.arange(width), m[:, None] - 1)
                             + (feats * step + front.starts[nodes])[:, None])
-        v = X.take(sample + (feats * self.X.shape[1])[:, None])
         left, right = _child_curves(self.prefix, (self.y.take(sample),), m)
         crit = _MODE_CRITERIA["sum" if self.crit.is_random else self.crit.scan_mode](left, right)
         if picks is None:
-            # padding repeats a value, so it never shows a strict rise
+            # padding repeats a key, so it never shows a strict rise
+            v = X.take(sample + (feats * self.X.shape[1])[:, None])
             crit = np.where(v[:, 1:] > v[:, :-1], crit, np.inf)
             picks = np.argmin(crit, axis=1)
         # each row's entry at its pick: through flat offsets where the array
-        # is C-contiguous (v's rows are `width` apart, those of crit and right
-        # `width - 1`); left is a view of the prefix curves
+        # is C-contiguous (sample's rows are `width` apart, those of crit and
+        # right `width - 1`); left is a view of the prefix curves
         rows = np.arange(nodes.size)
         cut = rows * (width - 1) + picks
-        v, v_at = v.reshape(-1), rows * width + picks
-        return _Scan(crit.reshape(-1).take(cut), v.take(v_at), v.take(v_at + 1),
+        sample, at = sample.reshape(-1), rows * width + picks
+        return _Scan(crit.reshape(-1).take(cut), sample.take(at), sample.take(at + 1),
                      left[rows, picks], right.reshape(-1).take(cut), picks + 1)
 
 
@@ -525,38 +563,36 @@ def draw_subsets(rngs: Sequence[np.random.Generator], trees: np.ndarray, d: int,
     return allow
 
 
-def presort(data: Dataset, X: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
-            sizes: np.ndarray, ranks: Optional[np.ndarray] = None) -> np.ndarray:
+def presort(keys: np.ndarray, offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The root index matrix of `Growth`: the blocks (offsets, sizes) of
-    positions into X = data.features[:, rows], each sorted stably by every
-    feature (rows 0..d-1), then position order (row d). A group for which
-    `ranks_pay` sorts each block by its rows' dense ranks (`rank_order`),
-    those given or, if none are, the dataset's ranked here (`dense_ranks`);
-    any other group sorts each block's floats. Ties keep position order
-    either way, so both give the same order. Consecutive blocks of one size
-    sort together, up to `_SORT_ENTRIES` feature values per call, so a
-    study's replicates cost a few sort calls, not one per block."""
-    d, total = X.shape
+    positions into the (d, N) `keys` (`Growth.X`), each sorted stably by
+    every feature's keys (rows 0..d-1), then position order (row d). Ties
+    keep position order, so rank keys (`rank_order`) and float keys give
+    the same order. Consecutive blocks of one size sort together, up to
+    `_SORT_ENTRIES` keys per call, so a study's replicates cost a few sort
+    calls, not one per block; a block larger than that sorts one feature
+    row at a time, straight into its row of the matrix, so the sort's
+    temporaries stay one row long."""
+    d, total = keys.shape
     lists = np.empty((d + 1, total), dtype=np.int32)
-    if not ranks_pay(data, sizes):
-        ranks = None
-    elif ranks is None:
-        ranks = dense_ranks(data.features)
     # a run of consecutive blocks of one size is one slice of positions,
-    # sorted as a (d, blocks, size) array
+    # sorted as a (features, blocks, size) array
     starts = offsets.tolist()
     for size, run in groupby(range(len(starts)), sizes.tolist().__getitem__):
         run = list(run)
         per_call = max(1, _SORT_ENTRIES // (d * size))
+        features = ([slice(0, d)] if d * size <= _SORT_ENTRIES
+                    else [slice(j, j + 1) for j in range(d)])
         for lo in range(0, len(run), per_call):
             start = starts[run[lo]]
             stop = start + size * min(per_call, len(run) - lo)
-            keys = X[:, start:stop] if ranks is None else ranks.take(rows[start:stop], axis=1)
-            keys = keys.reshape(d, -1, size)
-            order = (np.argsort(keys, axis=-1, kind="stable") if ranks is None
-                     else rank_order(keys))
-            order += np.arange(start, stop, size)[:, None]
-            lists[:-1, start:stop] = order.reshape(d, -1)
+            for at in features:
+                block = keys[at, start:stop]
+                block = block.reshape(block.shape[0], -1, size)
+                order = (np.argsort(block, axis=-1, kind="stable")
+                         if block.dtype == np.float64 else rank_order(block))
+                order += np.arange(start, stop, size)[:, None]
+                lists[at, start:stop] = order.reshape(block.shape[0], -1)
     lists[-1] = np.arange(total)
     return lists
 
@@ -576,16 +612,22 @@ def ranks_pay(data: Dataset, sizes) -> bool:
 def dense_ranks(features: np.ndarray) -> np.ndarray:
     """(d, n) dense ranks of each feature row of `features`: 0 for its least
     value, one more for each greater distinct value, so equal values (-0.0
-    and 0.0 among them, as `<` has it) share a rank. uint16 while every rank
-    fits, int32 beyond. Features are finite, so no NaN needs a rank. One
-    feature at a time, so the temporaries stay one row long."""
-    ranks = np.empty(features.shape, dtype=np.int32)
+    and 0.0 among them, as `<` has it) share a rank. These are the keys
+    growth sorts and routes by (`Growth`): a rank rises exactly where its
+    value does. uint16 while every rank fits, written as uint16 directly
+    when n <= 65 536 (no rank can exceed n - 1), int32 beyond. Features are
+    finite, so no NaN needs a rank. One feature at a time, so the
+    temporaries stay one row long."""
+    ranks = np.empty(features.shape, dtype=np.uint16 if features.shape[1] <= 0x10000
+                     else np.int32)
     for x, rank in zip(features, ranks):
         order = np.argsort(x)
         ascending = x.take(order)
         rank[order[0]] = 0
-        rank[order[1:]] = np.cumsum(ascending[1:] != ascending[:-1], dtype=np.int32)
-    return ranks.astype(np.uint16) if int(ranks.max()) <= 0xFFFF else ranks
+        rank[order[1:]] = np.cumsum(ascending[1:] != ascending[:-1], dtype=ranks.dtype)
+    if ranks.dtype == np.int32 and int(ranks.max()) <= 0xFFFF:
+        return ranks.astype(np.uint16)
+    return ranks
 
 
 def rank_order(ranks: np.ndarray) -> np.ndarray:
@@ -615,13 +657,15 @@ class _Frontier(NamedTuple):
 
 class _Scan(NamedTuple):
     """Per-row result of `Growth._scan`: the criterion at the row's cut,
-    the sorted feature values on either side of it (`low` is the last that
-    goes left, `high` the first that goes right; `Growth.choose` turns a
-    chosen row's pair into its threshold), the two child risks and the
-    left count."""
+    the positions on either side of it in the row's sorted segment (`low`
+    is the last that goes left, `high` the first that goes right), the two
+    child risks and the left count. The keys of `Growth.X` at low and high
+    differ, and no key of the node lies strictly between them: routing
+    compares each key with low's, and `Growth.choose` turns the floats at
+    a chosen row's pair into its threshold."""
 
     criterion: np.ndarray
-    low: np.ndarray
+    low: np.ndarray  # positions into Growth.X's columns
     high: np.ndarray
     left_risk: np.ndarray
     right_risk: np.ndarray

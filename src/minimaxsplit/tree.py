@@ -286,7 +286,7 @@ def grow_trees(data: Dataset, config: GrowConfig, samples: Sequence[np.ndarray],
     many as fit in _GROUP_SAMPLES samples together (at least one), so a
     forest pays each level's fixed numpy calls once per group, not once per
     tree. The dataset is ranked at most once (`growth.dense_ranks`), for
-    every group whose roots sort by rank."""
+    every group that grows on rank keys."""
     groups: List[List[int]] = []
     held = 0
     for b, sample in enumerate(samples):
@@ -403,7 +403,9 @@ def _check_structure(tree: TreeModel) -> None:
     could not walk it or would walk it to a wrong cell; store its arrays
     `frozen`. Every node field holds one number per node, finite or NaN
     where null (`NODE_FIELDS`), and the risk trace max_depth + 1 finite
-    ones; each split node's two children lie after it and before the end;
+    ones that never rise; node risks are not negative (growth's child risks
+    come from clamped prefix curves and its gains are clamped at 0); each
+    split node's two children lie after it and before the end;
     every node but the root has exactly one parent; a leaf reason is 0 on
     split nodes and one of growth's reason codes on leaves; split levels lie
     in [0, max_depth) and rise from parent to child, so every descent ends
@@ -415,6 +417,8 @@ def _check_structure(tree: TreeModel) -> None:
     trace = frozen(tree.risk_trace, False, "risk_trace")
     if trace.size != tree.max_depth + 1 or not np.all(np.isfinite(trace)):
         raise DataError(f"risk_trace needs max_depth + 1 = {tree.max_depth + 1} finite entries")
+    if np.any(trace[1:] > trace[:-1]):
+        raise DataError("risk_trace must never increase")
     object.__setattr__(tree, "risk_trace", trace)
     n = tree.depth.size
     if n == 0:
@@ -427,6 +431,8 @@ def _check_structure(tree: TreeModel) -> None:
         if not f.integer and np.any(np.isinf(values) if f.null else ~np.isfinite(values)):
             raise DataError(f"node {f.name} values must be finite")
         object.__setattr__(tree, f.name, values)
+    if np.any(tree.risk < 0.0):
+        raise DataError("node risks must not be negative")
     ids = np.arange(n)
     left, right = tree.left, tree.right
     split = left >= 0

@@ -460,6 +460,34 @@ def test_writer_random_rows_in_tiny_blocks(tiny_blocks, workdir):
     test_writer_random_rows(workdir=workdir)
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="a\r\n", max_size=40), chars=st.integers(1, 8))
+def test_line_count_is_the_blocks_lines(tmp_path_factory, text, chars):
+    """`_measure`'s binary count of the lines, '\\r\\n' and lone '\\r'
+    breaks split across its reads among them, is the number of lines the
+    text blocks hold, which sizes the table."""
+    path = tmp_path_factory.mktemp("count") / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_CSV_CHARS", chars)
+        size, lines = dataset._measure(path)
+        blocks = "".join(dataset._blocks(path))
+    assert size == len(text)
+    assert lines == (len(blocks.split("\n")) - blocks.endswith("\n") if blocks else 0)
+
+
+def test_empty_lines_do_not_grow_the_table(tmp_path):
+    """The table is allocated from the file's line count, but a line holds
+    a row of k cells only with 2k bytes: around two rows, 400 000 empty
+    lines get at most 4 bytes of table per byte of file, not 16 bytes per
+    line. The rows returned are the leading rows of that allocation."""
+    path = tmp_path / "sparse.csv"
+    path.write_text("a,b\n1,2\n" + "\n" * 400_000 + "3,4\n", encoding="utf-8")
+    got = load_feature_matrix(path)
+    assert got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert got.base.nbytes <= 4 * path.stat().st_size
+
+
 def test_tiny_blocks_split_lines(tiny_blocks, tmp_path):
     """Lines longer than a block are read whole; the blocks end at line
     breaks of any kind."""
@@ -470,11 +498,9 @@ def test_tiny_blocks_split_lines(tiny_blocks, tmp_path):
     assert len(blocks) > 3 and all(b.endswith("\n") for b in blocks[:-1])
 
 
-def test_reader_memory_stays_near_the_table(tmp_path):
-    """Reading a 100 000 x 9 file (six decimals, as the benchmark writes
-    them) peaks below 3.2 times the table: the table, the blocks it was
-    joined from and one block of text. Holding the whole text and its lines
-    took 3.75 times."""
+def _read_big_table(tmp_path):
+    """Read a 100 000 x 9 file (six decimals, as the benchmark writes them)
+    under tracemalloc; returns the table and the peak."""
     path = tmp_path / "big.csv"
     table = np.random.default_rng(3).uniform(size=(100_000, 9))
     np.savetxt(path, table, fmt="%.6f", delimiter=",",
@@ -486,7 +512,23 @@ def test_reader_memory_stays_near_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.shape == (100_000, 9) and np.abs(got - table).max() <= 5e-7
+    return got, peak
+
+
+def test_reader_memory_stays_near_the_table(tmp_path):
+    """Reading the big file peaks below 3.2 times the table. Holding the
+    whole text and its lines took 3.75 times."""
+    got, peak = _read_big_table(tmp_path)
     assert peak < 3.2 * got.nbytes, peak / got.nbytes
+
+
+def test_reader_fills_one_table(tmp_path):
+    """The same file peaks below 1.5 times the table: the rows are parsed
+    into one table sized from the file's line count, with one block of text
+    and its parse beside it. Concatenating per-block parts of 1 MiB blocks
+    took 2.3 times."""
+    got, peak = _read_big_table(tmp_path)
+    assert peak < 1.5 * got.nbytes, peak / got.nbytes
 
 
 def test_writer_memory_is_one_block(tmp_path):

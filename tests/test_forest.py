@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from minimaxsplit import (
     train_forest,
     tree_to_json,
 )
+from minimaxsplit.forest import FORMAT_FOREST
+from minimaxsplit.tree import _APPLY_ROWS, canonical_json, header_doc, tree_to_doc
 
 from conftest import build_model, predict_exit, same_json
 
@@ -221,6 +224,9 @@ CRAFTED_FORESTS = {
     "bootstrap_list_one_short": lambda doc: doc["bootstrap_indices"][1].pop(),
     "resampled_without_bootstrap": _forest_set("bootstrap", False),
     "tree_n_train_below_its_root": _each_tree("n_train", 7),
+    "tree_risk_negative": lambda doc: doc["trees"][1]["nodes"][-1].update(risk=-3.0),
+    "tree_risk_trace_rises": lambda doc: doc["trees"][1]["risk_trace"].__setitem__(
+        -1, doc["trees"][1]["risk_trace"][0] + 1.0),
 }
 
 
@@ -321,3 +327,113 @@ def test_forest_records_dataset_feature_names():
     # models of unnamed data write no key, as before
     plain = train_forest(base, ForestConfig(criterion="variance", n_trees=2, max_depth=2))
     assert "feature_names" not in model_to_json(plain)
+
+
+def forest_to_doc(forest: ForestModel) -> dict:
+    """The whole forest-v1 document as Python objects, as `forest_to_json`
+    built it before it wrote one tree at a time: the writer's oracle."""
+    return {**header_doc(forest, FORMAT_FOREST), "n_trees": forest.n_trees,
+            "m_try": forest.m_try, "bootstrap": forest.bootstrap, "seed": forest.seed,
+            "bootstrap_indices": [idx.tolist() for idx in forest.bootstrap_indices],
+            "trees": [tree_to_doc(t) for t in forest.trees]}
+
+
+def _labelled(seed=0, n=300, d=3):
+    base = toy_regression(seed=seed, n=n, d=d)
+    return Dataset(features=base.features, targets=np.where(base.targets > 0.3, 1.0, -1.0),
+                   task=CLASSIFICATION)
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+@pytest.mark.parametrize("config", [
+    dict(n_trees=3, max_depth=4),
+    dict(n_trees=2, max_depth=3, m_try=2, bootstrap=False),
+    dict(n_trees=1, max_depth=0),
+])
+def test_forest_json_is_the_canonical_document(task, config):
+    """`forest_to_json` writes, piece by piece, the bytes `canonical_json`
+    gives the whole document, with feature names or without."""
+    data = toy_regression(seed=3, n=120) if task == REGRESSION else _labelled(seed=3, n=120)
+    criterion = "minimax" if task == REGRESSION else "entropy_minimax"
+    for names in (None, ["p", "q", "r"]):
+        named = Dataset(features=data.features, targets=data.targets, task=task,
+                        feature_names=names)
+        forest = train_forest(named, ForestConfig(criterion=criterion, **config), seed=11)
+        assert forest_to_json(forest) == canonical_json(forest_to_doc(forest))
+
+
+def _list_and_stack(forest: ForestModel, X) -> np.ndarray:
+    """`ForestModel.predict_value` before it took the rows a chunk at a
+    time: every tree's predictions as a list, stacked, then the mean over
+    axis 0."""
+    if forest.task == CLASSIFICATION:
+        per_tree = [t.predict_log_odds(X) for t in forest.trees]
+    else:
+        per_tree = [t.predict_value(X) for t in forest.trees]
+    return np.mean(np.asarray(per_tree), axis=0)
+
+
+@pytest.fixture(scope="module")
+def fifty_tree_forests():
+    config = dict(n_trees=50, max_depth=6, m_try=2)
+    return {REGRESSION: train_forest(toy_regression(seed=4, n=300),
+                                     ForestConfig(criterion="minimax", **config), seed=2),
+            CLASSIFICATION: train_forest(_labelled(seed=4),
+                                         ForestConfig(criterion="entropy_minimax", **config),
+                                         seed=2)}
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+@pytest.mark.parametrize("n_trees", [1, 8, 9, 50])
+def test_chunked_prediction_is_the_stacked_mean(fifty_tree_forests, task, n_trees):
+    """Per chunk of rows, per forest of the first n_trees trees: the same
+    bytes as the list-and-stack mean, at every size around the chunk
+    length. numpy sums a (T, 1) stack pairwise and a wider one tree by
+    tree, which differ from 9 trees on, so a lone-row chunk would show."""
+    full = fifty_tree_forests[task]
+    forest = dataclasses.replace(full, n_trees=n_trees, trees=full.trees[:n_trees],
+                                 bootstrap_indices=full.bootstrap_indices[:n_trees])
+    rng = np.random.default_rng(n_trees)
+    for n in (1, 2, _APPLY_ROWS - 1, _APPLY_ROWS, _APPLY_ROWS + 1, 2 * _APPLY_ROWS + 1):
+        X = rng.uniform(size=(n, 3))
+        want = _list_and_stack(forest, X)
+        got = forest.predict_value(X)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+        labels = np.where(want >= 0.0, 1.0, -1.0) if task == CLASSIFICATION else want
+        assert forest.predict(X).tobytes() == labels.tobytes(), n
+    point = rng.uniform(size=3)
+    want = _list_and_stack(forest, point)
+    assert forest.predict_value(point) == want and type(forest.predict_value(point)) is type(want)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_prediction_memory_stays_near_its_rows():
+    """50 trees on 200 000 rows of 4 features (6.1 MiB) peak below 3x the
+    rows: a chunk of every tree's predictions, not every row for every tree.
+    The list-and-stack mean took 25x."""
+    rng = np.random.default_rng(6)
+    data = toy_regression(seed=6, n=2_000, d=4)
+    forest = train_forest(data, ForestConfig(criterion="minimax", n_trees=50, max_depth=8,
+                                             m_try=2), seed=1)
+    X = rng.uniform(size=(200_000, 4))
+    _, peak = _traced_peak(lambda: forest.predict_value(X))
+    assert peak < 3 * X.nbytes, peak / X.nbytes
+
+
+def test_forest_json_memory_stays_near_its_text():
+    """The writer peaks below 3x its output: the pieces and the joined text,
+    and one tree's document at a time. Building the whole document first
+    took 9x."""
+    data = toy_regression(seed=8, n=4_000, d=8)
+    forest = train_forest(data, ForestConfig(criterion="minimax", n_trees=10, max_depth=8,
+                                             m_try=3), seed=0)
+    text, peak = _traced_peak(lambda: forest_to_json(forest))
+    assert peak < 3 * len(text), peak / len(text)

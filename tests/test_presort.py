@@ -1,17 +1,19 @@
-"""The rank-keyed root presort of `growth`: a block sorted by the dataset's
-dense ranks (`dense_ranks`, `rank_order`) is in the order of a stable sort
-of its float values, ties in position order, on both the one-pass (uint16)
-and the two-pass (int32) path."""
+"""The rank-keyed growth of `growth`: a block sorted by the dataset's dense
+ranks (`dense_ranks`, `rank_order`) is in the order of a stable sort of its
+float values, ties in position order, on both the one-pass (uint16) and the
+two-pass (int32) path; and a tree grown on rank keys, which screens, scans
+and routes by key, is the tree grown on float keys, byte for byte."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minimaxsplit.growth as growth_module
 import minimaxsplit.tree as tree_module
-from minimaxsplit import REGRESSION, Dataset, GrowConfig, grow
+from minimaxsplit import CLASSIFICATION, REGRESSION, Dataset, GrowConfig, grow
 from minimaxsplit.growth import dense_ranks, rank_order
 from minimaxsplit.rng import stream
 from minimaxsplit.tree import grow_trees, tree_to_json
@@ -143,3 +145,78 @@ def test_no_group_on_the_rank_path_ranks_nothing(monkeypatch):
     monkeypatch.setattr(growth_module, "dense_ranks", None)
     grow_trees(data, GrowConfig("variance", max_depth=3), [np.arange(200)] * 3,
                [None] * 3, [None] * 3)
+
+
+def _keyed_cases():
+    """(name, data, config, samples, seeded): each edge case of rank-keyed
+    routing. `seeded` says the trees draw from streams (m_try or a random
+    criterion)."""
+    rng = np.random.default_rng(23)
+    n = 600
+    ties = np.round(rng.normal(size=(3, n)), 1)
+    y = np.sin(ties[0]) + ties[1] + rng.normal(size=n)
+    yield "ties", Dataset(features=ties, targets=y, task=REGRESSION), \
+        GrowConfig("minimax", max_depth=6), [np.arange(n)], False
+    zeros = rng.choice([-0.0, 0.0, 1.0, -1.0, 5e-324, -5e-324], size=(2, n))
+    yield "signed_zeros", Dataset(features=zeros, targets=rng.normal(size=n),
+                                  task=REGRESSION), \
+        GrowConfig("variance", max_depth=5), [np.arange(n)], False
+    wide = rng.normal(size=(2, 70_000))
+    yield "int32_keys", Dataset(features=wide, targets=np.sin(wide[0]) + wide[1],
+                                task=REGRESSION), \
+        GrowConfig("minimax", max_depth=3), [np.arange(70_000)], False
+    data = Dataset(features=ties, targets=y, task=REGRESSION)
+    yield "bootstrap_group", data, GrowConfig("minimax", max_depth=5, m_try=2), \
+        [rng.integers(0, n, n) for _ in range(3)], True
+    # feature 0 has two values, so a cyclic rule's scheduled feature is
+    # often constant on a node, which then carries to the next level
+    steps = np.array([rng.integers(0, 2, n), rng.normal(size=n)], dtype=np.float64)
+    yield "cyclic_carries", Dataset(features=steps, targets=steps[0] + steps[1] ** 2,
+                                    task=REGRESSION), \
+        GrowConfig("cyclic_minimax", max_depth=6), [np.arange(n)], False
+    for crit in ("random_uniform", "random_observed"):
+        yield crit, data, GrowConfig(crit, max_depth=5), [rng.integers(0, n, n)], True
+    labels = np.where(ties[0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    labelled = Dataset(features=ties, targets=labels, task=CLASSIFICATION)
+    for crit in ("entropy_sum", "entropy_minimax", "entropy_cyclic_minimax"):
+        yield crit, labelled, GrowConfig(crit, max_depth=5), [np.arange(n)], False
+
+
+@pytest.mark.parametrize("case", list(_keyed_cases()), ids=lambda case: case[0])
+def test_rank_keys_grow_the_float_keys_trees(monkeypatch, case):
+    """Each case grows on rank keys and on float keys (`ranks_pay` forced
+    either way), and every tree is the same; the group's keys are ranks on
+    the one path and floats on the other, read in place (not gathered) when
+    the one sample is the whole dataset in order. The smaller cases are
+    also the per-node grower's trees."""
+    name, data, config, samples, seeded = case
+
+    def streams(label):
+        return [stream(b, label) if seeded else None for b in range(len(samples))]
+
+    keys = []
+
+    class Recorded(growth_module.Growth):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            keys.append(self.X)
+
+    monkeypatch.setattr(tree_module, "Growth", Recorded)
+    grown = []
+    for threshold in (1, math.inf):
+        monkeypatch.setattr(growth_module, "_RANK_ENTRIES", threshold)
+        trees = grow_trees(data, config, samples, streams("features"), streams("splits"))
+        grown.append([tree_to_json(t) for t in trees])
+    assert grown[0] == grown[1]
+    ranked, floats = keys
+    assert ranked.dtype == (np.int32 if name == "int32_keys" else np.uint16)
+    assert floats.dtype == np.float64
+    whole = len(samples) == 1 and np.array_equal(samples[0], np.arange(data.n_samples))
+    assert (floats is data.features) == whole
+    assert np.shares_memory(floats, data.features) == whole
+    if data.n_samples <= 1_000:
+        for b, rows in enumerate(samples):
+            want = grow_per_node(data.subset(rows), config,
+                                 features_rng=streams("features")[b],
+                                 splits_rng=streams("splits")[b])
+            assert grown[0][b] == tree_to_json(want)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,8 @@ CRAFTED = {
     "value_a_string": _set(2, "value", "0.5"),
     "value_a_bool": _set(2, "value", True),
     "risk_nan": _set(1, "risk", math.nan),
+    "risk_negative": _set(3, "risk", -3.0),
+    "risk_trace_rises": lambda doc: doc["risk_trace"].__setitem__(1, doc["risk_trace"][0] + 1.0),
     "risk_trace_strings": lambda doc: doc.update(risk_trace=["NaN", "1e999", 0, 0]),
     "risk_trace_nan": lambda doc: doc["risk_trace"].__setitem__(1, math.nan),
     "risk_trace_infinite": lambda doc: doc["risk_trace"].__setitem__(1, math.inf),
@@ -606,3 +609,21 @@ def test_header_fields_must_be_integers():
             tree_from_doc(bad)
         with pytest.raises(DataError):
             build_model(bad)
+
+
+def test_growth_memory_stays_near_the_features():
+    """A depth-12 minimax tree on 62 500 rows of 8 uniform features peaks
+    below 3x its feature matrix: growth holds 16-bit rank keys read in place
+    and its index lists, and sorts a large block one feature row at a time.
+    Float copies of the sample and whole-block sorts took 3.6x."""
+    rng = np.random.default_rng(10)
+    X = rng.uniform(size=(8, 62_500))
+    data = Dataset(features=X, targets=np.sin(4 * X[0]) + X[1] * X[2]
+                   + 0.3 * rng.normal(size=X.shape[1]), task=REGRESSION)
+    tracemalloc.start()
+    try:
+        grow(data, GrowConfig("minimax", max_depth=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * X.nbytes, peak / X.nbytes
